@@ -15,13 +15,14 @@ Three apps bracket the design space honestly:
   data, which the symbolic recorder (correctly) declines; the live
   tier records the representative's real execution instead and replays
   the rest, so steady-state occupancy is 1.0.  Wall-clock is ~parity,
-  not a win: the simulator core (network, engine, event queue) is
-  ~85% of the run, so by Amdahl even eliminating all guest-side
-  interpretation moves the needle a few percent — the enforced floors
-  pin the measured values (0.89-1.00x sort, 0.93-0.97x fft across the
-  shapes on the reference host, with memoized admission keeping warm
-  guard work near one trace per member) so the replay path can never
-  silently regress.
+  not a win: the simulator core (engine, network, EXU, IBU, OBU) is
+  93-96% of ``Engine.run`` host time and guest code 4-5% (perfbench's
+  layer profile, ``perfbench/README.md``), so by Amdahl even
+  eliminating all guest-side interpretation moves the needle a few
+  percent — the enforced floors pin the measured values (0.89-1.00x
+  sort, 0.93-0.97x fft across the shapes on the reference host, with
+  memoized admission keeping warm guard work near one trace per
+  member) so the replay path can never silently regress.
 
 Usage::
 
@@ -230,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
             "the representative's real execution and replayed, so "
             "steady-state occupancy is 1.0 (occupancy_cold shows the "
             "first-run tracing ramp).  Their floors pin parity, not a "
-            "win: the simulator core is ~85% of wall time, so by "
+            "win: the simulator core is 93-96% of Engine.run host "
+            "time and guest code 4-5% (perfbench/README.md), so by "
             "Amdahl eliminating guest interpretation is worth a few "
             "percent at most (measured 0.89-1.00x sort, 0.93-0.97x "
             "fft across the shapes; memoized admission keeps warm "

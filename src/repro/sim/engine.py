@@ -9,11 +9,13 @@ events in time order until the queue drains or a cycle limit is hit.
 cycle-limit check and quiescence test happen once per simulated cycle
 rather than once per event, and every event of that cycle then fires
 from a plain bucket list with nothing but a tombstone check per event.
-Determinism is unchanged: a bucket holds its cycle's events in push
-(``seq``) order, and the rare cycle whose events spilled to the far
-tier falls back to single-event pops that interleave both tiers by the
-same global ``(time, seq)`` order — so the firing sequence is exactly
-what the reference heapq engine produces, batch drain or not.
+There is no per-event fallback: events that spilled to the far tier are
+folded into the front of their cycle's bucket when that cycle comes due,
+and the drain cursor re-anchors at it, so even a cycle after an idle gap
+longer than the ring drains as one batch.  Determinism is unchanged: a
+bucket holds its cycle's events in ``seq`` order, folded far entries
+included, so the firing sequence is exactly what the reference heapq
+engine produces.
 
 ``Engine.now`` is a plain attribute (mirrored into :class:`Clock`),
 updated only here; model code reads it millions of times per run, so it
@@ -199,7 +201,7 @@ class Engine:
         limit = self._limit(until)
         clock = self.clock
         while queue._live:
-            t, bucket = queue.next_cycle()
+            t, bucket = queue.next_cycle(limit)
             if t > limit:
                 if self._pause_or_raise(t, until):
                     return
@@ -208,16 +210,13 @@ class Engine:
             pre_cycle = self.pre_cycle
             if pre_cycle is not None:
                 pre_cycle(t)
-            if bucket is None:
-                # Rare: this cycle's events (partly) spilled to the far
-                # heap; single pops interleave both tiers by seq.
-                self._drain_one_cycle_generic(queue, t)
-                continue
-            # Hot path: fire the whole bucket in place.  Same-cycle
-            # pushes append to `bucket` while we iterate, so the index
-            # runs until it falls off the (possibly growing) end —
-            # IndexError is the loop exit, free in 3.11 until raised.
-            # Tombstoned entries just skip.
+            # Fire the whole bucket in place.  Same-cycle pushes append
+            # to `bucket` while we iterate, so the index runs until it
+            # falls off the (possibly growing) end — IndexError is the
+            # loop exit, free in 3.11 until raised.  Tombstoned entries
+            # just skip.  A raising handler leaves the rest of the
+            # bucket in place behind tombstones, so `len(queue)` stays
+            # exact and a later run() resumes the cycle.
             i = 0
             fired = 0
             try:
@@ -234,16 +233,9 @@ class Engine:
                         fn(*entry[3])
             finally:
                 self.events_fired += fired
+                queue._live -= fired
             bucket.clear()
-            queue.finish_cycle(t, fired, i)
-
-    def _drain_one_cycle_generic(self, queue: EventQueue, t: int) -> None:
-        while True:
-            if queue.peek_time() != t:
-                return
-            ev = queue.pop()
-            self.events_fired += 1
-            ev.fn(*ev.args)
+            queue.finish_cycle(t, i)
 
     def _drain_generic(self, queue: Any, until: int | None) -> None:
         """Reference loop: one peek/pop per event, any queue object."""

@@ -12,23 +12,34 @@ Two implementations share one contract:
     near-future cycle buckets (one plain ``list`` per cycle in a sliding
     window) absorbs the hot path — model delays are tens of cycles, so
     virtually every push is a single ``list.append`` and every pop is an
-    index bump.  Events outside the window (or scheduled behind the
-    drain cursor by a paused caller) spill to a binary-heap far tier
-    that the pop path consults by ``(time, seq)``.
+    index bump.  Events beyond the window spill to a binary-heap far
+    tier.  The engine drains one whole cycle per :meth:`EventQueue.
+    next_cycle` call: when the earliest cycle lives (partly) in the far
+    tier, its far entries are folded into the front of that cycle's
+    bucket and the drain cursor re-anchors there, so every cycle — even
+    one after an idle gap longer than the window — drains as a bucket.
 
 :class:`ReferenceEventQueue`
     The original heapq implementation, kept as the obviously-correct
-    oracle: property tests assert both queues produce identical pop
-    order on random push/cancel workloads, and the engine benchmark
-    measures the calendar queue's speedup against it on real workloads.
+    oracle: property tests assert both queues (and an engine driving
+    each) produce identical order on random push/cancel workloads, and
+    the engine benchmark measures the calendar queue's speedup against
+    it on real workloads.
 
 **Determinism argument.**  Entries carry a globally monotonic ``seq``
 assigned at push.  Within a near bucket, entries are appended in push
 order, so same-cycle events drain in ``seq`` order; the far heap orders
-by ``(time, seq)``; and when both tiers hold events, the pop path picks
-the smaller ``(time, seq)`` pair.  Every pop therefore returns the
-globally minimal live ``(time, seq)`` — exactly the order the reference
-heapq produces — independent of bucket-window size or spill pattern.
+by ``(time, seq)``.  The drain cursor never moves backwards, so a far
+entry for a cycle at or after the cursor was pushed while that cycle
+was still beyond the window — before any entry that went to its
+bucket.  Folding the far entries in front of the bucket therefore keeps
+``seq`` order.  An entry pushed behind the cursor (possible only through
+the bare queue API: the engine's cursor never passes its clock) also
+goes to the far tier; :meth:`EventQueue.pop` compares the two tier
+heads by ``(time, seq)`` and still returns it first, while
+:meth:`EventQueue.next_cycle` rejects it.  Every event thus fires in
+globally minimal live ``(time, seq)`` order — exactly the order the
+reference heapq produces — independent of window size or spill pattern.
 
 **Cancellation** is a *tombstone slot*: the handle returned by
 :meth:`EventQueue.push` is the (opaque) mutable entry itself, and
@@ -69,7 +80,9 @@ class EventQueue:
     ``window`` (a power of two) is the width of the near-future bucket
     ring; pushes with ``base <= time < base + window`` go to a bucket,
     the rest to the far heap.  ``base`` is the drain cursor: every event
-    before it has already left the near tier.
+    before it has already left the near tier.  It only moves forward,
+    and the batch interface keeps it at or before the cycle being
+    drained.
     """
 
     __slots__ = ("_near", "_window", "_mask", "_base", "_far", "_seq", "_live", "_near_n")
@@ -191,38 +204,47 @@ class EventQueue:
     # ------------------------------------------------------------------
     # Batch interface (the engine's hot path; see Engine.run)
     # ------------------------------------------------------------------
-    def next_cycle(self) -> tuple[int, list | None] | None:
-        """Earliest live cycle and its near bucket, for batch draining.
+    def next_cycle(self, limit: int) -> tuple[int, list | None]:
+        """Earliest live cycle and the near bucket holding all its events.
 
-        Returns ``(time, bucket)`` where *bucket* is the near-ring list
-        for ``time`` — or ``None`` when the far tier holds a live event
-        at or before ``time``, in which case the cycle's events must be
-        interleaved by ``seq`` with single :meth:`pop` calls (see
-        :meth:`far_intrudes` for the standalone predicate).
+        Returns ``(time, bucket)``; the caller fires *bucket* in list
+        order, then calls :meth:`finish_cycle`.  When the earliest cycle
+        has far-tier entries, they leave the heap in ``(time, seq)``
+        order for the front of its bucket (which keeps ``seq`` order;
+        see the module docstring) and the cursor re-anchors there, so an
+        empty ring never strands it behind an idle gap.  A cycle beyond
+        ``limit`` comes back as ``(time, None)`` with the queue
+        untouched: a caller that pauses there may still push at its own
+        clock, which must not fall behind the cursor.
         """
         nb = self._near_head()
         fh = self._far_head()
-        if fh is None:
+        if fh is None or (nb is not None and nb[0] < fh[_TIME]):
             return nb
-        if nb is None:
-            return fh[_TIME], None
-        t = nb[0]
-        if fh[_TIME] <= t:
-            # The cycle lives (at least partly) in the far tier; the
-            # caller must take the pop path.
-            return min(fh[_TIME], t), None
-        return nb
+        t = fh[_TIME]
+        if t < self._base:
+            raise SimulationError(
+                f"far-tier event at cycle {t} is behind the drain cursor {self._base}"
+            )
+        if t > limit:
+            return t, None
+        self._base = t
+        far = self._far
+        folded = []
+        while far and far[0][_TIME] == t:
+            entry = heapq.heappop(far)
+            if entry[_FN] is not None:
+                folded.append(entry)
+        bucket = self._near[t & self._mask]
+        bucket[:0] = folded
+        self._near_n += len(folded)
+        return t, bucket
 
-    def far_intrudes(self, time: int) -> bool:
-        """True if the far tier holds a live event at or before ``time``."""
-        fh = self._far_head()
-        return fh is not None and fh[_TIME] <= time
-
-    def finish_cycle(self, time: int, fired: int, consumed: int) -> None:
-        """Account a fully drained near bucket and advance the cursor."""
+    def finish_cycle(self, time: int, consumed: int) -> None:
+        """Drop a drained bucket's ``consumed`` entries; the cursor stays
+        at ``time`` so a push at the caller's clock still lands in the ring."""
         self._near_n -= consumed
-        self._live -= fired
-        self._base = time + 1
+        self._base = time
 
 
 class ReferenceEventQueue:

@@ -61,6 +61,90 @@ def test_calendar_matches_reference_on_random_workload(data):
     assert not cal
 
 
+@st.composite
+def _handler_forest(draw):
+    """Random handler trees: each handler schedules 0-3 children.
+
+    Returns ``(roots, late, children, cancels)``: ``roots`` are
+    ``(cycle, label)`` pairs scheduled up front, ``late`` are groups of
+    root labels pushed at ``now`` between paused runs, ``children`` maps
+    a label to its ``(delay, child)`` list, and ``cancels`` maps a label
+    to another label whose pending event it cancels when it fires.
+    """
+    n_roots = draw(st.integers(1, 4))
+    late_sizes = draw(st.lists(st.integers(1, 2), max_size=5))
+    n_top = n_roots + sum(late_sizes)
+    children: dict[int, list] = {}
+    frontier = list(range(n_top))
+    label = n_top
+    while frontier:
+        parent = frontier.pop(0)
+        kids = []
+        for _ in range(draw(st.integers(0, 3))):
+            if label >= 80:
+                break
+            delay = draw(st.one_of(st.just(0), st.integers(0, 60)))
+            kids.append((delay, label))
+            frontier.append(label)
+            label += 1
+        children[parent] = kids
+    cancels = {
+        parent: draw(st.integers(0, label - 1))
+        for parent in children
+        if draw(st.integers(0, 7)) == 0
+    }
+    roots = [(draw(st.integers(0, 200)), r) for r in range(n_roots)]
+    late, start = [], n_roots
+    for size in late_sizes:
+        late.append(list(range(start, start + size)))
+        start += size
+    return roots, late, children, cancels
+
+
+def _drive_forest(queue, forest, steps):
+    """Run ``forest`` on an engine over ``queue``; pause ``steps`` times."""
+    roots, late, children, cancels = forest
+    eng = Engine(queue=queue)
+    trace = []
+    handles = {}
+
+    def fire(label):
+        trace.append((eng.now, label))
+        target = cancels.get(label)
+        if target in handles:
+            eng.cancel(handles[target])
+        for delay, child in children[label]:
+            handles[child] = eng.schedule(delay, fire, child)
+
+    for when, label in roots:
+        handles[label] = eng.schedule_at(when, fire, label)
+    for step, group in zip(steps, late):
+        eng.run(until=eng.now + step)
+        for label in group:
+            handles[label] = eng.schedule(0, fire, label)
+    end = eng.run()
+    assert not eng.queue
+    return trace, eng.events_fired, end
+
+
+@given(_handler_forest(), st.lists(st.integers(0, 90), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_calendar_engine_matches_reference_engine(forest, steps):
+    """The batch drain fires the same events at the same cycles.
+
+    Handlers schedule children (same-cycle ones included) and cancel
+    pending events while the engine drains; a 16-cycle window against
+    delays up to 60 forces far-tier folds and cursor re-anchors.  The
+    forest runs once straight to completion and once through
+    ``run(until=...)`` pauses with new roots pushed at ``now`` between
+    runs.
+    """
+    for pauses in ([], steps):
+        fast = _drive_forest(EventQueue(window=16), forest, pauses)
+        slow = _drive_forest(ReferenceEventQueue(), forest, pauses)
+        assert fast == slow
+
+
 def _on_reference_engine(fn):
     """Run ``fn`` with machines built on the reference heapq engine."""
     orig = machine_mod.Engine

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import Engine
+from repro.sim.queue import EventQueue
 
 
 def test_schedule_and_run_in_order():
@@ -114,3 +115,43 @@ def test_events_fired_counter():
 def test_invalid_max_cycles():
     with pytest.raises(SimulationError):
         Engine(max_cycles=0)
+
+
+def test_raising_handler_keeps_queue_accounting_exact():
+    """A handler that raises mid-cycle leaves an exact live count, and a
+    later run() fires the rest of that cycle, in order, then returns."""
+    e = Engine()
+    log = []
+
+    def boom():
+        raise RuntimeError("boom")
+
+    e.schedule(5, boom)
+    e.schedule(5, log.append, "f")
+    e.schedule(9, log.append, "g")
+    with pytest.raises(RuntimeError, match="boom"):
+        e.run()
+    assert len(e.queue) == 2
+    assert e.events_fired == 1
+    assert e.run() == 9
+    assert log == ["f", "g"]
+    assert len(e.queue) == 0 and e.events_fired == 3
+
+
+def test_idle_gap_longer_than_window_reanchors_the_cursor():
+    """After a gap longer than the ring, pushes land in the ring again
+    instead of spilling every later event to the far tier."""
+    e = Engine(queue=EventQueue(window=16))
+    fired = []
+    far_sizes = []
+
+    def link(k):
+        fired.append((e.now, k))
+        if k < 24:
+            e.schedule(3, link, k + 1)
+        far_sizes.append(len(e.queue._far))
+
+    e.schedule_at(100, link, 0)
+    assert e.run() == 100 + 3 * 24
+    assert fired == [(100 + 3 * k, k) for k in range(25)]
+    assert far_sizes == [0] * 25

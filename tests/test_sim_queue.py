@@ -105,3 +105,19 @@ def test_cancellation_never_loses_other_events(times, data):
         q.cancel(handles[idx])
     survivors = {args[0] for _, args in drain(q)}
     assert survivors == set(range(len(times))) - to_cancel
+
+
+def test_next_cycle_folds_due_far_entries_in_front_of_the_bucket():
+    q = EventQueue(window=32)
+    q.push(10, lambda: None, "a")
+    q.push(40, lambda: None, "far")  # beyond the window: far tier
+    assert q.pop().args == ("a",)  # cursor moves to 10; 40 is now near
+    q.push(40, lambda: None, "near")
+    assert q.next_cycle(limit=39) == (40, None)  # past the limit: untouched
+    assert len(q._far) == 1
+    t, bucket = q.next_cycle(limit=40)
+    assert t == 40 and [e[3] for e in bucket] == [("far",), ("near",)]
+    assert not q._far
+    q.push(5, lambda: None, "behind")  # bare-queue push behind the cursor
+    with pytest.raises(SimulationError, match="behind the drain cursor"):
+        q.next_cycle(limit=100)
