@@ -4,7 +4,5 @@ whose setuptools predates PEP 660 (offline CI boxes without `wheel`)."""
 from setuptools import setup
 
 # Mirrors [project].dependencies in pyproject.toml for setuptools too
-# old to read PEP 621 metadata.  numpy is an optimisation, not a hard
-# import: repro.compile.live degrades to scalar operand tables without
-# it (see HAVE_NUMPY).
+# old to read PEP 621 metadata.
 setup(install_requires=["numpy>=1.24"])

@@ -15,8 +15,8 @@ Quickstart — run a paper workload through the app registry::
     report = repro.run("fft", n=1024, n_pes=16, h=4)
     print(report.runtime_cycles, report.breakdown)
 
-Execution strategy (process sharding, hybrid fidelity, the cohort
-compiler) is one object::
+Execution strategy (process sharding, the cohort compiler) is one
+object::
 
     report = repro.run("fft", n=1024, n_pes=16, h=4,
                        plan=repro.ExecutionPlan(shards=4))

@@ -55,9 +55,9 @@ from .metrics.report import format_table
 def _add_plan_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--plan", default=None, metavar="SPEC",
-        help='execution plan, e.g. "shards=4,fidelity=hybrid,compiled" '
-             "(the one replacement for the deprecated --shards/--fidelity/"
-             "--compiled flags; see repro.ExecutionPlan)")
+        help='execution plan, e.g. "shards=4,compiled" (the one '
+             "replacement for the deprecated --shards/--compiled flags; "
+             "see repro.ExecutionPlan)")
 
 
 def _add_runner_flags(parser: argparse.ArgumentParser, default_jobs: int | None = 1) -> None:
@@ -78,20 +78,14 @@ def _add_runner_flags(parser: argparse.ArgumentParser, default_jobs: int | None 
              "(cache hits produce no trace; off by default)")
     _add_plan_flag(parser)
     parser.add_argument(
-        "--fidelity", choices=["detailed", "hybrid"], default="detailed",
-        help="[deprecated: use --plan fidelity=hybrid] hybrid fast-forwards "
-             "conflict-free windows with analytic costs (metric-identical, "
-             "detailed fallback on a miss; default: %(default)s)")
-    parser.add_argument(
         "--compiled", action="store_true",
         help="[deprecated: use --plan compiled] route thread creation "
-             "through the cohort compiler: threads sharing a recorded "
-             "effect-trace shape replay it batched (byte-identical metrics "
-             "and events, per-thread interpreter bailout; off by default)")
+             "through the cohort compiler: EM-C threads run generated code "
+             "(byte-identical metrics and events; off by default)")
 
 
 def _cli_plan(args: argparse.Namespace):
-    """Resolve ``--plan`` / legacy ``--shards --fidelity --compiled`` flags.
+    """Resolve ``--plan`` / legacy ``--shards --compiled`` flags.
 
     ``--plan`` wins and refuses to be combined with non-default legacy
     flags; legacy flags still work but emit one DeprecationWarning
@@ -106,8 +100,6 @@ def _cli_plan(args: argparse.Namespace):
     legacy = {}
     if getattr(args, "shards", 0):
         legacy["shards"] = args.shards
-    if getattr(args, "fidelity", "detailed") != "detailed":
-        legacy["fidelity"] = args.fidelity
     if getattr(args, "compiled", False):
         legacy["compiled"] = True
     text = getattr(args, "plan", None)
@@ -120,7 +112,6 @@ def _cli_plan(args: argparse.Namespace):
     if legacy:
         plan = ExecutionPlan(
             shards=legacy.get("shards", 0),
-            fidelity=legacy.get("fidelity", "detailed"),
             compiled=legacy.get("compiled", False),
         )
         warnings.warn(
@@ -397,7 +388,7 @@ def _cmd_apps(args: argparse.Namespace) -> None:
             "name": canonical,
             "aliases": aliases,
             "signature": params,
-            "flags": ["--plan", "--shards", "--fidelity", "--compiled"],
+            "flags": ["--plan", "--shards", "--compiled"],
         })
     if args.json:
         import json
@@ -409,8 +400,8 @@ def _cmd_apps(args: argparse.Namespace) -> None:
         print(f"{entry['name']}{alias}")
         print(f"  signature: {', '.join(entry['signature'])}")
     print("\nevery app runs through repro.run(...) and supports "
-          '--plan "shards=K,fidelity=hybrid,compiled" (the deprecated '
-          "--shards/--fidelity/--compiled spellings still work)")
+          '--plan "shards=K,compiled" (the deprecated '
+          "--shards/--compiled spellings still work)")
 
 
 def _cmd_app(args: argparse.Namespace) -> None:
@@ -651,12 +642,6 @@ def main(argv: list[str] | None = None) -> None:
                        help="[deprecated: use --plan shards=K] run the "
                             "simulation across K worker processes "
                             "(0 = legacy sequential models)")
-        p.add_argument("--fidelity", choices=["detailed", "hybrid"],
-                       default="detailed",
-                       help="[deprecated: use --plan fidelity=hybrid] hybrid "
-                            "fast-forwards conflict-free windows with "
-                            "analytic costs (metric-identical; "
-                            "default: %(default)s)")
         p.add_argument("--compiled", action="store_true",
                        help="[deprecated: use --plan compiled] route thread "
                             "creation through the cohort compiler "
@@ -682,12 +667,6 @@ def main(argv: list[str] | None = None) -> None:
                    help="[deprecated: use --plan shards=K] run the simulation "
                         "across K worker processes; sharded traces gain a "
                         "window-protocol track (0 = legacy sequential models)")
-    p.add_argument("--fidelity", choices=["detailed", "hybrid"],
-                   default="detailed",
-                   help="[deprecated: use --plan fidelity=hybrid] hybrid "
-                        "fast-forwards conflict-free windows with analytic "
-                        "costs; traces then contain FASTFORWARD "
-                        "spans marking skipped regions (default: %(default)s)")
     p.add_argument("--compiled", action="store_true",
                    help="[deprecated: use --plan compiled] route thread "
                         "creation through the cohort compiler; traces then "

@@ -27,25 +27,7 @@ from dataclasses import dataclass
 from ..errors import ConfigError
 from ..network.topology import CircularOmegaTopology
 
-__all__ = ["OmegaLoadModel", "uncontended_transit"]
-
-
-def uncontended_transit(hops: int, eject: int) -> int:
-    """Closed-form conflict-free transit time of one packet, in cycles.
-
-    This is the engine-facing zero-load special case of the M/D/1 model:
-    with every port free, a packet injected at cycle ``t`` cuts through
-    its first switch in the same cycle, pays one cycle per remaining
-    shuffle hop, and spends ``eject`` cycles entering the destination
-    IBU — arriving at ``t + hops + eject``.  The hybrid fast-forward
-    layer (:class:`repro.network.HybridOmegaNetwork`) uses exactly this
-    form to advance conflict-free packets without per-hop events; it is
-    cycle-identical to the detailed simulator's uncontended hop walk,
-    which the differential suite asserts.
-    """
-    if hops < 0 or eject < 1:
-        raise ConfigError(f"need hops >= 0 and eject >= 1, got {hops}, {eject}")
-    return hops + eject
+__all__ = ["OmegaLoadModel"]
 
 
 @dataclass(frozen=True)
@@ -114,21 +96,6 @@ class OmegaLoadModel:
         per_hop_wait = self.md1_wait(rho, self.port_cycles_per_packet)
         base = self.mean_hops + 1  # k hops in k+1 cycles
         return base + self.mean_hops * per_hop_wait + (self.eject_cycles - 1)
-
-    def predict_window(self, hops: int, packets_per_cycle_per_pe: float = 0.0) -> float:
-        """Engine-facing per-route transit prediction, in cycles.
-
-        Unlike :meth:`one_way_latency` (which averages over the mean hop
-        count), this predicts the transit of one *specific* route of
-        ``hops`` switch hops under the offered load.  At zero load it
-        degenerates to :func:`uncontended_transit` — the exact
-        conflict-free window the hybrid engine fast-forwards; under load
-        it adds the M/D/1 per-hop wait, which is the model's estimate of
-        how contended a window would have been had it not been eligible.
-        """
-        rho = min(0.999, self.mean_port_utilization(packets_per_cycle_per_pe))
-        per_hop_wait = self.md1_wait(rho, self.port_cycles_per_packet)
-        return uncontended_transit(hops, self.eject_cycles) + hops * per_hop_wait
 
     def read_rtt(self, packets_per_cycle_per_pe: float = 0.0) -> float:
         """Round-trip cycles of a remote read: request + DMA + reply."""

@@ -100,20 +100,6 @@ class SaavedraModel:
         hidden = (n_threads - 1) * (self.run_length + self.switch_cost)
         return max(0.0, float(self.latency - hidden))
 
-    def predict_window(self, n_threads: int) -> float:
-        """Engine-facing prediction of one issue-to-wakeup window, in cycles.
-
-        The expected span between a thread issuing a remote reference
-        and the processor next needing event service: the burst itself
-        (R), the explicit switch (C), and whatever part of the latency
-        the other ``n_threads - 1`` ready threads fail to mask.  The
-        hybrid engine's differential harness reports this alongside the
-        simulated window so the closed form and the event-driven model
-        can be cross-checked on every run (the paper's Fig. 6/7 claim is
-        exactly that these agree in shape).
-        """
-        return self.run_length + self.switch_cost + self.unmasked_latency(n_threads)
-
     def comm_time_fraction(self, n_threads: int) -> float:
         """Unmasked communication as a fraction of the one-thread value."""
         base = self.unmasked_latency(1)

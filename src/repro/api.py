@@ -26,9 +26,9 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, ClassVar
+from typing import TYPE_CHECKING, Any, Callable
 
-from .errors import PlanCompatibilityWarning, PlanError, ProgramError
+from .errors import PlanError, ProgramError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .machine import MachineReport
@@ -137,12 +137,12 @@ def result_ok(result: Any) -> bool:
 class ExecutionPlan:
     """How to execute a workload — the one bundle of engine-mode knobs.
 
-    Execution strategy used to sprawl: ``shards=``, ``fidelity=`` and
-    ``compiled=`` were threaded separately through :func:`run`,
+    Execution strategy used to sprawl: ``shards=`` and ``compiled=``
+    were threaded separately through :func:`run`,
     :class:`~repro.config.MachineConfig`,
     :class:`~repro.runner.jobs.JobSpec`,
     :class:`~repro.runner.sweep.RunnerOptions` and every CLI
-    subcommand.  An ``ExecutionPlan`` carries all of them once::
+    subcommand.  An ``ExecutionPlan`` carries both once::
 
         report = repro.run("sort", n=1024, n_pes=16, h=4,
                            plan=repro.ExecutionPlan(shards=4))
@@ -151,81 +151,27 @@ class ExecutionPlan:
       under the conservative-window scheme (:mod:`repro.sim.parallel`);
       metrics are identical for every K, ``0`` keeps the sequential
       engine.
-    * ``fidelity`` — ``"hybrid"`` fast-forwards conflict-free windows
-      analytically (:mod:`repro.sim.hybrid`); ``"detailed"`` (default)
-      defers to the machine config, which itself defaults to detailed.
     * ``compiled`` — route thread creation through the cohort compiler
       (:mod:`repro.compile`).
 
-    The class is frozen (hashable, safe as a cache-key ingredient) and
-    deliberately small; future execution modes (optimistic sync,
-    alternate topologies) extend it here rather than adding another
-    keyword to every entry point.  :meth:`validate` is the single home
-    for mode-combination rules; :meth:`parse` turns the CLI's
-    ``--plan shards=4,fidelity=hybrid`` spelling into a plan.
+    The class is frozen (hashable, safe as a cache-key ingredient).
+    Every combination of its fields is legal, so :meth:`validate` only
+    checks field types; :meth:`parse` turns the CLI's
+    ``--plan shards=4,compiled`` spelling into a plan.
     """
 
     shards: int = 0
-    fidelity: str = "detailed"
     compiled: bool = False
 
-    FIDELITIES: ClassVar[tuple[str, ...]] = ("detailed", "hybrid")
-
     def validate(self) -> "ExecutionPlan":
-        """Check the plan; returns ``self`` so call sites can chain.
+        """Check field types; returns ``self`` so call sites can chain.
 
-        Malformed plans raise :class:`~repro.errors.PlanError`.  Legal
-        but partially-inert combinations emit a single
-        :class:`~repro.errors.PlanCompatibilityWarning`:
-
-        * ``fidelity="hybrid"`` with ``shards=K`` — the sharded engine
-          always simulates at detailed fidelity (metrics unaffected);
-        * ``compiled=True`` with ``fidelity="hybrid"`` — supported, but
-          a fast-forward miss reruns the app at detailed fidelity and
-          the cohort compiler repeats its trace/record work on the
-          rerun (metrics unaffected; cohort diagnostics describe the
-          run that produced the returned report);
-        * strict cohort validation (:func:`repro.compile.strict_cohorts`)
-          active without ``compiled=True`` — nothing to validate.
+        Malformed plans raise :class:`~repro.errors.PlanError`.
         """
         if type(self.shards) is not int or self.shards < 0:
             raise PlanError(f"shards must be a non-negative int, got {self.shards!r}")
-        if self.fidelity not in self.FIDELITIES:
-            raise PlanError(
-                f"unknown fidelity {self.fidelity!r}; expected one of {self.FIDELITIES}"
-            )
         if type(self.compiled) is not bool:
             raise PlanError(f"compiled must be a bool, got {self.compiled!r}")
-        if self.shards and self.fidelity == "hybrid":
-            warnings.warn(
-                f"fidelity='hybrid' is disabled under shards={self.shards}: the "
-                "sharded engine always simulates at detailed fidelity (metrics "
-                "are unaffected; drop shards= to get fast-forward)",
-                PlanCompatibilityWarning,
-                stacklevel=2,
-            )
-        if self.compiled and self.fidelity == "hybrid":
-            warnings.warn(
-                "compiled=True with fidelity='hybrid': a fast-forward miss "
-                "reruns the app at detailed fidelity, repeating the cohort "
-                "compiler's trace/record work (metrics are unaffected; cohort "
-                "diagnostics describe the run that produced the report)",
-                PlanCompatibilityWarning,
-                stacklevel=2,
-            )
-        if not self.compiled:
-            # strict_cohorts() can only be active if its module is
-            # already imported; don't pull the compiler in just to ask.
-            import sys
-
-            cohort = sys.modules.get("repro.compile.cohort")
-            if cohort is not None and cohort.strict_default():
-                warnings.warn(
-                    "strict_cohorts() is active but the plan has compiled=False: "
-                    "no cohort traces will be validated",
-                    PlanCompatibilityWarning,
-                    stacklevel=2,
-                )
         return self
 
     @classmethod
@@ -233,8 +179,8 @@ class ExecutionPlan:
         """Build a plan from the CLI spelling ``key=value[,key=value...]``.
 
         Keys are the field names; ``compiled`` accepts a bare flag or a
-        boolean literal: ``"shards=4,fidelity=hybrid"``,
-        ``"shards=2,compiled"``.  An empty string is the default plan.
+        boolean literal: ``"shards=4"``, ``"shards=2,compiled"``.  An
+        empty string is the default plan.
         """
         values: dict[str, Any] = {}
         for token in filter(None, (t.strip() for t in text.split(","))):
@@ -248,21 +194,17 @@ class ExecutionPlan:
                     values[key] = int(raw)
                 except ValueError:
                     raise PlanError(f"shards must be an int, got {raw!r}") from None
-            elif key == "fidelity":
-                values[key] = raw
             elif key == "compiled":
                 if raw.lower() not in ("true", "false", "1", "0"):
                     raise PlanError(f"compiled must be a boolean, got {raw!r}")
                 values[key] = raw.lower() in ("true", "1")
             else:
-                raise PlanError(
-                    f"unknown plan key {key!r}; expected shards/fidelity/compiled"
-                )
+                raise PlanError(f"unknown plan key {key!r}; expected shards/compiled")
         return cls(**values).validate()
 
     def describe(self) -> str:
         """The canonical compact spelling (parseable by :meth:`parse`)."""
-        parts = [f"shards={self.shards}", f"fidelity={self.fidelity}"]
+        parts = [f"shards={self.shards}"]
         if self.compiled:
             parts.append("compiled")
         return ",".join(parts)
@@ -274,47 +216,30 @@ def call_with_plan(fn: Callable[..., Any], kwargs: dict, plan: ExecutionPlan) ->
     Every entry point (:func:`run`, the CLI, the runner's
     :func:`~repro.runner.worker.execute_job`) resolves its knobs into an
     :class:`ExecutionPlan` and lands here.  ``kwargs`` is the app's
-    keyword dict (``config``/``obs`` included); plan fields left at
-    their defaults defer to any machine config already present, so a
-    config built with ``fidelity="hybrid"`` or ``compiled=True`` keeps
-    meaning what it always did.
+    keyword dict (``config``/``obs`` included); ``compiled=False`` defers
+    to any machine config already present, so a config built with
+    ``compiled=True`` keeps meaning what it always did.
     """
+    plan.validate()
     config = kwargs.get("config")
     if plan.compiled and (config is None or not config.compiled):
-        from dataclasses import replace as _replace
-
-        from .config import MachineConfig
-
-        config = (
-            MachineConfig(compiled=True)
-            if config is None
-            else _replace(config, compiled=True)
-        )
-        kwargs = {**kwargs, "config": config}
-    fidelity = plan.fidelity
-    if fidelity == "detailed" and config is not None and config.fidelity == "hybrid":
-        fidelity = "hybrid"  # plan left at default: the config's choice stands
-    elif fidelity == "hybrid" and (config is None or config.fidelity != "hybrid"):
-        from .sim.hybrid import _with_fidelity
-
-        kwargs = _with_fidelity(kwargs, "hybrid")
-    # Validate the *effective* plan — config-carried fidelity folded in —
-    # so the mode-combination rules fire no matter how the knob arrived.
-    effective = (
-        plan
-        if plan.fidelity == fidelity
-        else ExecutionPlan(shards=plan.shards, fidelity=fidelity, compiled=plan.compiled)
-    )
-    effective.validate()
+        kwargs = {**kwargs, "config": _with_compiled(config, True)}
     if plan.shards:
         from .sim import parallel
 
         return parallel.call_app(fn, plan.shards, kwargs)
-    if fidelity == "hybrid":
-        from .sim.hybrid import call_with_fallback
-
-        return call_with_fallback(fn, kwargs)
     return fn(**kwargs)
+
+
+def _with_compiled(config: Any, compiled: bool) -> Any:
+    """``config`` (or a default machine) with ``compiled`` set."""
+    from dataclasses import replace
+
+    from .config import MachineConfig
+
+    if config is None:
+        return MachineConfig(compiled=compiled)
+    return replace(config, compiled=compiled)
 
 
 def run(
@@ -327,7 +252,6 @@ def run(
     obs: Any = None,
     plan: ExecutionPlan | None = None,
     shards: int | None = None,
-    fidelity: str | None = None,
     compiled: bool | None = None,
     **app_kwargs: Any,
 ) -> "MachineReport":
@@ -341,25 +265,23 @@ def run(
     Raises :class:`~repro.errors.ProgramError` for unknown apps or when
     the run fails its self-verification.
 
-    The separate ``shards=``/``fidelity=``/``compiled=`` keywords are
-    the pre-plan spelling, kept as a deprecated shim: each call site
-    using them gets one :class:`DeprecationWarning` and the equivalent
-    plan built on its behalf.  They cannot be combined with ``plan=``.
+    The separate ``shards=``/``compiled=`` keywords are the pre-plan
+    spelling, kept as a deprecated shim: each call site using them gets
+    one :class:`DeprecationWarning` and the equivalent plan built on its
+    behalf.  They cannot be combined with ``plan=``.
     """
     fn = get_app(app)
     kwargs = dict(n_pes=n_pes, n=n, h=h, config=config, obs=obs, **app_kwargs)
     legacy = {
         name: value
-        for name, value in (
-            ("shards", shards), ("fidelity", fidelity), ("compiled", compiled),
-        )
+        for name, value in (("shards", shards), ("compiled", compiled))
         if value is not None
     }
     if legacy:
         if plan is not None:
             raise PlanError(
                 "pass plan=ExecutionPlan(...) or the legacy "
-                "shards=/fidelity=/compiled= keywords, not both"
+                "shards=/compiled= keywords, not both"
             )
         warnings.warn(
             f"repro.run({', '.join(f'{k}=' for k in sorted(legacy))}...) is "
@@ -371,25 +293,8 @@ def run(
             # Explicit compiled=False historically forced the compiler
             # *off* even when config said otherwise; preserve that by
             # rewriting the config here, before the plan dispatch.
-            from dataclasses import replace as _replace
-
-            from .config import MachineConfig
-
-            cfg = kwargs.get("config")
-            kwargs["config"] = (
-                MachineConfig(compiled=compiled)
-                if cfg is None
-                else _replace(cfg, compiled=compiled)
-            )
-        if fidelity is not None:
-            from .sim.hybrid import _with_fidelity
-
-            kwargs = _with_fidelity(kwargs, fidelity)
-        plan = ExecutionPlan(
-            shards=shards or 0,
-            fidelity=fidelity or "detailed",
-            compiled=bool(compiled),
-        )
+            kwargs["config"] = _with_compiled(kwargs.get("config"), compiled)
+        plan = ExecutionPlan(shards=shards or 0, compiled=bool(compiled))
     result = call_with_plan(fn, kwargs, plan or ExecutionPlan())
     if not result_ok(result):
         raise ProgramError(f"app {app!r} (n={n}, n_pes={n_pes}, h={h}) failed verification")

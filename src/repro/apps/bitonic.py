@@ -137,38 +137,6 @@ def _merge_chunk(mi: dict, L: list, buf: list, keep_low: bool, npp: int, last: b
     return produced
 
 
-def _local_sort(st: dict, mem) -> None:
-    """Host helper: sort the local list and publish it as the stable copy."""
-    L = st["L"]
-    L.sort()
-    mem.write_block(STABLE_BASE, L)
-
-
-def _orient(block, keep_low: bool) -> list:
-    """Host helper: orient a block-read chunk for the merge direction."""
-    return list(block) if keep_low else list(block)[::-1]
-
-
-def _final_list(mi: dict, keep_low: bool) -> list:
-    """Host helper: the iteration's kept half in ascending order."""
-    return mi["out"] if keep_low else mi["out"][::-1]
-
-
-def _publish_slice(mem, base: int, values: list, lo: int, hi: int) -> None:
-    """Host helper: write my slice of the new stable list to local memory."""
-    mem.write_block(base + lo, values[lo:hi])
-
-
-def _advance_iteration(st: dict, pe: int, it_idx: int, final: list) -> None:
-    """Host helper: thread 0 installs the next iteration's shared state."""
-    p: BitonicParams = st["params"]
-    st["L"] = final
-    if it_idx + 1 < len(p.schedule):
-        _, kl_next = compare_split_direction(pe, *p.schedule[it_idx + 1])
-        st["mi"] = _fresh_merge_state(kl_next, p.npp)
-    st["token"].reset()
-
-
 def bitonic_worker(ctx, t: int):
     """Thread body of worker ``t`` (of h) on this processor."""
     st = ctx.state
@@ -183,7 +151,9 @@ def bitonic_worker(ctx, t: int):
 
     # ---- Local sort phase (thread 0 sorts; the rest wait). ----
     if t == 0:
-        ctx.host(_local_sort, st, ctx.mem)
+        L = st["L"]
+        L.sort()
+        ctx.mem.write_block(STABLE_BASE, L)
         yield ctx.compute(npp * max(1, ilog2(npp)) * kc.sort_local_sort_per_cmp)
     yield ctx.barrier_wait(bar)
 
@@ -206,7 +176,7 @@ def bitonic_worker(ctx, t: int):
             if hi > lo and not mi["done"]:
                 yield ctx.compute(read_body)
                 block = yield ctx.read_block(ctx.ga(mate, STABLE_BASE + lo), hi - lo)
-                buf = ctx.host(_orient, block, keep_low)
+                buf = list(block) if keep_low else list(block)[::-1]
         else:
             for idx in indices:
                 if mi["done"]:
@@ -217,7 +187,7 @@ def bitonic_worker(ctx, t: int):
 
         # -------- Phase B: token-ordered merge --------
         yield ctx.token_wait(token, t)
-        produced = ctx.host(_merge_chunk, mi, L, buf, keep_low, npp, t == h - 1)
+        produced = _merge_chunk(mi, L, buf, keep_low, npp, last=(t == h - 1))
         if produced:
             yield ctx.compute(produced * kc.sort_merge_per_element)
         yield ctx.token_advance(token)
@@ -226,13 +196,17 @@ def bitonic_worker(ctx, t: int):
         yield ctx.barrier_wait(bar)
 
         # -------- Phase D: publish the new stable list --------
-        final = ctx.host(_final_list, mi, keep_low)
+        final = mi["out"] if keep_low else mi["out"][::-1]
         lo, hi = partition_bounds(npp, h, t)
         if hi > lo:
-            ctx.host(_publish_slice, ctx.mem, STABLE_BASE, final, lo, hi)
+            ctx.mem.write_block(STABLE_BASE + lo, final[lo:hi])
             yield ctx.compute(p.copy_cycles_per_word * (hi - lo))
         if t == 0:
-            ctx.host(_advance_iteration, st, ctx.pe, it_idx, final)
+            st["L"] = final
+            if it_idx + 1 < len(p.schedule):
+                _, kl_next = compare_split_direction(ctx.pe, *p.schedule[it_idx + 1])
+                st["mi"] = _fresh_merge_state(kl_next, npp)
+            token.reset()
         yield ctx.barrier_wait(bar)
 
 

@@ -75,50 +75,6 @@ def _twiddle(i_global: int, half: int) -> complex:
     return cmath.exp(-2j * cmath.pi * k / (2 * half))
 
 
-def _butterfly(re, im, out_re, out_im, k, my_base, half, v) -> None:
-    """Host helper: one communication-stage butterfly for local point k."""
-    vr, vi = v
-    g = my_base + k
-    mine = complex(re[k], im[k])
-    theirs = complex(vr, vi)
-    if g & half:
-        # Upper half of the pair: (lower − upper) · twiddle.
-        new = (theirs - mine) * _twiddle(g ^ half, half)
-    else:
-        new = mine + theirs
-    out_re[k] = new.real
-    out_im[k] = new.imag
-
-
-def _publish_slices(mem, npp, lo, hi, out_re, out_im) -> None:
-    """Host helper: write my slice of the stable arrays to local memory."""
-    mem.write_block(RE_BASE + lo, out_re[lo:hi])
-    mem.write_block(RE_BASE + npp + lo, out_im[lo:hi])
-
-
-def _swap_stage_arrays(st: dict) -> None:
-    """Host helper: thread 0 flips the double-buffered stage arrays."""
-    st["re"], st["out_re"] = st["out_re"], st["re"]
-    st["im"], st["out_im"] = st["out_im"], st["im"]
-
-
-def _pair_indices(npp, my_base, half, h, t) -> list:
-    """Host helper: lower butterfly indices owned by thread t this stage."""
-    lowers = [k for k in range(npp) if not ((my_base + k) & half)]
-    plo, phi = partition_bounds(len(lowers), h, t)
-    return lowers[plo:phi]
-
-
-def _local_point(re, im, k, g, half) -> None:
-    """Host helper: one in-place local-stage butterfly pair."""
-    a = complex(re[k], im[k])
-    b = complex(re[k + half], im[k + half])
-    upper = (a - b) * _twiddle(g, half)
-    lower = a + b
-    re[k], im[k] = lower.real, lower.imag
-    re[k + half], im[k + half] = upper.real, upper.imag
-
-
 def fft_worker(ctx, t: int):
     """Thread body of worker ``t`` (of h) on this processor."""
     st = ctx.state
@@ -141,19 +97,29 @@ def fft_worker(ctx, t: int):
             yield ctx.compute(kc.fft_read_loop_overhead)
             # Real and imaginary words in one two-token matched read,
             # as the paper's back-to-back remote_read pair.
-            v = yield ctx.read_pair(
+            vr, vi = yield ctx.read_pair(
                 ctx.ga(mate, RE_BASE + k), ctx.ga(mate, RE_BASE + npp + k)
             )
-            ctx.host(_butterfly, re, im, out_re, out_im, k, my_base, half, v)
+            g = my_base + k
+            mine = complex(re[k], im[k])
+            theirs = complex(vr, vi)
+            if g & half:
+                # Upper half of the pair: (lower − upper) · twiddle.
+                new = (theirs - mine) * _twiddle(g ^ half, half)
+            else:
+                new = mine + theirs
+            out_re[k] = new.real
+            out_im[k] = new.imag
             yield ctx.compute(kc.fft_butterfly_per_point)
         yield ctx.barrier_wait(bar)
-        # Publish my slice of the new stable arrays (the stage-start
-        # captures: thread 0's swap below must not alias the publish).
+        # Publish my slice of the new stable arrays.
         if hi > lo:
-            ctx.host(_publish_slices, ctx.mem, npp, lo, hi, out_re, out_im)
+            ctx.mem.write_block(RE_BASE + lo, out_re[lo:hi])
+            ctx.mem.write_block(RE_BASE + npp + lo, out_im[lo:hi])
             yield ctx.compute(p.copy_cycles_per_word * 2 * (hi - lo))
         if t == 0:
-            ctx.host(_swap_stage_arrays, st)
+            st["re"], st["out_re"] = out_re, re
+            st["im"], st["out_im"] = out_im, im
         yield ctx.barrier_wait(bar)
 
     # ---------------- local stages (no communication) ----------------
@@ -163,16 +129,25 @@ def fft_worker(ctx, t: int):
         re, im = st["re"], st["im"]
         # Lower indices of the butterfly pairs inside my block, split
         # between threads; each pair is written only by its owner.
-        # half < npp here, so each pair's partner is local.
-        mine_pairs = ctx.host(_pair_indices, npp, my_base, half, h, t)
+        lowers = [k for k in range(npp) if not ((my_base + k) & half)]
+        plo, phi = partition_bounds(len(lowers), h, t)
+        mine_pairs = lowers[plo:phi]
+        local_half = half  # half < npp here, so the partner is local
         for k in mine_pairs:
-            ctx.host(_local_point, re, im, k, my_base + k, half)
+            g = my_base + k
+            a = complex(re[k], im[k])
+            b = complex(re[k + local_half], im[k + local_half])
+            upper = (a - b) * _twiddle(g, half)
+            lower = a + b
+            re[k], im[k] = lower.real, lower.imag
+            re[k + local_half], im[k + local_half] = upper.real, upper.imag
             yield ctx.compute(2 * kc.fft_local_stage_per_point)
         yield ctx.barrier_wait(bar)
     # Final publish so the harness can read results from memory.
     if p.local_stages and hi > lo:
         re, im = st["re"], st["im"]
-        ctx.host(_publish_slices, ctx.mem, npp, lo, hi, re, im)
+        ctx.mem.write_block(RE_BASE + lo, re[lo:hi])
+        ctx.mem.write_block(RE_BASE + npp + lo, im[lo:hi])
         yield ctx.compute(p.copy_cycles_per_word * 2 * (hi - lo))
 
 

@@ -1,45 +1,37 @@
-"""The cohort effect-trace compiler.
+"""The cohort compiler's EM-C tiers.
 
-Two front-ends lower guest threads onto faster steppers with identical
-yield protocols, and a cohort layer shares the result across every
-thread of the same shape:
+EM-C threads are lowered onto faster steppers with identical yield
+protocols, compiled once per thread definition and shared by every
+instance:
 
 :mod:`repro.compile.codegen`
     EM-C AST → generated Python generator source (the fast tier).
 :mod:`repro.compile.lower_emc` / :mod:`repro.compile.trace`
     EM-C AST → flat effect-opcode trace run by a register VM.
-:mod:`repro.compile.recorder`
-    ``threadlib`` generator → parameterized effect trace, recorded by
-    symbolic execution of one representative member.
 :mod:`repro.compile.cohort`
-    The per-machine manager: tier selection, cohort matching, batched
-    replay, per-thread bailout.
+    The per-machine manager: tier selection (codegen, then the trace
+    VM, then the interpreter) and occupancy accounting.
 :mod:`repro.compile.differential`
     The interpreted-vs-compiled identity oracle.
 
-Enable with ``MachineConfig(compiled=True)``, ``repro.run(...,
-compiled=True)``, or ``--compiled`` on the CLI.
+Native generator threads run on the interpreter.  Enable with
+``MachineConfig(compiled=True)``, ``repro.run(...,
+plan=ExecutionPlan(compiled=True))``, or ``--plan compiled`` on the CLI.
 """
 
-from .cohort import CohortManager, VALIDATE_STRIDE, strict_cohorts
+from .cohort import CohortManager
 from .codegen import codegen_thread
 from .differential import CompileDifferentialHarness, comparable_compile_report
 from .lower_emc import LoweringError, lower_thread
-from .recorder import RecordedTrace, RecordingUnsupported, record_thread
 from .trace import TraceProgram, run_trace
 
 __all__ = [
     "CohortManager",
-    "VALIDATE_STRIDE",
-    "strict_cohorts",
     "codegen_thread",
     "CompileDifferentialHarness",
     "comparable_compile_report",
     "LoweringError",
     "lower_thread",
-    "RecordedTrace",
-    "RecordingUnsupported",
-    "record_thread",
     "TraceProgram",
     "run_trace",
 ]

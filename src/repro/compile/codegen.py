@@ -514,8 +514,6 @@ class _CodeGen:
                 self.w(f"{i} = {ix} if {ix}.__class__ is int else _idx({ix}, {stmt.line})")
             self.w(f"if {i} < 0 or {i} >= _msz:")
             self.w(f'    raise MemoryFault("access [%d, %d) outside memory of %d words" % ({i}, {i} + 1, _msz))')
-            self.w("if _mem._watches:")
-            self.w(f"    _mem._watch_hit({i}, 1)")
             self.w("_mem.writes += 1")
             self.w(f"_mw[{i}] = {val}")
         elif kind is ast.ExprStmt:

@@ -1,217 +1,52 @@
-"""Cohort matcher and batched stepper for compiled thread execution.
+"""Tier selection for compiled thread execution.
 
 One :class:`CohortManager` lives on each machine built with
 ``MachineConfig(compiled=True)``.  :meth:`CohortManager.instantiate` is
 the single entry point, called by ``EMX.create_thread`` in place of the
 plain ``func(ctx, *args)`` generator construction, and returns a
 generator with the exact same yield protocol — the EXU cannot tell the
-difference.  Internally it routes each new thread down one of three
-paths:
+difference.
 
 **EM-C threads** (functions tagged ``__emc_thread__`` by
 :class:`repro.emc.interp.CompiledProgram`) are compiled once per thread
-definition and shared by every instance: first the Python code
-generator (:mod:`repro.compile.codegen`), then the flat trace VM
-(:mod:`repro.compile.trace`) when codegen declines, then the reference
-AST interpreter.  Both compile tiers bail out under exactly the
-conditions where their semantics could drift (:class:`LoweringError`),
-so the fallback chain never changes observable behaviour.
+definition and shared by every instance — the definition's cohort:
+first the Python code generator (:mod:`repro.compile.codegen`), then
+the flat trace VM (:mod:`repro.compile.trace`) when codegen declines,
+then the reference AST interpreter.  Both compile tiers bail out under
+exactly the conditions where their semantics could drift
+(:class:`LoweringError`), so the fallback chain never changes
+observable behaviour.
 
-**Generator threads** are grouped into *cohorts* keyed by
-``(function, arg count)``.  The first instance of a shape is recorded
-symbolically (:mod:`repro.compile.recorder`) into a parameterized
-effect trace; later instances join an existing cohort when every
-argument-only guard of its trace evaluates to the recorded outcome
-under their own ``(pe, n_pes, args)`` bindings, and otherwise record a
-new trace (different branch outcomes are a different shape).  Cohort
-members replay the shared trace through a flat operand table — one
-list lookup plus one ``yield`` per effect instead of resuming the
-guest frame — with resume values forwarded into the operand slots that
-reference them.
-
-**Membership validation.**  Recording proves the trace faithful for
-the representative; sampled members (the first joiner, then every
-``VALIDATE_STRIDE``-th) replay in *lockstep* with a real interpreted
-generator, comparing every effect.  The first divergence triggers the
-per-thread bailout: the member silently continues on its interpreted
-generator — already advanced to the right point by the lockstep — and
-the event is counted and mirrored onto the obs bus as a ``COHORT``
-event.  With ``strict`` set (the differential harness does this), a
-divergence raises :class:`~repro.errors.CompileDivergence` carrying
-the first-divergent-effect diagnosis instead.
-
-**Live-traced threads.**  Shapes the pure recorder declines — native
-app workers touching ``ctx.state``/``ctx.mem`` — go to the live tier
-(:mod:`repro.compile.live`): a representative runs for real while its
-loads, branch outcomes, host calls, and effects are recorded into a
-:class:`~repro.compile.live.LiveTrace`; on later *runs* same-shape
-threads replay the trace through a generated stepper.  Generator
-instantiation is *deferred*: ``instantiate`` returns a lazy wrapper
-and the real tier decision for every thread created so far happens at
-the first advance, so whatever part of a spawn burst is pending gets
-admitted in one batch (numpy-masked when the burst is wide; in
-practice admission is dominated by the cross-run ``(pe, args)`` memo,
-which re-admits each deterministic member for the cost of one trace's
-guards).
-
-Threads carrying a call continuation, threads no tier can record, and
-shapes that keep failing to record fall back to the interpreter
-per-thread — never per-run.
+**Native generator threads** and threads carrying a call continuation
+run on the interpreter and count as interpreted.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Any, Callable
 
-from ..errors import CompileDivergence
 from ..obs.events import CohortEvent
 from .codegen import codegen_thread
-from . import live as _live
-from .live import (
-    LiveCohort,
-    assign_traces_memo,
-    lookup_traces,
-    register_trace,
-    replay_member,
-    replay_validated_live,
-    run_tracer,
-)
 from .lower_emc import LoweringError, lower_thread
-from .recorder import (
-    RecordedTrace,
-    RecordingUnsupported,
-    _has_resume,
-    eval_expr,
-    record_thread,
-)
 from .trace import run_trace
 
-__all__ = [
-    "CohortManager",
-    "Cohort",
-    "VALIDATE_STRIDE",
-    "strict_cohorts",
-    "strict_default",
-]
-
-#: Default for :attr:`CohortManager.strict` on new managers; flipped by
-#: :func:`strict_cohorts` so harnesses reach managers built deep inside
-#: an app call.
-_STRICT_DEFAULT = False
-
-
-@contextmanager
-def strict_cohorts():
-    """Make cohort managers built inside the block raise on divergence.
-
-    The differential harness and the divergence tests run under this so
-    a validated member's bailout — silent, by design, in production —
-    surfaces as :class:`~repro.errors.CompileDivergence` instead.
-    """
-    global _STRICT_DEFAULT
-    prev = _STRICT_DEFAULT
-    _STRICT_DEFAULT = True
-    try:
-        yield
-    finally:
-        _STRICT_DEFAULT = prev
-
-
-def strict_default() -> bool:
-    """Is :func:`strict_cohorts` currently active?
-
-    ``ExecutionPlan.validate()`` consults this to flag the inert
-    combination *strict without compiled* — the strict flag only binds
-    to cohort managers, which exist only on compiled machines.
-    """
-    return _STRICT_DEFAULT
-
-#: Lockstep-validate the first member joining a cohort after the
-#: representative, then every VALIDATE_STRIDE-th joiner.
-VALIDATE_STRIDE = 64
-
-#: Give up on a (function, arity) shape after this many failed
-#: recordings; later instances skip straight to the interpreter.
-_MAX_RECORD_FAILURES = 2
-
-
-class Cohort:
-    """One trace shape plus the members executing it."""
-
-    __slots__ = ("trace", "func", "plan", "members", "validated", "bailouts")
-
-    def __init__(self, trace: RecordedTrace, func: Callable) -> None:
-        self.trace = trace
-        self.func = func
-        #: Flat effect plan: (method name, operand exprs, any operand
-        #: references a resume, resume slot index or -1).
-        self.plan = tuple(
-            (op[1], op[2], any(_has_resume(e) for e in op[2]), op[4])
-            for op in trace.ops
-            if op[0] == "eff"
-        )
-        self.members = 0
-        self.validated = 0
-        self.bailouts = 0
-
-
-class _Pending:
-    """One deferred generator thread awaiting its tier decision."""
-
-    __slots__ = ("func", "ctx", "args", "fallback", "inner", "live_tr", "P")
-
-    def __init__(self, func, ctx, args, fallback) -> None:
-        self.func = func
-        self.ctx = ctx
-        self.args = args
-        #: The real guest generator, built eagerly so creation-time
-        #: errors (and non-generator bodies) keep interpreter timing.
-        self.fallback = fallback
-        self.inner = None  # resolved generator, set by _resolve_pending
-        self.live_tr = None  # batch-assigned LiveTrace, if any
-        self.P: tuple = ()  # its operand-table row
+__all__ = ["CohortManager"]
 
 
 class CohortManager:
-    """Per-machine compile cache, cohort table, and statistics."""
+    """Per-machine compile cache and statistics."""
 
     def __init__(self, machine) -> None:
         self._machine = machine
         self._obs = machine.obs
-        #: Raise CompileDivergence instead of bailing out silently —
-        #: set by the differential harness and divergence tests.
-        self.strict = _STRICT_DEFAULT
         # EM-C tier cache: (id(CompiledProgram), thread name) -> (tier, obj)
         self._emc_cache: dict[tuple[int, str], tuple[str, Any]] = {}
         self._emc_programs: list = []  # keep cache keys' referents alive
-        # Generator cohorts: (func, n_args) -> [Cohort, ...]
-        self._cohorts: dict[tuple, list[Cohort]] = {}
-        self._record_failures: dict[tuple, int] = {}
-        # Live tier state:
-        self._pending: list[_Pending] = []
-        self._pure_declined: set[tuple] = set()
-        self._live_cohorts: dict[int, LiveCohort] = {}
-        self._live_attempts: dict[tuple, int] = {}
-        self._live_successes: dict[tuple, int] = {}
         # Counters (reported via summary()):
         self.emc_codegen_threads = 0
         self.emc_trace_threads = 0
         self.emc_interp_threads = 0
-        self.gen_compiled_threads = 0
         self.gen_interpreted_threads = 0
-        self.gen_validated_threads = 0
-        self.gen_traced_threads = 0
-        self.gen_replayed_threads = 0
-        self.records = 0
-        self.record_failures = 0
-        self.record_failure_reasons: dict[str, int] = {}
-        self.live_traces = 0
-        self.replay_divergences = 0
-        self.bailouts = 0
-        self.compiled_effects = 0
-        self.guards_checked = 0
-        self.drained = False
 
     # ------------------------------------------------------------------
     # Entry point (called by EMX.create_thread)
@@ -226,7 +61,8 @@ class CohortManager:
         emc = getattr(func, "__emc_thread__", None)
         if emc is not None:
             return self._emc_instantiate(func, emc, ctx, args)
-        return self._gen_instantiate(func, ctx, args)
+        self.gen_interpreted_threads += 1
+        return func(ctx, *args)
 
     # ------------------------------------------------------------------
     # EM-C front-end: per-definition tiered compile
@@ -265,255 +101,6 @@ class CohortManager:
             return ("interp", None)
 
     # ------------------------------------------------------------------
-    # Generator front-end: record, match, replay
-    # ------------------------------------------------------------------
-    def _gen_instantiate(self, func, ctx, args):
-        fallback = func(ctx, *args)
-        if not hasattr(fallback, "send"):
-            # Plain-function "thread": already fully executed, exactly
-            # as the interpreter path would have.
-            self.gen_interpreted_threads += 1
-            return fallback
-        entry = _Pending(func, ctx, args, fallback)
-        self._pending.append(entry)
-        return self._deferred(entry)
-
-    def _deferred(self, entry: _Pending):
-        # Generator: nothing runs until the EXU's first advance, by
-        # which point every thread of the spawn burst is pending and
-        # live-trace admission can run batched over all of them.
-        if entry.inner is None:
-            self._resolve_pending()
-        yield from entry.inner
-
-    def _resolve_pending(self) -> None:
-        while self._pending:
-            pending, self._pending = self._pending, []
-            self._batch_live_assign(pending)
-            for entry in pending:
-                if entry.inner is None:
-                    entry.inner = self._resolve_one(entry)
-
-    def _batch_live_assign(self, pending: list) -> None:
-        """Vectorized admission of the burst against registered traces."""
-        by_key: dict[tuple, list[_Pending]] = {}
-        for entry in pending:
-            by_key.setdefault((entry.func, len(entry.args)), []).append(entry)
-        for (func, n_args), group in by_key.items():
-            traces = lookup_traces(func, n_args)
-            if not traces:
-                continue
-            members = [(e.ctx.pe, e.ctx.n_pes, e.args, e.ctx.state) for e in group]
-            assigned, checked = assign_traces_memo(func, traces, members)
-            self.guards_checked += checked
-            # One operand-table evaluation per trace over its members.
-            per_trace: dict[int, list[_Pending]] = {}
-            for entry, tr in zip(group, assigned):
-                if tr is not None:
-                    entry.live_tr = tr
-                    per_trace.setdefault(id(tr), []).append(entry)
-            for sub in per_trace.values():
-                tr = sub[0].live_tr
-                rows = tr.param_table([(e.ctx.pe, e.args) for e in sub], sub[0].ctx.n_pes)
-                for entry, row in zip(sub, rows):
-                    entry.P = row
-
-    def _resolve_one(self, entry: _Pending):
-        func, ctx, args = entry.func, entry.ctx, entry.args
-        key = (func, len(args))
-        # 1. Existing pure cohorts.
-        cohorts = self._cohorts.setdefault(key, [])
-        for cohort in cohorts:
-            trace = cohort.trace
-            self.guards_checked += len(trace.static_guards)
-            if trace.admits(ctx.pe, ctx.n_pes, args):
-                return self._join(cohort, ctx, args)
-        # 2. Pure symbolic recording (free of state/host dependence).
-        if key not in self._pure_declined:
-            try:
-                trace = record_thread(func, ctx.pe, ctx.n_pes, args)
-            except RecordingUnsupported:
-                # Not a failure: the live tier below handles it.
-                self._pure_declined.add(key)
-            else:
-                cohort = Cohort(trace, func)
-                cohorts.append(cohort)
-                self.records += 1
-                self._emit("record", ctx.pe, trace.func_name, trace.n_effects)
-                return self._join(cohort, ctx, args)
-        # 3. Registered live trace admitted for this member (batched).
-        if entry.live_tr is not None:
-            return self._join_live(entry.live_tr, ctx, args, entry.P)
-        # 4. Record a new live trace, budget permitting.
-        if self._can_trace(key, bool(lookup_traces(func, len(args)))):
-            self._live_attempts[key] = self._live_attempts.get(key, 0) + 1
-            return self._trace_live(func, ctx, args, key)
-        # 5. Interpreter.
-        self.gen_interpreted_threads += 1
-        return entry.fallback
-
-    def _can_trace(self, key: tuple, proven: bool) -> bool:
-        """Trace budget: two cold attempts per run; once the function is
-        *proven* traceable (a registered trace exists, or one landed this
-        run) every unadmitted member records its own shape."""
-        if self._record_failures.get(key, 0) >= _MAX_RECORD_FAILURES:
-            return False
-        if proven or self._live_successes.get(key, 0) > 0:
-            return True
-        return self._live_attempts.get(key, 0) < 2
-
-    def _trace_live(self, func, ctx, args, key: tuple):
-        name = getattr(func, "__name__", "?")
-
-        def on_abort(exc) -> None:
-            n = self._record_failures.get(key, 0) + 1
-            self._record_failures[key] = n
-            self.record_failures += 1
-            reason = getattr(exc, "reason", "other")
-            self.record_failure_reasons[reason] = (
-                self.record_failure_reasons.get(reason, 0) + 1
-            )
-            self.gen_interpreted_threads += 1
-            self._emit("record_bail", ctx.pe, name, n)
-
-        def on_trace(trace) -> None:
-            self.gen_traced_threads += 1
-            self._live_successes[key] = self._live_successes.get(key, 0) + 1
-            if register_trace(trace):
-                self.live_traces += 1
-            self._emit("trace", ctx.pe, trace.func_name, trace.n_effects)
-
-        return run_tracer(func, ctx, args, on_abort, on_trace)
-
-    def _join_live(self, trace, ctx, args, P):
-        lc = self._live_cohorts.get(id(trace))
-        if lc is None:
-            lc = LiveCohort(trace)
-            self._live_cohorts[id(trace)] = lc
-        index = trace.n_members
-        trace.n_members += 1
-        lc.members += 1
-        self.gen_replayed_threads += 1
-        # Cross-run sampling: the trace's first-ever replay (the traced
-        # representative is member 0), then every VALIDATE_STRIDE-th,
-        # replays in lockstep with a real shadow.  Every member always
-        # re-checks the data-dependent guards inline.
-        if index % VALIDATE_STRIDE == 1:
-            lc.validated += 1
-            self.gen_validated_threads += 1
-            return replay_validated_live(trace, lc, ctx, args, P, self)
-        return replay_member(trace, ctx, args, P, self)
-
-    def _join(self, cohort: Cohort, ctx, args):
-        index = cohort.members
-        cohort.members += 1
-        self.gen_compiled_threads += 1
-        if index > 0 and index % VALIDATE_STRIDE == 1:
-            cohort.validated += 1
-            self.gen_validated_threads += 1
-            return self._replay_validated(cohort, ctx, args)
-        return self._replay(cohort, ctx, args)
-
-    def _replay(self, cohort: Cohort, ctx, args):
-        """Fast member stepper: flat operand table, one yield per effect."""
-        pe, n_pes, ga = ctx.pe, ctx.n_pes, ctx.ga
-        plan = cohort.plan
-
-        def stepper():
-            resumes: list = [None] * cohort.trace.n_resumes
-            # Operand table: effects free of resume references are
-            # materialized once up front (ctx.ga re-runs the PE bounds
-            # check per member); resume-forwarding slots stay lazy.
-            table = [
-                getattr(ctx, method)(
-                    *(eval_expr(e, pe, n_pes, args, resumes, ga) for e in exprs)
-                )
-                if not lazy
-                else None
-                for method, exprs, lazy, _r in plan
-            ]
-            n = 0
-            for i, (method, exprs, lazy, ridx) in enumerate(plan):
-                eff = table[i]
-                if lazy:
-                    eff = getattr(ctx, method)(
-                        *(eval_expr(e, pe, n_pes, args, resumes, ga) for e in exprs)
-                    )
-                value = yield eff
-                n += 1
-                if ridx >= 0:
-                    resumes[ridx] = value
-            self.compiled_effects += n
-
-        return stepper()
-
-    def _replay_validated(self, cohort: Cohort, ctx, args):
-        """Lockstep member: replay while mirroring a real generator.
-
-        The interpreted twin is advanced effect-by-effect alongside the
-        trace; any mismatch is the first divergence, and the twin — by
-        construction suspended exactly where the thread diverged —
-        simply takes over.  That *is* the per-thread bailout.
-        """
-        pe, n_pes, ga = ctx.pe, ctx.n_pes, ctx.ga
-        plan = cohort.plan
-        manager = self
-
-        def stepper():
-            real = cohort.func(ctx, *args)
-            resumes: list = [None] * cohort.trace.n_resumes
-            send = None
-            n = 0
-            for method, exprs, _lazy, ridx in plan:
-                try:
-                    real_eff = real.send(send)
-                except StopIteration:
-                    manager._bailout(cohort, ctx.pe, n, "trace outlives thread", None)
-                    return
-                eff = getattr(ctx, method)(
-                    *(eval_expr(e, pe, n_pes, args, resumes, ga) for e in exprs)
-                )
-                if type(real_eff) is not type(eff) or real_eff != eff:
-                    manager._bailout(cohort, ctx.pe, n, eff, real_eff)
-                    send = yield real_eff
-                    while True:
-                        try:
-                            real_eff = real.send(send)
-                        except StopIteration:
-                            return
-                        send = yield real_eff
-                value = yield eff
-                n += 1
-                send = value
-                if ridx >= 0:
-                    resumes[ridx] = value
-            manager.compiled_effects += n
-            try:
-                real_eff = real.send(send)
-            except StopIteration:
-                return
-            manager._bailout(cohort, ctx.pe, n, None, real_eff)
-            while True:
-                send = yield real_eff
-                try:
-                    real_eff = real.send(send)
-                except StopIteration:
-                    return
-
-        return stepper()
-
-    def _bailout(self, cohort: Cohort, pe: int, position: int, compiled, interpreted):
-        cohort.bailouts += 1
-        self.bailouts += 1
-        self._emit("bailout", pe, cohort.trace.func_name, position)
-        if self.strict:
-            raise CompileDivergence(
-                f"cohort {cohort.trace.func_name!r} diverged at effect "
-                f"{position}: compiled path produced {compiled!r}, "
-                f"interpreter produced {interpreted!r}"
-            )
-
-    # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
     def _emit(self, kind: str, pe: int, name: str, n: int) -> None:
@@ -521,42 +108,14 @@ class CohortManager:
         if obs is not None:
             obs.emit(CohortEvent(self._machine.engine.now, pe, kind, name, n))
 
-    def on_drain(self) -> None:
-        """Engine finish hook: mark the run complete for the summary."""
-        self.drained = True
-
     def summary(self) -> dict:
         """The ``MachineReport.cohort`` section (diagnostic only)."""
-        compiled = (
-            self.emc_codegen_threads
-            + self.emc_trace_threads
-            + self.gen_compiled_threads
-            + self.gen_traced_threads
-            + self.gen_replayed_threads
-        )
+        compiled = self.emc_codegen_threads + self.emc_trace_threads
         total = compiled + self.emc_interp_threads + self.gen_interpreted_threads
-        cohorts = [c for cs in self._cohorts.values() for c in cs]
-        members = [c.members for c in cohorts]
-        members.extend(lc.members for lc in self._live_cohorts.values())
         return {
             "emc_codegen_threads": self.emc_codegen_threads,
             "emc_trace_threads": self.emc_trace_threads,
             "emc_interp_threads": self.emc_interp_threads,
-            "gen_compiled_threads": self.gen_compiled_threads,
             "gen_interpreted_threads": self.gen_interpreted_threads,
-            "gen_validated_threads": self.gen_validated_threads,
-            "gen_traced_threads": self.gen_traced_threads,
-            "gen_replayed_threads": self.gen_replayed_threads,
-            "cohorts": len(cohorts) + len(self._live_cohorts),
-            "max_cohort_members": max(members, default=0),
-            "records": self.records,
-            "record_failures": self.record_failures,
-            "record_failure_reasons": dict(self.record_failure_reasons),
-            "live_traces": self.live_traces,
-            "replay_divergences": self.replay_divergences,
-            "bailouts": self.bailouts,
-            "compiled_effects": self.compiled_effects,
-            "guards_checked": self.guards_checked,
-            "numpy": _live.HAVE_NUMPY,
             "occupancy": (compiled / total) if total else 0.0,
         }

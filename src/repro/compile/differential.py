@@ -1,61 +1,64 @@
 """Differential oracle for the cohort compiler.
 
-The compiled path's correctness bar is *stricter* than the hybrid
-engine's: compiling a thread changes how its generator is driven, not
-which events the machine fires, so an interpreted and a compiled run of
-the same shape must agree on **everything** — metrics, ``events_fired``,
+Compiling a thread changes how its generator is driven, not which
+events the machine fires, so an interpreted and a compiled run of the
+same shape must agree on **everything** — metrics, ``events_fired``,
 the serialized :class:`~repro.experiments.common.RunRecord`, and the
 Perfetto export of the full event stream — except the report's
 ``cohort`` accounting section and the diagnostic ``COHORT`` obs events,
 which only exist on the compiled side.
 
-:class:`CompileDifferentialHarness` mirrors
-:class:`~repro.sim.hybrid.HybridDifferentialHarness`: ``check()``
-raises on any difference, ``shrink()`` reduces a failing shape, and
-compiled runs execute under :func:`~repro.compile.cohort.strict_cohorts`
-so a cohort member diverging from its trace surfaces as
-:class:`~repro.errors.CompileDivergence` with a first-divergent-effect
-diagnosis instead of silently bailing out and (correctly) masking the
-compiler bug.
+:class:`CompileDifferentialHarness` runs both sides: ``check()`` raises
+on any difference and ``shrink()`` reduces a failing shape to a minimal
+reproducer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
-from ..sim.hybrid import diff_paths
-from .cohort import strict_cohorts
+from ..api import _with_compiled, get_app, result_ok
 
 __all__ = [
+    "diff_paths",
     "comparable_compile_report",
     "CompileDifferentialResult",
     "CompileDifferentialHarness",
 ]
 
 
+def diff_paths(a: Any, b: Any, prefix: str = "") -> list[str]:
+    """Dotted paths at which two JSON-like values differ (leaves only)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out: list[str] = []
+        for key in sorted(set(a) | set(b), key=str):
+            here = f"{prefix}.{key}" if prefix else str(key)
+            if key not in a or key not in b:
+                out.append(here)
+            else:
+                out.extend(diff_paths(a[key], b[key], here))
+        return out
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        if len(a) != len(b):
+            return [f"{prefix}.len" if prefix else "len"]
+        out = []
+        for i, (x, y) in enumerate(zip(a, b)):
+            out.extend(diff_paths(x, y, f"{prefix}[{i}]"))
+        return out
+    return [] if a == b else [prefix or "<root>"]
+
+
 def comparable_compile_report(report) -> dict:
     """Full report serialisation minus only the ``cohort`` section.
 
-    Unlike hybrid comparisons, ``events_fired`` stays in: the compiled
-    path must not change the event structure at all.
+    ``events_fired`` stays in: the compiled path must not change the
+    event structure at all.
     """
     from ..metrics.serialize import report_to_dict
 
     out = report_to_dict(report)
     out.pop("cohort", None)
-    return out
-
-
-def _with_compiled(kwargs: dict, compiled: bool) -> dict:
-    from ..config import MachineConfig
-
-    out = dict(kwargs)
-    config = out.get("config")
-    if config is None:
-        out["config"] = MachineConfig(compiled=compiled)
-    else:
-        out["config"] = replace(config, compiled=compiled)
     return out
 
 
@@ -86,8 +89,7 @@ class CompileDifferentialResult:
         cohort = self.compiled.cohort or {}
         return (
             f"{self.app} {shape}: identical "
-            f"(occupancy {cohort.get('occupancy', 0.0):.2f}, "
-            f"{cohort.get('compiled_effects', 0)} compiled effects)"
+            f"(occupancy {cohort.get('occupancy', 0.0):.2f})"
         )
 
 
@@ -95,7 +97,7 @@ class CompileDifferentialHarness:
     """Differential oracle: the interpreter is ground truth.
 
     ``harness.check(n_pes=4, n=64, h=2)`` runs the shape interpreted
-    and compiled (strict), compares reports, RunRecords and Perfetto
+    and compiled, compares reports, RunRecords and Perfetto
     exports, and raises ``AssertionError`` naming the differing paths
     (after shrinking the shape) on any mismatch.
     """
@@ -106,17 +108,12 @@ class CompileDifferentialHarness:
 
     # -- execution ----------------------------------------------------
     def _run(self, compiled: bool, shape: dict, obs=None):
-        from ..api import get_app, result_ok
         from ..errors import ProgramError
 
         fn = get_app(self.app)
-        kwargs = _with_compiled({**self.base_kwargs, **shape}, compiled)
-        kwargs["obs"] = obs
-        if compiled:
-            with strict_cohorts():
-                result = fn(**kwargs)
-        else:
-            result = fn(**kwargs)
+        kwargs = {**self.base_kwargs, **shape, "obs": obs}
+        kwargs["config"] = _with_compiled(kwargs.get("config"), compiled)
+        result = fn(**kwargs)
         if not result_ok(result):
             raise ProgramError(f"{self.app} {shape} failed self-verification")
         return result.report

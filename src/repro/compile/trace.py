@@ -1,6 +1,6 @@
 """The compiled effect-trace IR and its register VM.
 
-Both compile front-ends target the same intermediate form: a flat
+The EM-C lowering (:mod:`repro.compile.lower_emc`) targets a flat
 sequence of opcode tuples over a numbered register file, where guest
 computation is folded into ``CHARGE`` opcodes (cycle budgets, summed
 into one pending :class:`~repro.core.effects.Compute` exactly as the
@@ -8,14 +8,14 @@ EM-C interpreter's ``flush`` does) and every machine interaction is an
 ``EFF_*`` opcode with *operand slots* — register numbers naming the PE
 id, partner, address offset or burst cost instead of concrete values.
 
-:func:`run_trace` is the batched stepper's inner engine: one plain
-Python generator whose ``while``/``elif`` dispatch replaces the EM-C
-tree walker's recursive ``yield from`` chains.  It yields exactly the
+:func:`run_trace` is the VM: one plain Python generator whose
+``while``/``elif`` dispatch replaces the EM-C tree walker's recursive
+``yield from`` chains.  It yields exactly the
 effect objects the interpreter would (constructed through the same
 :class:`~repro.core.threadlib.ThreadCtx` entry points, so address
 validation and error text are shared, not re-implemented), which is
 what keeps compiled runs byte-identical downstream — the EXU cannot
-tell the two front-ends apart.
+tell the VM from the interpreter.
 """
 
 from __future__ import annotations
@@ -234,8 +234,6 @@ def run_trace(prog: TraceProgram, ctx, args: tuple):
                 raise MemoryFault(
                     f"access [{i}, {i + 1}) outside memory of {mem_size} words"
                 )
-            if mem._watches:
-                mem._watch_hit(i, 1)
             mem.writes += 1
             mem_words[i] = v
         elif o == MEM_LOAD:
@@ -254,8 +252,6 @@ def run_trace(prog: TraceProgram, ctx, args: tuple):
                 raise MemoryFault(
                     f"access [{i}, {i + 1}) outside memory of {mem_size} words"
                 )
-            if mem._watches:
-                mem._watch_hit(i, 1)
             mem.writes += 1
             mem_words[i] = R[op[2]]
         elif o == MUL:

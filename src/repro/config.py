@@ -151,21 +151,11 @@ class MachineConfig:
         ``"detailed"`` walks every Omega stage and models per-port
         contention; ``"analytic"`` applies endpoint bandwidth plus the
         k+1-cycle hop latency only.
-    fidelity:
-        ``"detailed"`` (default) drains every event through the calendar
-        queue.  ``"hybrid"`` fast-forwards provably conflict-free
-        windows — uncontended packet transits, by-passing DMA services,
-        same-cycle EXU wake-ups — with the closed-form costs from
-        :mod:`repro.analysis`, falling back to detailed event-by-event
-        simulation (via :class:`~repro.errors.FastForwardMiss`) the
-        moment a contention precondition breaks.  Metrics are identical
-        by construction; only ``events_fired`` drops.
     compiled:
         If true, route thread creation through the cohort compiler
         (:mod:`repro.compile.cohort`): EM-C threads run on generated
-        Python or the flat trace VM, and generator threads sharing a
-        trace shape replay a recorded effect trace.  Unmatchable
-        threads fall back to the interpreter per-thread; metrics, obs
+        Python or the flat trace VM; native generator threads and EM-C
+        programs no tier accepts run on the interpreter.  Metrics, obs
         events (minus the diagnostic ``COHORT`` category) and exports
         are identical by construction.
     seed:
@@ -179,7 +169,6 @@ class MachineConfig:
     em4_mode: bool = False
     priority_replies: bool = False
     network_model: str = "detailed"
-    fidelity: str = "detailed"
     compiled: bool = False
     max_cycles: int = 4_000_000_000
     #: Record burst-level trace events for :mod:`repro.trace` timelines.
@@ -198,10 +187,6 @@ class MachineConfig:
         if self.network_model not in ("detailed", "analytic"):
             raise ConfigError(
                 f"network_model must be 'detailed' or 'analytic', got {self.network_model!r}"
-            )
-        if self.fidelity not in ("detailed", "hybrid"):
-            raise ConfigError(
-                f"fidelity must be 'detailed' or 'hybrid', got {self.fidelity!r}"
             )
         if self.max_cycles < 1:
             raise ConfigError(f"max_cycles must be >= 1, got {self.max_cycles}")

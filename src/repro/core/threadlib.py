@@ -66,24 +66,6 @@ class ThreadCtx:
         return GlobalAddress(pe, offset)
 
     # ------------------------------------------------------------------
-    # Host computation
-    # ------------------------------------------------------------------
-    def host(self, fn, *args: Any) -> Any:
-        """Run ``fn(*args)`` as an opaque host computation.
-
-        In the interpreter this is a plain call — it yields no effect
-        and charges no cycles (local computation is budgeted separately
-        through :meth:`compute`).  Its purpose is to mark the boundary
-        for the cohort compiler: everything inside ``fn`` is data-
-        dependent guest logic the recorder should treat as a black box
-        and re-execute live per thread, instead of bailing on the whole
-        thread.  ``fn`` must be a module-level callable and may freely
-        mutate its arguments (e.g. ``ctx.state`` entries or ``ctx.mem``
-        passed explicitly).
-        """
-        return fn(*args)
-
-    # ------------------------------------------------------------------
     # Effects
     # ------------------------------------------------------------------
     def compute(self, cycles: int) -> Compute:

@@ -365,7 +365,7 @@ class CompiledProgram:
         thread_func.__qualname__ = f"emc.{tdef.name}"
         thread_func.__doc__ = f"EM-C thread {tdef.name!r} (compiled)."
         # Lets the cohort compiler recognise EM-C threads and lower the
-        # definition itself instead of recording the interpreter.
+        # definition itself.
         thread_func.__emc_thread__ = (self, tdef)
         return thread_func
 

@@ -11,10 +11,7 @@ __all__ = [
     "ReproError",
     "ConfigError",
     "PlanError",
-    "PlanCompatibilityWarning",
     "SimulationError",
-    "FastForwardMiss",
-    "CompileDivergence",
     "DeadlockError",
     "AddressError",
     "MemoryFault",
@@ -40,55 +37,17 @@ class ConfigError(ReproError):
 
 
 class PlanError(ConfigError):
-    """An invalid or self-contradictory :class:`repro.api.ExecutionPlan`.
+    """An invalid :class:`repro.api.ExecutionPlan`.
 
     Raised by ``ExecutionPlan.validate()`` (and the entry points that
-    funnel through it) for malformed plans — an unknown fidelity, a
-    negative shard count, a plan passed alongside the legacy keyword
-    knobs it replaces.  Mode *incompatibilities* that the engine can
-    resolve safely (hybrid fidelity under sharding, strict cohort
-    validation without the compiler) are downgraded to
-    :class:`PlanCompatibilityWarning` instead.
-    """
-
-
-class PlanCompatibilityWarning(RuntimeWarning):
-    """An execution-plan combination that is legal but partially inert.
-
-    The single warning category for mode interactions: hybrid fidelity
-    under ``shards=K`` (the sharded engine always runs detailed),
-    strict cohort validation without ``compiled=True`` (nothing to
-    validate).  Subclasses :class:`RuntimeWarning` so pre-existing
-    ``pytest.warns(RuntimeWarning)`` callers keep matching.
+    funnel through it) for malformed plans — a negative shard count, an
+    unknown plan key, a plan passed alongside the legacy keyword knobs
+    it replaces.
     """
 
 
 class SimulationError(ReproError):
     """The discrete-event engine reached an inconsistent state."""
-
-
-class FastForwardMiss(SimulationError):
-    """A hybrid fast-forward precondition broke after the fact.
-
-    Raised by the ``fidelity="hybrid"`` machinery when an already
-    fast-forwarded window turns out to be contended (a packet would have
-    beaten a forwarded reservation to a port, a memory word read early
-    by a folded DMA was overwritten before the real service time, or the
-    canonical in-flight reconstruction is interleaving-dependent).  The
-    hybrid driver catches it and re-runs the workload at
-    ``fidelity="detailed"`` — metric exactness is preserved by falling
-    back, never by guessing.
-    """
-
-
-class CompileDivergence(SimulationError):
-    """A compiled cohort trace disagreed with the interpreted thread.
-
-    Only raised when the cohort manager runs in ``strict`` mode (the
-    differential harness and divergence tests); production runs handle
-    the same condition with a silent per-thread bailout instead.  The
-    message carries the first-divergent-effect diagnosis.
-    """
 
 
 class DeadlockError(SimulationError):

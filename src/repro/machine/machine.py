@@ -55,14 +55,9 @@ class MachineReport:
     network: NetworkStats
     #: Per-PE burst traces (populated when ``MachineConfig.trace`` is on).
     traces: dict[int, list] | None = None
-    #: Hybrid-fidelity fast-forward accounting (``None`` for detailed
-    #: runs): how many packets/cycles were advanced analytically and how
-    #: many events that saved.  Diagnostic only — deliberately excluded
-    #: from metric comparisons, like ``events_fired``.
-    fastforward: dict | None = None
     #: Cohort-compiler accounting (``None`` unless ``compiled=True``):
-    #: per-front-end thread counts, cohort census, bailouts.  Diagnostic
-    #: only, excluded from metric comparisons like ``fastforward``.
+    #: per-tier thread counts and occupancy.  Diagnostic only, excluded
+    #: from metric comparisons like ``events_fired``.
     cohort: dict | None = None
     #: Window-protocol accounting for sharded runs (``None`` otherwise):
     #: protocol name, barrier/window counts, coalesce count, per-shard
@@ -144,11 +139,8 @@ class EMX:
         self._next_tid = 0
         self._barriers: dict[int, GlobalBarrier] = {}
         self.pes = [EMCYProcessor(pe, self) for pe in range(self.config.n_pes)]
-        local_events = getattr(self.network, "ff_local_events", None)
         for proc in self.pes:
             self.network.attach(proc.pe, proc.deliver)
-            if local_events is not None:
-                local_events[proc.pe] = proc.pending_local_events
         if self.shard is None:
             self.engine.quiescence_watcher = self._stuck_report
         #: Cohort compiler (``compiled=True`` only): intercepts thread
@@ -158,7 +150,6 @@ class EMX:
             from ..compile.cohort import CohortManager
 
             self.cohorts = CohortManager(self)
-            self.engine.finish_hooks.append(self.cohorts.on_drain)
 
     # ------------------------------------------------------------------
     # Program loading
@@ -194,7 +185,7 @@ class EMX:
             data=(func_name, args, None),
             words=_invoke_words(len(args)),
         )
-        self.pes[pe].schedule_enqueue(self.engine.now, pkt)
+        self.engine.schedule_at(self.engine.now, self.pes[pe].ibu.enqueue, pkt)
 
     def create_thread(self, pe: int, func_name: str, args: tuple, cont) -> EMThread:
         """Instantiate a thread (EXU internal; called on INVOKE dispatch)."""
@@ -283,9 +274,6 @@ class EMX:
 
             return parallel.run_windowed(self, until)
         self.engine.run(until)
-        finalize = getattr(self.network, "finalize_stats", None)
-        if finalize is not None:
-            finalize()
         runtime = max((p.counters.last_active for p in self.pes), default=0)
         for proc in self.pes:
             proc.counters.check_accounting()
@@ -296,26 +284,8 @@ class EMX:
             counters=[p.counters for p in self.pes],
             network=self.network.stats,
             traces=self.traces() if self.config.trace else None,
-            fastforward=self._fastforward_summary(),
             cohort=self._cohort_summary(),
         )
-
-    def _fastforward_summary(self) -> dict | None:
-        """Fast-forward accounting for hybrid runs (None otherwise)."""
-        if self.config.fidelity != "hybrid":
-            return None
-        net = self.network
-        dma_folds = sum(p.ibu.dma_folds for p in self.pes)
-        kicks = sum(p.exu.kicks_inlined for p in self.pes)
-        return {
-            "packets_forwarded": getattr(net, "ff_packets", 0),
-            "packets_total": net.stats.packets,
-            "transit_cycles_forwarded": getattr(net, "ff_transit_cycles", 0),
-            "transit_cycles_total": net.stats.total_latency,
-            "dma_folds": dma_folds,
-            "kicks_inlined": kicks,
-            "events_saved": getattr(net, "ff_events_saved", 0) + dma_folds + kicks,
-        }
 
     def _cohort_summary(self) -> dict | None:
         """Cohort-compiler accounting for compiled runs (None otherwise)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from ..errors import FastForwardMiss, MemoryFault
+from ..errors import MemoryFault
 
 __all__ = ["LocalMemory"]
 
@@ -23,7 +23,7 @@ __all__ = ["LocalMemory"]
 class LocalMemory:
     """Bounds-checked, sparsely backed word memory."""
 
-    __slots__ = ("size", "_words", "reads", "writes", "_watches", "_clock")
+    __slots__ = ("size", "_words", "reads", "writes")
 
     def __init__(self, size: int) -> None:
         if size < 1:
@@ -32,47 +32,6 @@ class LocalMemory:
         self._words: dict[int, float | int] = {}
         self.reads = 0
         self.writes = 0
-        #: Live fast-forward watchpoints: ``(lo, hi, until)`` triples.
-        #: Empty in detailed-fidelity runs, so the write path pays one
-        #: truthiness test.
-        self._watches: list[tuple[int, int, int]] = []
-        self._clock = None
-
-    # ------------------------------------------------------------------
-    # Fast-forward watchpoints (hybrid fidelity)
-    # ------------------------------------------------------------------
-    def set_clock(self, clock) -> None:
-        """Attach the engine clock so watch expiry can be evaluated."""
-        self._clock = clock
-
-    def watch(self, lo: int, hi: int, until: int) -> None:
-        """Trip :class:`~repro.errors.FastForwardMiss` on writes to
-        ``[lo, hi)`` at any cycle up to and including ``until``.
-
-        The hybrid engine reads DMA reply data ahead of the cycle the
-        detailed model would; a write landing inside the window before
-        (or at — within-cycle order is ambiguous) the service completes
-        means the early read saw stale data.
-        """
-        self._watches.append((lo, hi, until))
-
-    def _watch_hit(self, lo: int, span: int) -> None:
-        now = self._clock.now if self._clock is not None else 0
-        live = []
-        hit = None
-        for w in self._watches:
-            if w[2] < now:
-                continue  # expired; prune as we go
-            live.append(w)
-            if lo < w[1] and lo + span > w[0]:
-                hit = w
-        self._watches = live
-        if hit is not None:
-            raise FastForwardMiss(
-                f"write to [{lo}, {lo + span}) at cycle {now} overlaps a "
-                f"fast-forwarded DMA read of [{hit[0]}, {hit[1]}) pending "
-                f"until cycle {hit[2]}"
-            )
 
     def _check(self, offset: int, span: int = 1) -> None:
         if offset < 0 or offset + span > self.size:
@@ -89,8 +48,6 @@ class LocalMemory:
     def write(self, offset: int, value: float | int) -> None:
         """Store one word."""
         self._check(offset)
-        if self._watches:
-            self._watch_hit(offset, 1)
         self.writes += 1
         self._words[offset] = value
 
@@ -108,8 +65,6 @@ class LocalMemory:
         vals = list(values)
         if vals:
             self._check(offset, len(vals))
-            if self._watches:
-                self._watch_hit(offset, len(vals))
         self.writes += len(vals)
         for i, v in enumerate(vals):
             self._words[offset + i] = v

@@ -40,42 +40,21 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: s
 def format_cohort(cohort: dict) -> str:
     """Render ``MachineReport.cohort`` (cohort-compiler diagnostics).
 
-    One occupancy line — what fraction of guest threads ran on a
-    compiled tier and through which tier they went — followed by the
-    recorder/tracer outcome counters and, when any recording bailed, a
-    per-reason breakdown of why threads fell back to the interpreter.
+    One occupancy line: what fraction of guest threads ran on a compiled
+    tier, and how many threads went through each tier.
     """
     tiers = []
     for label, key in (
         ("emc-codegen", "emc_codegen_threads"),
         ("emc-trace", "emc_trace_threads"),
         ("emc-interp", "emc_interp_threads"),
-        ("gen-compiled", "gen_compiled_threads"),
-        ("gen-traced", "gen_traced_threads"),
-        ("gen-replayed", "gen_replayed_threads"),
         ("gen-interp", "gen_interpreted_threads"),
     ):
         if cohort.get(key):
             tiers.append(f"{label} {cohort[key]}")
-    lines = [
-        f"cohorts: occupancy {cohort['occupancy']:.2f}  "
-        + (", ".join(tiers) if tiers else "no guest threads")
-        + ("" if cohort.get("numpy") else "  [no numpy: scalar tables]")
-    ]
-    lines.append(
-        f"  cohorts={cohort['cohorts']} (largest {cohort['max_cohort_members']})  "
-        f"records={cohort['records']}  live_traces={cohort['live_traces']}  "
-        f"validated={cohort['gen_validated_threads']}  "
-        f"guards={cohort['guards_checked']}  bailouts={cohort['bailouts']}  "
-        f"divergences={cohort['replay_divergences']}"
+    return f"cohorts: occupancy {cohort['occupancy']:.2f}  " + (
+        ", ".join(tiers) if tiers else "no guest threads"
     )
-    reasons = cohort.get("record_failure_reasons") or {}
-    if reasons:
-        lines.append(
-            f"  record bails ({cohort['record_failures']}): "
-            + ", ".join(f"{r} x{n}" for r, n in sorted(reasons.items()))
-        )
-    return "\n".join(lines)
 
 
 def format_series(name: str, series: dict[int, float], unit: str = "") -> str:

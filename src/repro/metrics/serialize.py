@@ -47,9 +47,9 @@ def counters_to_dict(c: PECounters) -> dict[str, Any]:
 def report_to_dict(report) -> dict[str, Any]:
     """A :class:`~repro.machine.MachineReport` as a JSON-safe dict.
 
-    Hybrid-fidelity runs add a ``fastforward`` section (what the
-    fast-forward layer saved); detailed runs serialise exactly as they
-    always have, so cached records and goldens are unaffected.
+    Compiled runs add a ``cohort`` section (the compiler's accounting);
+    interpreted runs serialise exactly as they always have, so cached
+    records and goldens are unaffected.
 
     ``MachineReport.windows`` is deliberately **not** serialised: it
     describes the shard partition and wall-clock barrier costs, so
@@ -85,8 +85,6 @@ def report_to_dict(report) -> dict[str, Any]:
         },
         "per_pe": [counters_to_dict(c) for c in report.counters],
     }
-    if getattr(report, "fastforward", None) is not None:
-        out["fastforward"] = dict(report.fastforward)
     if getattr(report, "cohort", None) is not None:
         out["cohort"] = dict(report.cohort)
     return out

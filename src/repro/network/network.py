@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..analysis.queueing import uncontended_transit
 from ..config import MachineConfig, TimingModel
-from ..errors import FastForwardMiss, NetworkError
+from ..errors import NetworkError
 from ..obs.bus import EventBus
-from ..obs.events import FastForward, PacketDeliver, PacketHop
+from ..obs.events import PacketDeliver, PacketHop
 from ..packet import Packet
 from ..sim import Engine
 from .stats import NetworkStats
@@ -32,7 +31,6 @@ __all__ = [
     "OmegaNetworkBase",
     "DetailedOmegaNetwork",
     "AnalyticOmegaNetwork",
-    "HybridOmegaNetwork",
     "build_network",
 ]
 
@@ -238,686 +236,6 @@ class DetailedOmegaNetwork(OmegaNetworkBase):
         raise NotImplementedError("detailed model advances packets per hop")
 
 
-class _Reservation:
-    """One packet's booking of one route port: ``[arr, depart)`` wait
-    then ``[depart, end)`` service, at position ``stage`` of its plan."""
-
-    __slots__ = ("arr", "depart", "end", "slots", "ps", "stage", "port", "linked")
-
-    def __init__(self, ps: "_PacketState", stage: int, port: tuple) -> None:
-        self.ps = ps
-        self.stage = stage
-        self.port = port
-        self.slots = ps.slots
-        self.arr = 0
-        self.depart = 0
-        self.end = 0
-        #: Currently present in its port's timeline (False once pruned
-        #: or temporarily removed for a re-walk).
-        self.linked = False
-
-
-class _Prov:
-    """Scheduling provenance of one handler event in the elided event
-    graph: the cycle it fired at, the provenance of the event whose
-    handler scheduled it (a :class:`_PacketState` when that handler is
-    the packet's delivery event, ``None`` only for the root), and its
-    scheduling slot.  Slots come from the network's global emission
-    counter at creation time, so creation order within one handler is
-    exactly the detailed model's scheduling (seq) order."""
-
-    __slots__ = ("fire", "parent", "slot")
-
-    def __init__(self, fire: int, parent, slot: int) -> None:
-        self.fire = fire
-        self.parent = parent
-        self.slot = slot
-
-
-#: Common ancestor of every handler chain: work scheduled outside any
-#: tracked handler (pre-run spawns) parents here, and its children's
-#: slots order it the way the detailed engine's seq counter would.
-_ROOT = _Prov(0, None, 0)
-
-
-class _PacketState:
-    """Transit bookkeeping for one in-flight hybrid packet."""
-
-    __slots__ = ("pkt", "when", "slots", "plan", "entries", "arrival",
-                 "sched", "delivered", "prov", "eseq")
-
-    def __init__(self, pkt: Packet, when: int, slots: int, plan: tuple,
-                 prov: _Prov, eseq: int) -> None:
-        self.pkt = pkt
-        self.when = when
-        self.slots = slots
-        self.plan = plan
-        self.entries: list[_Reservation | None] = [None] * len(plan)
-        #: Settled arrival cycle (moves while repairs run).
-        self.arrival: int | None = None
-        #: Cycle the earliest pending delivery event fires at.
-        self.sched: int | None = None
-        self.delivered = False
-        #: Provenance of the emitting handler and this emission's slot
-        #: within it (grounds tie resolution; see :class:`_Prov`).
-        self.prov = prov
-        self.eseq = eseq
-
-
-def _bisect_arr(tl: list, t: int) -> int:
-    """First index in the arrival-sorted timeline with ``arr >= t``."""
-    lo, hi = 0, len(tl)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tl[mid].arr < t:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _prelude(ps: "_PacketState", stage: int, tied_is_send: bool):
-    """Fire cycles of the hop/send events above ``stage`` in the
-    packet's own scheduling chain, nearest first.
-
-    Each stage ``>= 2`` is its own event scheduled by the previous
-    stage's; stage 1 coalesces into the send context when the
-    injection port is free; a send event exists only when the
-    injection was future-dated (``when`` past the emitting handler's
-    fire cycle).  ``stage == len(plan)`` stands for the delivery
-    event, whose scheduler is the last hop's event.
-    """
-    entries = ps.entries
-    when = ps.when
-    for s in range(stage - 1, 1, -1):
-        yield entries[s].arr
-    if stage >= 2 and entries[1].arr > when:
-        yield entries[1].arr
-    if not tied_is_send and when > ps.prov.fire:
-        yield when
-
-
-class _ChainWalker:
-    """Fire cycles of the events that transitively scheduled one tied
-    event, nearest ancestor first (see ``_serves_before``): first the
-    packet's own hop/send events, then the emitting handler's
-    provenance chain, splicing through delivered packets' chains when
-    an ancestor is a delivery event."""
-
-    __slots__ = ("gen", "node", "ps", "slot", "_next_slot", "tied_node")
-
-    def __init__(self, ps: "_PacketState", stage: int, t: int) -> None:
-        self.gen = None
-        self.node: _Prov | None = None
-        self.ps: _PacketState | None = None
-        #: Scheduling slot of the child the walk reached the current
-        #: node through (valid when :meth:`step` returned a node).
-        self.slot = 0
-        self._next_slot = 0
-        #: The tied event itself, when it is a (shareable) handler
-        #: rather than a per-packet send/hop event: two inline sends
-        #: from one handler tie as *the same* event and compare by
-        #: emission order before any walking.
-        self.tied_node: _Prov | None = None
-        tied_is_send = stage == 0 or (stage == 1 and t == ps.when)
-        self.ps = ps
-        if tied_is_send and ps.when == ps.prov.fire:
-            # The tied event *is* the emitting handler (an inline send
-            # inside it): the walk starts at the handler's scheduler.
-            self.tied_node = ps.prov
-            self._past(ps.prov)
-        else:
-            self.gen = _prelude(ps, stage, tied_is_send)
-
-    def _past(self, n: _Prov) -> None:
-        """Position the walk at ``n``'s scheduler."""
-        self._next_slot = n.slot
-        p = n.parent
-        if p is None:  # past the root: the walk is exhausted
-            self.node = None
-            self.ps = None
-        elif type(p) is _PacketState:
-            # ``n`` is the delivery event of ``p``: its scheduler is
-            # the packet's last hop event — continue into that chain.
-            self.node = None
-            self.ps = p
-            self.gen = _prelude(p, len(p.entries), False)
-        else:
-            self.node = p
-
-    def step(self) -> tuple:
-        """Next chain level as ``(fire_cycle, node)``; ``node`` is the
-        ancestor's :class:`_Prov` (``None`` for hop/send levels, which
-        never need identity checks).  ``(None, None)`` = exhausted."""
-        g = self.gen
-        if g is not None:
-            v = next(g, None)
-            if v is not None:
-                return v, None
-            self.gen = None
-            self._next_slot = self.ps.eseq
-            self.node = self.ps.prov
-        n = self.node
-        if n is None:
-            return None, None
-        self.slot = self._next_slot
-        self._past(n)
-        return n.fire, n
-
-
-def _node_walker(n: _Prov) -> _ChainWalker:
-    """A walker over the scheduling ancestry of the handler event ``n``
-    itself (first level: its scheduler's fire cycle)."""
-    w = _ChainWalker.__new__(_ChainWalker)
-    w.gen = None
-    w.node = None
-    w.ps = None
-    w.slot = 0
-    w._next_slot = 0
-    w.tied_node = None
-    w._past(n)
-    return w
-
-
-def _walk_before(wa: _ChainWalker, wb: _ChainWalker, what: str) -> bool:
-    """Lockstep-compare two same-cycle events by scheduling ancestry:
-    first differing ancestor fire cycle wins; the first shared ancestor
-    resolves by the slots of the children the walks reached it through.
-    Raises :class:`FastForwardMiss` when the walk falls off the tracked
-    graph (or hits an impossible shared slot)."""
-    while True:
-        va, na = wa.step()
-        vb, nb = wb.step()
-        if na is not None and na is nb:
-            if wa.slot != wb.slot:
-                return wa.slot < wb.slot
-            raise FastForwardMiss(
-                f"{what} share a scheduling slot; detailed replay required"
-            )
-        if va is None or vb is None:
-            raise FastForwardMiss(
-                f"{what} have an untracked scheduling ancestry; the "
-                f"elided events would have ordered them"
-            )
-        if va != vb:
-            return va < vb
-        # Chains of different depth: one side was pushed pre-run (its
-        # ancestry already reached the root) while the other was pushed
-        # by a handler firing at cycle 0.  Pre-run pushes drain first.
-        if na is _ROOT:
-            return True
-        if nb is _ROOT:
-            return False
-
-
-class HybridOmegaNetwork(DetailedOmegaNetwork):
-    """Detailed timing without per-hop events: reserve, repair, settle.
-
-    A packet's whole trajectory — per-port FIFO waits included — is
-    walked *arithmetically* when it is handed to the network, using the
-    same recurrence the detailed model's hop events carry (injection
-    and the first switch share a cycle, each later hop adds one cycle
-    of cut-through latency, a busy port delays departure).  One
-    delivery event is scheduled at the computed arrival; the per-hop
-    events and the future-dated send events disappear.  Conflict-free
-    transits collapse to the closed form
-    :func:`~repro.analysis.queueing.uncontended_transit` of the
-    queueing model.
-
-    Ports serve in *arrival* order (the hardware FIFO), not reservation
-    order, so each port keeps an arrival-sorted **timeline** of
-    reservations.  A packet reserved later but arriving earlier is
-    inserted at its arrival position; reservations it displaces are
-    *pushed* (service re-queued behind it), removals *pull* queued
-    successors forward, and any packet whose departure changes has its
-    downstream stages re-walked until the network is consistent — the
-    same fixed point the detailed event order computes.  A displaced
-    delivery is repaired lazily: the delivery event fires, notices the
-    settled arrival moved, and reschedules (one extra event, eroding
-    but never corrupting the fast-forward).
-
-    What arithmetic cannot arbitrate raises
-    :class:`~repro.errors.FastForwardMiss` so the caller replays the
-    run at detailed fidelity:
-
-    * **ties** — two packets reaching a port in the same cycle are
-      ordered by event seq in the detailed model.  Seq order is fully
-      determined by scheduling ancestry (earlier scheduling cycle →
-      smaller seq, recursing on equality, grounding in issue order
-      within one handler), so the model reconstructs it: every elided
-      handler event carries a provenance node, and ``_serves_before``
-      walks both ancestries to the first differing cycle or the first
-      shared ancestor.  Only a walk that falls off the tracked graph
-      misses.
-    * **same-cycle sequencing** — a delivery fires at some arbitrary
-      position within its cycle, but what it does (FIFO appends,
-      barrier opens, memory writes) must interleave with the PE's
-      local enqueue fires and kick exactly as the detailed event order
-      would.  Each of the three actors checks
-      :meth:`pending_predecessor` at fire time and defers to the end
-      of the cycle's bucket while any pending peer precedes it, so
-      execution converges to the detailed order; a defer costs one
-      event, and only an untracked ancestry misses.
-    * **canonical in-flight peak** — ``max_in_flight`` depends on
-      within-cycle send/deliver order; :meth:`finalize_stats` replays
-      the born/arrival histograms under both tie orders, and when the
-      bounds disagree re-sorts the ambiguous cycles' events into
-      detailed order by provenance and takes the exact peak;
-    * **runaway repairs** — a repair cascade exceeding its op budget
-      (quadratic blowup under heavy contention) gives up rather than
-      crawl.
-    """
-
-    _REPAIR_OPS = 4096
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        #: port → arrival-sorted reservation timeline.
-        self._tl: dict[tuple, list[_Reservation]] = {}
-        #: ``(cycle, dst)`` → packets whose delivery event is scheduled
-        #: but unfired, feeding :meth:`deliveries_pending` (the EXU
-        #: inline-kick gate) and :meth:`pending_predecessor`.
-        self._pending: dict[tuple[int, int], list[_PacketState]] = {}
-        #: cycle → packets born/arrived there (exact in-flight replay).
-        self._born_hist: dict[int, list[_PacketState]] = {}
-        self._arrival_hist: dict[int, list[_PacketState]] = {}
-        #: dst PE → callable yielding the provenance of that PE's
-        #: scheduled-but-unfired local events at a cycle (enqueue fires
-        #: and the kick), for the same-cycle sequencing protocol.
-        self.ff_local_events: dict[int, Callable] = {}
-        #: Provenance of the handler currently running (``None`` at top
-        #: level); handler sites set it around dispatch so emissions
-        #: and scheduled sub-handlers can record their ancestry.
-        self.prov: _Prov | None = None
-        #: Global emission/scheduling slot counter (see :class:`_Prov`).
-        self._eseq = 0
-        self.ff_packets = 0
-        self.ff_transit_cycles = 0
-        self.ff_events_saved = 0
-
-    # ------------------------------------------------------------------
-    def new_prov(self, fire: int) -> _Prov:
-        """Provenance for a handler event firing at ``fire``, scheduled
-        by the handler running now (kick/enqueue/DMA-completion sites)."""
-        self._eseq += 1
-        parent = self.prov
-        return _Prov(fire, parent if parent is not None else _ROOT, self._eseq)
-
-    def send(self, pkt: Packet) -> None:
-        self.send_at(self.engine.now, pkt)
-
-    def send_at(self, when: int, pkt: Packet) -> None:
-        """Inject ``pkt`` at cycle ``when`` (>= now); one event total."""
-        dst = pkt.dst
-        if dst not in self._sinks:
-            raise NetworkError(f"packet to unattached PE {dst}: {pkt!r}")
-        plan = self._plans.get((pkt.src, dst))
-        if plan is None:
-            route = self.topology.route(pkt.src, dst)
-            plan = self._plans[(pkt.src, dst)] = (
-                ("inj", pkt.src),
-                *(("sw", h.node, h.bit) for h in route),
-                ("ej", dst),
-            )
-        self._eseq += 1
-        prov = self.prov
-        ps = _PacketState(
-            pkt, when, pkt.slots(self._cpp), plan,
-            prov if prov is not None else _ROOT, self._eseq,
-        )
-        pkt.born = when
-        self._born_hist.setdefault(when, []).append(ps)
-        self.in_flight += 1
-        self._repair({ps: 0})
-        ps.sched = ps.arrival
-        self.engine.schedule_at(ps.arrival, self._settle, ps)
-
-    # ------------------------------------------------------------------
-    # Timeline maintenance
-    # ------------------------------------------------------------------
-    def _repair(self, work: dict) -> None:
-        """Walk/re-walk packets until every timeline is consistent."""
-        ops = 0
-        while work:
-            ps = next(iter(work))
-            s0 = work.pop(ps)
-            if ps.delivered:
-                raise FastForwardMiss(
-                    f"packet {ps.pkt.seq} was delivered at cycle "
-                    f"{ps.arrival} but a repair now moves its transit"
-                )
-            ops += 1
-            if ops > self._REPAIR_OPS:
-                raise FastForwardMiss(
-                    f"timeline repair exceeded {self._REPAIR_OPS} re-walks"
-                )
-            self._remove_stages(ps, s0, work)
-            for s in range(s0, len(ps.plan)):
-                self._insert_stage(ps, s, work)
-            self._set_arrival(ps, ps.entries[-1].depart + self._eject)
-
-    def _insert_stage(self, ps: "_PacketState", s: int, work: dict) -> None:
-        plan = ps.plan
-        if s == 0:
-            t = ps.when
-        else:
-            prev = ps.entries[s - 1]
-            t = prev.depart if s == 1 else prev.depart + 1
-        port = plan[s]
-        tl = self._tl.get(port)
-        if tl is None:
-            tl = self._tl[port] = []
-        now = self.engine.now
-        if tl and tl[0].end <= now:
-            # Settled history: nothing arriving from now on can land
-            # before these or be delayed by them (ends are monotone).
-            k = 1
-            n = len(tl)
-            while k < n and tl[k].end <= now:
-                k += 1
-            for old in tl[:k]:
-                old.linked = False
-            del tl[:k]
-        idx = _bisect_arr(tl, t)
-        while idx < len(tl) and tl[idx].arr == t:
-            other = tl[idx]
-            if self._serves_before(ps, s, other.ps, other.stage, port, t):
-                break
-            idx += 1
-        e = ps.entries[s]
-        if e is None:
-            e = ps.entries[s] = _Reservation(ps, s, port)
-        e.arr = t
-        prev_end = tl[idx - 1].end if idx else 0
-        e.depart = prev_end if prev_end > t else t
-        e.end = e.depart + e.slots
-        e.linked = True
-        tl.insert(idx, e)
-        self._shift_successors(tl, idx + 1, e.end, work)
-
-    # ------------------------------------------------------------------
-    # Tie resolution
-    # ------------------------------------------------------------------
-    def _serves_before(self, a: "_PacketState", sa: int, b: "_PacketState",
-                       sb: int, port: tuple, t: int) -> bool:
-        """Would the detailed model serve ``a`` before ``b`` at ``port``,
-        both arriving at cycle ``t``?  Raises on genuine ambiguity.
-
-        The detailed model orders tied hop events by seq, and seq order
-        follows the scheduling ancestry: an event scheduled in an
-        earlier cycle has the smaller seq, a same-cycle tie recurses
-        into the scheduling events, and two events scheduled by the
-        *same* handler compare by the order it issued them.  The
-        walkers replay exactly that: fire cycles of successive
-        ancestors, first difference wins; the first *shared* ancestor
-        resolves by the slots of the two children the chains reached it
-        through.  Chains always meet (every ancestry ends at the root),
-        so the only ambiguity left is a walk falling off the graph —
-        which means the model lost track of a scheduling site and must
-        replay detailed.
-        """
-        wa = _ChainWalker(a, sa, t)
-        wb = _ChainWalker(b, sb, t)
-        if wa.tied_node is not None and wa.tied_node is wb.tied_node:
-            # Both ties are inline sends of one handler: issue order.
-            return a.eseq < b.eseq
-        return _walk_before(
-            wa, wb,
-            f"packets {a.pkt.seq} and {b.pkt.seq} tying at port {port} "
-            f"at cycle {t}",
-        )
-
-    def _event_before(self, na: _Prov, nb: _Prov) -> bool:
-        """Would the detailed model fire handler event ``na`` before
-        ``nb``, both at the same cycle?  (The same-cycle sequencing
-        protocol: deliveries, enqueue fires, and kicks on one PE run in
-        exactly this order.)"""
-        return _walk_before(
-            _node_walker(na), _node_walker(nb),
-            f"same-cycle handler events at cycles {na.fire} and {nb.fire}",
-        )
-
-    def pending_predecessor(self, cycle: int, pe: int, me: _Prov,
-                            skip_ps: "_PacketState | None" = None) -> bool:
-        """True when a scheduled-but-unfired same-cycle event on ``pe``
-        precedes ``me`` in detailed order — the caller must defer to the
-        end of the cycle's bucket and retry.  Events scheduled *after*
-        this check necessarily follow ``me`` (larger seq), so checking
-        the currently pending set is complete."""
-        local = self.ff_local_events.get(pe)
-        if local is not None:
-            for ev in local(cycle):
-                if ev is not me and self._event_before(ev, me):
-                    return True
-        for ps in self._pending.get((cycle, pe), ()):
-            if ps is not skip_ps and self._event_before(
-                _Prov(cycle, ps, 0), me
-            ):
-                return True
-        return False
-
-    def _remove_stages(self, ps: "_PacketState", s0: int, work: dict) -> None:
-        """Take ``ps``'s stages ``s0..`` out of their timelines, pulling
-        queued successors forward (their delay just left the port)."""
-        for s in range(s0, len(ps.plan)):
-            e = ps.entries[s]
-            if e is None or not e.linked:
-                break
-            tl = self._tl[e.port]
-            i = _bisect_arr(tl, e.arr)
-            while tl[i] is not e:
-                i += 1
-            del tl[i]
-            e.linked = False
-            prev_end = tl[i - 1].end if i else 0
-            self._shift_successors(tl, i, prev_end, work)
-
-    def _shift_successors(self, tl: list, j: int, prev_end: int, work: dict) -> None:
-        """Re-settle departures from index ``j`` after an insert/remove;
-        stops at the first unchanged one (the rest cannot change)."""
-        while j < len(tl):
-            f = tl[j]
-            nd = f.arr if f.arr > prev_end else prev_end
-            if nd == f.depart:
-                break
-            fps = f.ps
-            if fps.delivered:
-                raise FastForwardMiss(
-                    f"packet {fps.pkt.seq} was delivered at cycle "
-                    f"{fps.arrival} but a repair now moves its transit"
-                )
-            f.depart = nd
-            f.end = nd + f.slots
-            if f.stage == len(fps.plan) - 1:
-                self._set_arrival(fps, nd + self._eject)
-            else:
-                pending = work.get(fps)
-                if pending is None or pending > f.stage + 1:
-                    work[fps] = f.stage + 1
-            prev_end = f.end
-            j += 1
-
-    def _set_arrival(self, ps: "_PacketState", new: int) -> None:
-        old = ps.arrival
-        if new == old:
-            return
-        pend = self._pending
-        dst = ps.pkt.dst
-        if old is not None:
-            k = (old, dst)
-            lst = pend[k]
-            lst.remove(ps)
-            if not lst:
-                del pend[k]
-        pend.setdefault((new, dst), []).append(ps)
-        ps.arrival = new
-        if ps.sched is not None and new < ps.sched:
-            # The settled arrival moved earlier than the pending
-            # delivery event; the stale one will no-op.
-            self.engine.schedule_at(new, self._settle, ps)
-            ps.sched = new
-            self.ff_events_saved -= 1
-
-    # ------------------------------------------------------------------
-    # Delivery
-    # ------------------------------------------------------------------
-    def _settle(self, ps: "_PacketState") -> None:
-        if ps.delivered:
-            self.ff_events_saved -= 1  # stale duplicate event
-            return
-        now = self.engine.now
-        if now != ps.arrival:
-            if now > ps.arrival:  # pragma: no cover - repair invariant
-                raise FastForwardMiss(
-                    f"packet {ps.pkt.seq} settled to cycle {ps.arrival} "
-                    f"after its delivery event at {now} had fired"
-                )
-            self.engine.schedule_at(ps.arrival, self._settle, ps)
-            ps.sched = ps.arrival
-            self.ff_events_saved -= 1
-            return
-        pkt = ps.pkt
-        if self.pending_predecessor(now, pkt.dst, _Prov(now, ps, 0), skip_ps=ps):
-            # A pending same-cycle local event precedes this delivery in
-            # detailed order: defer to the end of the cycle's bucket.
-            self.engine.schedule_at(now, self._settle, ps)
-            self.ff_events_saved -= 1
-            return
-        ps.delivered = True
-        plan = ps.plan
-        hops = len(plan) - 2
-        stats = self.stats
-        stats.record(pkt, hops, now - ps.when)
-        mpw = stats.max_port_wait
-        ports = self._ports
-        obs = self.obs
-        for e in ps.entries:
-            w = e.depart - e.arr
-            if w > mpw:
-                mpw = w
-            rec = ports.get(e.port)
-            if rec is None:
-                rec = ports[e.port] = [0, 0]
-            if e.end > rec[0]:
-                rec[0] = e.end
-            rec[1] += e.slots
-            if obs is not None and 0 < e.stage < len(plan) - 1:
-                obs.emit(PacketHop(e.arr, pkt.seq, e.port[1], e.port[2]))
-        stats.max_port_wait = mpw
-        self._arrival_hist.setdefault(now, []).append(ps)
-        saved = hops + (1 if ps.when > ps.prov.fire else 0)
-        self.ff_packets += 1
-        self.ff_transit_cycles += now - ps.when
-        self.ff_events_saved += saved
-        if obs is not None:
-            obs.emit(FastForward(ps.when, now, pkt.src, "net", pkt.seq, saved))
-        key = (now, pkt.dst)
-        pend = self._pending
-        lst = pend[key]
-        lst.remove(ps)
-        if not lst:
-            del pend[key]
-        prev = self.prov
-        self.prov = _Prov(now, ps, 0)
-        try:
-            self._deliver(pkt)
-        finally:
-            self.prov = prev
-
-    def deliveries_pending(self, cycle: int, dst: int) -> int:
-        """Delivery events already scheduled for ``(cycle, dst)``."""
-        return len(self._pending.get((cycle, dst), ()))
-
-    def finalize_stats(self) -> None:
-        """Settle ``max_in_flight`` to the exact detailed value.
-
-        The live peak depends on the within-cycle order of send and
-        deliver events, which fast-forwarding changes.  Replaying the
-        born/arrival cycle histograms under both tie orders (arrivals
-        first = lower bound, borns first = upper bound) brackets every
-        possible interleaving — including the detailed run's — so equal
-        bounds give the exact value cheaply.  When they disagree, the
-        ambiguous cycles' events are sorted into detailed order by
-        scheduling ancestry and replayed exactly.
-        """
-        born = self._born_hist
-        arr = self._arrival_hist
-        lo = hi = cur = 0
-        for t in sorted(set(born) | set(arr)):
-            b = len(born.get(t, ()))
-            a = len(arr.get(t, ()))
-            if cur - a + b > lo:
-                lo = cur - a + b
-            if cur + b > hi:
-                hi = cur + b
-            cur += b - a
-        if lo == hi:
-            self.stats.max_in_flight = hi
-            return
-        self.stats.max_in_flight = self._exact_in_flight_peak()
-
-    def _exact_in_flight_peak(self) -> int:
-        """Replay borns (+1) and arrivals (-1) in detailed event order.
-
-        Cycles with only one kind of event need no ordering; a mixed
-        cycle's events are sorted by scheduling ancestry — a born is
-        the packet's send context (its stage-0 tie event), an arrival
-        its delivery event — which is exactly the detailed seq order.
-        """
-        import functools
-
-        born = self._born_hist
-        arr = self._arrival_hist
-
-        def cmp(x, y):
-            kx, px = x
-            ky, py = y
-            wx = (_ChainWalker(px, 0, px.when) if kx == 0
-                  else _node_walker(_Prov(px.arrival, px, 0)))
-            wy = (_ChainWalker(py, 0, py.when) if ky == 0
-                  else _node_walker(_Prov(py.arrival, py, 0)))
-            if (kx == 0 and ky == 0 and wx.tied_node is not None
-                    and wx.tied_node is wy.tied_node):
-                return -1 if px.eseq < py.eseq else 1
-            # A send emitted inline by the *other* event's delivery
-            # handler ties with that very delivery: the detailed
-            # ``_deliver`` decrements in-flight before dispatching the
-            # sink, so the arrival precedes its handler's own sends.
-            if (kx == 0 and ky == 1 and wx.tied_node is not None
-                    and wx.tied_node.parent is py):
-                return 1
-            if (ky == 0 and kx == 1 and wy.tied_node is not None
-                    and wy.tied_node.parent is px):
-                return -1
-            before = _walk_before(
-                wx, wy, f"in-flight events at cycle {px.when}"
-            )
-            return -1 if before else 1
-
-        peak = cur = 0
-        for t in sorted(set(born) | set(arr)):
-            b = born.get(t, ())
-            a = arr.get(t, ())
-            if not a:
-                cur += len(b)
-                if cur > peak:
-                    peak = cur
-                continue
-            if not b:
-                cur -= len(a)
-                continue
-            events = [(0, ps) for ps in b] + [(1, ps) for ps in a]
-            events.sort(key=functools.cmp_to_key(cmp))
-            for kind, _ps in events:
-                if kind == 0:
-                    cur += 1
-                    if cur > peak:
-                        peak = cur
-                else:
-                    cur -= 1
-        return peak
-
-
 class AnalyticOmegaNetwork(OmegaNetworkBase):
     """Endpoint-only contention: fabric assumed conflict-free."""
 
@@ -937,8 +255,6 @@ def build_network(
     """Construct the network model selected by ``config.network_model``."""
     topo = CircularOmegaTopology(config.n_pes)
     if config.network_model == "detailed":
-        if config.fidelity == "hybrid":
-            return HybridOmegaNetwork(engine, topo, config.timing, obs)
         return DetailedOmegaNetwork(engine, topo, config.timing, obs)
     if config.network_model == "analytic":
         return AnalyticOmegaNetwork(engine, topo, config.timing, obs)

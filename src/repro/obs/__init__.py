@@ -39,7 +39,6 @@ from .events import (
     BarrierEvent,
     BurstSpan,
     Category,
-    FastForward,
     MatchEvent,
     PacketDeliver,
     PacketHop,
@@ -73,7 +72,6 @@ __all__ = [
     "BarrierEvent",
     "ThreadLife",
     "ServiceEvent",
-    "FastForward",
     "ShardWindow",
     "EventBus",
     "RingRecorder",

@@ -34,7 +34,6 @@ __all__ = [
     "BarrierEvent",
     "ThreadLife",
     "ServiceEvent",
-    "FastForward",
     "CohortEvent",
     "ShardWindow",
 ]
@@ -50,7 +49,6 @@ class Category(enum.Enum):
     BARRIER = "barrier"
     THREAD = "thread"
     SERVICE = "service"
-    FASTFORWARD = "fastforward"
     COHORT = "cohort"
     #: Window-protocol diagnostics from sharded runs.  Opt-in only: a
     #: ``categories=None`` subscription does **not** receive it (see
@@ -191,44 +189,13 @@ class ServiceEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class FastForward:
-    """A conflict-free window advanced analytically (hybrid fidelity).
-
-    Emitted instead of the per-hop packet events the window would have
-    produced, so traces of ``fidelity="hybrid"`` runs show *where* the
-    engine skipped detailed simulation.  ``kind`` is one of ``net`` (an
-    uncontended packet transit forwarded to its delivery time), ``dma``
-    (a by-passing DMA service folded into its request's arrival), or
-    ``kick`` (an EXU wake-up dispatched inline without an event).
-    ``t``/``end`` bound the skipped window in cycles; ``pe`` is the
-    owning processor (the source PE for ``net``); ``seq`` identifies
-    the packet for packet-backed windows; ``saved`` counts the discrete
-    events the window did *not* fire.
-    """
-
-    category: ClassVar[Category] = Category.FASTFORWARD
-
-    t: int
-    end: int
-    pe: int
-    kind: str
-    seq: int = -1
-    saved: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class CohortEvent:
     """Cohort-compiler progress on a ``compiled=True`` machine.
 
-    Like :class:`FastForward` these are diagnostic: they exist only on
-    the compiled path and are excluded from interpreted-vs-compiled
-    comparisons.  ``kind`` is one of ``emc_codegen``/``emc_trace``/
-    ``emc_interp`` (an EM-C thread definition settling on a compile
-    tier; ``n`` = params or trace ops), ``record`` (a generator shape
-    recorded; ``n`` = trace effects), ``record_bail`` (the recorder
-    declined a shape; ``n`` = failure count), or ``bailout`` (a
-    lockstep-validated member diverged and fell back to its interpreted
-    generator; ``n`` = effect position of the first divergence).
+    Diagnostic: these exist only on the compiled path and are excluded
+    from interpreted-vs-compiled comparisons.  ``kind`` is one of
+    ``emc_codegen``/``emc_trace``/``emc_interp`` — an EM-C thread
+    definition settling on a compile tier; ``n`` = params or trace ops.
     """
 
     category: ClassVar[Category] = Category.COHORT

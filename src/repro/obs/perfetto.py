@@ -37,7 +37,6 @@ from .events import (
     BarrierEvent,
     BurstSpan,
     CohortEvent,
-    FastForward,
     MatchEvent,
     PacketDeliver,
     PacketHop,
@@ -146,14 +145,11 @@ def to_perfetto(events, *, n_pes: int | None = None) -> dict:
                 trace.append(ev)
         elif et is PacketHop:
             trace.append(ev)
-        elif et is FastForward:
-            pes.add(ev.pe)
-            trace.append(ev)
         elif et is ShardWindow:
             shards.add(ev.shard)
             trace.append(ev)
         elif et is CohortEvent:
-            # Compiler progress markers (record/trace/bail/bailout) on
+            # Compiler progress markers (one per EM-C tier decision) on
             # the PE track — present only on compiled runs, so default
             # interpreted exports are untouched.
             pes.add(ev.pe)
@@ -246,23 +242,6 @@ def to_perfetto(events, *, n_pes: int | None = None) -> dict:
                 "name": f"sw{item.node}.{item.bit}", "cat": "hop", "ph": "i",
                 "s": "t", "ts": _us(item.t), "pid": net_pid, "tid": 0,
                 "args": {"seq": _id(item.seq)},
-            })
-        elif et is FastForward:
-            # Skipped-region marker: a duration slice named FASTFORWARD
-            # on the network track, so hybrid traces show exactly which
-            # windows were advanced analytically instead of event by
-            # event.  Instantaneous windows (inline kicks) still render
-            # as zero-length slices, which the viewers accept.
-            out.append({
-                "name": "FASTFORWARD", "cat": f"fastforward:{item.kind}",
-                "ph": "X", "ts": _us(item.t),
-                "dur": _us(item.end) - _us(item.t),
-                "pid": net_pid, "tid": 1,
-                "args": {
-                    "kind": item.kind, "pe": item.pe,
-                    "cycles": item.end - item.t, "events_saved": item.saved,
-                    **({"seq": _id(item.seq)} if item.seq in norm or item.seq in sent_seqs else {}),
-                },
             })
         elif et is ShardWindow:
             # One duration slice per (shard, window) on the shard track:

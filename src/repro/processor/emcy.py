@@ -28,21 +28,8 @@ class EMCYProcessor:
         self.machine = machine
         config = machine.config
 
-        # Hybrid fidelity needs same-cycle ordering bookkeeping: local
-        # enqueue events register their provenance per fire cycle so
-        # the same-cycle sequencing protocol (deliveries, enqueue
-        # fires, and the kick run in detailed event order) can consult
-        # and defer to them.
-        self._hybrid = config.fidelity == "hybrid" and machine.shard is None
-        self._ff_net = machine.network if self._hybrid else None
-        #: fire cycle → provenance of enqueue events scheduled but not
-        #: yet fired (the sequencing protocol's pending set).
-        self._pending_enqueues: dict[int, list] = {}
-
         # Memory system (MCU-owned resources).
         self.memory = LocalMemory(config.memory_words)
-        if self._hybrid:
-            self.memory.set_clock(machine.engine.clock)
         self.allocator = SegmentAllocator(config.memory_words)
         self.frames = FrameTable(self.allocator, pe)
         self.matching = MatchingMemory()
@@ -69,56 +56,6 @@ class EMCYProcessor:
         """Switching Unit entry: a packet arrived for this PE."""
         self.counters.packets_handled += 1
         self.ibu.receive(pkt)
-
-    # ------------------------------------------------------------------
-    # Local enqueue scheduling (hybrid-aware)
-    # ------------------------------------------------------------------
-    def schedule_enqueue(self, when: int, pkt: Packet) -> None:
-        """Schedule ``pkt`` into the IBU FIFO at cycle ``when``.
-
-        In detailed fidelity this is exactly
-        ``engine.schedule_at(when, ibu.enqueue, pkt)``.  Hybrid fidelity
-        stamps the event with a provenance node and registers it in the
-        per-cycle pending set so the same-cycle sequencing protocol can
-        order it against deliveries and the EXU kick.
-        """
-        engine = self.machine.engine
-        if not self._hybrid:
-            engine.schedule_at(when, self.ibu.enqueue, pkt)
-            return
-        prov = self._ff_net.new_prov(when)
-        self._pending_enqueues.setdefault(when, []).append(prov)
-        engine.schedule_at(when, self._fire_enqueue, when, pkt, prov)
-
-    def _fire_enqueue(self, when: int, pkt: Packet, prov) -> None:
-        net = self._ff_net
-        # Same-cycle sequencing: if a pending peer on this PE precedes
-        # us in detailed event order, run after it (re-append to the end
-        # of this cycle's bucket; registration stays so peers see us).
-        if net.pending_predecessor(when, self.pe, prov):
-            self.machine.engine.schedule_at(when, self._fire_enqueue, when, pkt, prov)
-            net.ff_events_saved -= 1
-            return
-        lst = self._pending_enqueues[when]
-        lst.remove(prov)
-        if not lst:
-            del self._pending_enqueues[when]
-        prev = net.prov
-        net.prov = prov
-        try:
-            self.ibu.enqueue(pkt)
-        finally:
-            net.prov = prev
-
-    def pending_local_events(self, cycle: int):
-        """Provenance nodes of this PE's pending local events at
-        ``cycle`` — scheduled-but-unfired enqueues plus the EXU kick.
-        The sequencing protocol compares these against deliveries (and
-        against each other) to reproduce detailed event order."""
-        yield from self._pending_enqueues.get(cycle, ())
-        exu = self.exu
-        if exu._kick_scheduled and exu._kick_time == cycle:
-            yield exu._kick_prov
 
     # ------------------------------------------------------------------
     def idle(self) -> bool:

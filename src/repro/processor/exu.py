@@ -39,9 +39,9 @@ from ..core.effects import (
     TokenWait,
 )
 from ..core.thread import EMThread, ThreadState
-from ..errors import CompileDivergence, SchedulerError, ThreadProtocolError
+from ..errors import SchedulerError, ThreadProtocolError
 from ..metrics.counters import Bucket, SwitchKind
-from ..obs.events import BarrierEvent, BurstSpan, FastForward, ThreadSwitch
+from ..obs.events import BarrierEvent, BurstSpan, ThreadSwitch
 from ..packet import Packet, PacketKind
 from ..trace import TraceEvent
 
@@ -69,22 +69,7 @@ class ExecutionUnit:
         self._obs = machine.obs
         self.busy_until = 0
         self._kick_scheduled = False
-        self._kick_time = 0
-        self._kick_prov = None
         self._last_end: int | None = None
-        # Hybrid fidelity dispatches wake-ups inline when no same-cycle
-        # event could still reorder the FIFO, saving the kick event.
-        # Requires the hybrid network's pending-delivery bookkeeping.
-        self._ff_net = (
-            machine.network
-            if (
-                machine.config.fidelity == "hybrid"
-                and machine.shard is None
-                and hasattr(machine.network, "deliveries_pending")
-            )
-            else None
-        )
-        self.kicks_inlined = 0
 
     # ------------------------------------------------------------------
     # Wake-up protocol
@@ -94,66 +79,11 @@ class ExecutionUnit:
         if self._kick_scheduled:
             return
         engine = self._engine
-        net = self._ff_net
-        if net is not None and self.busy_until <= engine.now:
-            proc = self._proc
-            now = engine.now
-            if not proc._pending_enqueues.get(now) and not net.deliveries_pending(
-                now, proc.pe
-            ):
-                # Inline kick: the EXU is free and nothing still pending
-                # this cycle can change what the scheduled kick would
-                # have popped — dispatch without the event.  The burst
-                # itself cannot feed back into this cycle (its own
-                # effects all land at or after ``now + lead_switch``).
-                item = proc.ibu.pop()
-                if item is None:
-                    return
-                pkt, extra = item
-                self.kicks_inlined += 1
-                self._account_gap(now)
-                obs = self._obs
-                if obs is not None:
-                    obs.emit(FastForward(now, now, proc.pe, "kick", -1, 1))
-                prev = net.prov
-                net.prov = net.new_prov(now)
-                try:
-                    self._dispatch(pkt, extra)
-                finally:
-                    net.prov = prev
-                if proc.ibu.queued:
-                    self.notify()
-                return
         self._kick_scheduled = True
-        self._kick_time = max(engine.now, self.busy_until)
-        if net is not None:
-            self._kick_prov = net.new_prov(self._kick_time)
-        engine.schedule_at(self._kick_time, self._kick)
+        engine.schedule_at(max(engine.now, self.busy_until), self._kick)
 
     def _kick(self) -> None:
-        net = self._ff_net
-        if net is None:
-            self._kick_scheduled = False
-            self._kick_body()
-            return
-        engine = self._engine
-        # Same-cycle sequencing: defer behind any pending same-cycle
-        # peer that precedes us in detailed event order.  The kick stays
-        # registered (``_kick_scheduled`` keeps holding) so peers still
-        # see it in the pending set.
-        if net.pending_predecessor(engine.now, self._proc.pe, self._kick_prov):
-            engine.schedule_at(engine.now, self._kick)
-            net.ff_events_saved -= 1
-            return
         self._kick_scheduled = False
-        prev = net.prov
-        net.prov = self._kick_prov
-        try:
-            self._kick_body()
-        finally:
-            net.prov = prev
-
-    def _kick_body(self) -> None:
         engine = self._engine
         if engine.now < self.busy_until:
             self.notify()
@@ -247,8 +177,10 @@ class ExecutionUnit:
                     obs.emit(
                         BurstSpan(t0, self._proc.pe, self.busy_until, "spin", thread.name)
                     )
-                self._proc.schedule_enqueue(
-                    self.busy_until + timing.barrier_recheck_interval, pkt
+                engine.schedule_at(
+                    self.busy_until + timing.barrier_recheck_interval,
+                    self._proc.ibu.enqueue,
+                    pkt,
                 )
         elif reason in ("token", "explicit"):
             self._run_burst(pkt.data[1], None, timing.match_invoke + extra)
@@ -337,14 +269,6 @@ class ExecutionUnit:
             except StopIteration:
                 finished = True
                 break
-            except CompileDivergence as exc:
-                # Strict-mode cohort divergence: pin the machine context
-                # onto the diagnosis before it leaves the burst loop.
-                exc.args = (
-                    f"{exc.args[0] if exc.args else exc!r} "
-                    f"[pe={pe} thread={thread.name} cycle={engine.now}]",
-                )
-                raise
             send_value = None
             et = type(eff)
 
@@ -645,9 +569,9 @@ class ExecutionUnit:
                 inject_at(t0 + off, pkt)
         if mid_resumes:
             for off, pkt in mid_resumes:
-                proc.schedule_enqueue(t0 + off, pkt)
+                engine.schedule_at(t0 + off, proc.ibu.enqueue, pkt)
         for pkt in local_resumes:
-            proc.schedule_enqueue(self.busy_until, pkt)
+            engine.schedule_at(self.busy_until, proc.ibu.enqueue, pkt)
 
     def _finish_thread(self, thread: EMThread) -> None:
         proc = self._proc

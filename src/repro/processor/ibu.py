@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import PacketError
-from ..obs.events import BurstSpan, FastForward
+from ..obs.events import BurstSpan
 from ..packet import Packet, PacketKind, Priority
 
 __all__ = ["InputBufferUnit"]
@@ -47,17 +47,6 @@ class InputBufferUnit:
         self._dma_free = 0
         self.received = 0
         self.dma_serviced = 0
-        # Hybrid fidelity folds the DMA completion into the request's
-        # arrival: the reply is built now, its source words are watched
-        # until the service would have finished, and the completion
-        # event disappears.  Sharded machines keep the event — their
-        # conservative windows assume shard-local state only advances
-        # at event boundaries.
-        self._hybrid = (
-            machine.config.fidelity == "hybrid" and machine.shard is None
-        )
-        self._ff_net = machine.network if self._hybrid else None
-        self.dma_folds = 0
 
     # ------------------------------------------------------------------
     # Network-facing entry (the Switching Unit hands packets here).
@@ -152,56 +141,12 @@ class InputBufferUnit:
         obs = self._machine.obs
         if obs is not None:
             obs.emit(BurstSpan(start, self._proc.pe, done, "dma", unit="ibu"))
-        if self._hybrid:
-            self._dma_fold(pkt, done)
-        else:
-            engine.schedule_at(done, self._dma_complete, pkt)
-
-    def _dma_fold(self, pkt: Packet, done: int) -> None:
-        """Service the read now instead of at ``done`` (hybrid fidelity).
-
-        Reading the words early is only correct while nothing overwrites
-        them before the detailed model would have read them — the memory
-        watch turns any such write into a
-        :class:`~repro.errors.FastForwardMiss`.  The reply enters the
-        network at ``done`` exactly as the completion event would have
-        injected it; when it cannot be fast-forwarded the network
-        schedules its detailed send from this same call, so the event
-        sits in the same within-cycle order the completion event had.
-        """
-        proc = self._proc
-        reply, offset, span = self._build_reply(pkt)
-        proc.memory.watch(offset, offset + span, done)
-        proc.counters.reads_serviced += 1
-        self.dma_serviced += 1
-        self.dma_folds += 1
-        obs = self._machine.obs
-        if obs is not None:
-            obs.emit(
-                FastForward(self._engine.now, done, proc.pe, "dma", pkt.seq, 1)
-            )
-        # The reply's provenance is the elided completion event itself
-        # (fire ``done``, scheduled by the handler running now).
-        net = self._ff_net
-        prev = net.prov
-        net.prov = net.new_prov(done)
-        try:
-            proc.obu.inject_at(done, reply)
-        finally:
-            net.prov = prev
+        engine.schedule_at(done, self._dma_complete, pkt)
 
     def _dma_complete(self, pkt: Packet) -> None:
         proc = self._proc
         proc.counters.reads_serviced += 1
         self.dma_serviced += 1
-        reply, _offset, _span = self._build_reply(pkt)
-        proc.obu.inject(reply)
-
-    def _build_reply(self, pkt: Packet) -> tuple[Packet, int, int]:
-        """Construct the reply for a read request; returns
-        ``(reply, offset, words_read)`` so the fold can watch the span."""
-        proc = self._proc
-        span = 1
         offset = pkt.address & 0xFFFFFFFF
         reply_priority = (
             Priority.HIGH if self._machine.config.priority_replies else Priority.NORMAL
@@ -229,7 +174,6 @@ class InputBufferUnit:
                 )
         elif pkt.kind is PacketKind.BLOCK_READ_REQ:
             cont, count = pkt.data
-            span = max(1, count)
             reply = Packet(
                 kind=PacketKind.BLOCK_READ_REPLY,
                 src=proc.pe,
@@ -241,4 +185,4 @@ class InputBufferUnit:
             )
         else:  # pragma: no cover - receive() filters kinds
             raise PacketError(f"DMA cannot service {pkt.kind}")
-        return reply, offset, span
+        proc.obu.inject(reply)

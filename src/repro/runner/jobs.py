@@ -62,15 +62,13 @@ def machine_fingerprint(config: MachineConfig) -> str:
 
     Covers the nested :class:`~repro.config.TimingModel` too, so a
     recalibrated cycle cost invalidates cached results without anyone
-    remembering to bump the schema version.  ``fidelity`` is excluded:
-    the hybrid engine is differentially proven metric-identical to
-    detailed (see :mod:`repro.sim.hybrid`), so it is an execution
-    strategy, not a semantics change — the :class:`JobSpec` records it
-    separately when a job explicitly requests it.  ``compiled`` is
-    excluded for the same reason (see :mod:`repro.compile.differential`).
+    remembering to bump the schema version.  ``compiled`` is excluded:
+    the cohort compiler is differentially proven byte-identical to the
+    interpreter (see :mod:`repro.compile.differential`), so it is an
+    execution strategy, not a semantics change — the :class:`JobSpec`
+    records it separately when a job explicitly requests it.
     """
     fields = asdict(config)
-    fields.pop("fidelity", None)
     fields.pop("compiled", None)
     blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -94,33 +92,28 @@ class JobSpec:
     #: cache key only records *that* the sharded semantics was used,
     #: never the worker count.
     shards: int = 0
-    #: "detailed" (default) drains every event; "hybrid" fast-forwards
-    #: conflict-free transit windows (see :mod:`repro.sim.hybrid`).
-    #: Metrics are differentially proven identical, but hybrid jobs
-    #: still key distinctly so a cache entry records how it was made.
-    fidelity: str = "detailed"
     #: Route thread creation through the cohort compiler
     #: (:mod:`repro.compile`).  Differentially proven byte-identical,
-    #: but compiled jobs still key distinctly, like ``fidelity``.
+    #: but compiled jobs still key distinctly so a cache entry records
+    #: how it was made.
     compiled: bool = False
-    #: Construction-time alternative to the three execution fields: a
-    #: :class:`repro.api.ExecutionPlan` whose ``shards``/``fidelity``/
-    #: ``compiled`` are copied onto the spec, then discarded.  Keys,
-    #: wire format and ordering see only the plain fields, so
+    #: Construction-time alternative to the two execution fields: a
+    #: :class:`repro.api.ExecutionPlan` whose ``shards``/``compiled``
+    #: are copied onto the spec, then discarded.  Keys, wire format and
+    #: ordering see only the plain fields, so
     #: ``JobSpec(..., plan=ExecutionPlan(shards=2))`` and the legacy
     #: ``JobSpec(..., shards=2)`` are the same spec.
     plan: InitVar[ExecutionPlan | None] = None
 
     def __post_init__(self, plan: ExecutionPlan | None) -> None:
         if plan is not None:
-            if self.shards or self.fidelity != "detailed" or self.compiled:
+            if self.shards or self.compiled:
                 raise PlanError(
                     "pass plan=ExecutionPlan(...) or the legacy "
-                    "shards=/fidelity=/compiled= fields, not both"
+                    "shards=/compiled= fields, not both"
                 )
             plan.validate()
             object.__setattr__(self, "shards", int(plan.shards))
-            object.__setattr__(self, "fidelity", str(plan.fidelity))
             object.__setattr__(self, "compiled", bool(plan.compiled))
         # Consumed: store None so dataclasses.replace() round-trips
         # without resurrecting (and re-applying) a stale plan.
@@ -129,12 +122,11 @@ class JobSpec:
     @property
     def execution_plan(self) -> ExecutionPlan:
         """This spec's execution strategy as one :class:`ExecutionPlan`."""
-        return ExecutionPlan(
-            shards=self.shards, fidelity=self.fidelity, compiled=self.compiled
-        )
+        return ExecutionPlan(shards=self.shards, compiled=self.compiled)
 
     def validate(self) -> None:
-        """Raise on an unrunnable spec (unknown app, nonsense sizes)."""
+        """Raise on an unrunnable spec (unknown app, nonsense sizes, or
+        an invalid execution plan)."""
         from ..api import app_names
 
         if self.app not in app_names():
@@ -146,10 +138,7 @@ class JobSpec:
             )
         if self.n_pes < 1 or self.npp < 1 or self.h < 1:
             raise ConfigError(f"n_pes/npp/h must be >= 1, got {self}")
-        if self.fidelity not in ("detailed", "hybrid"):
-            raise ConfigError(
-                f"fidelity must be 'detailed' or 'hybrid', got {self.fidelity!r}"
-            )
+        self.execution_plan.validate()
 
     def config(self) -> MachineConfig:
         """The machine this job runs on (same construction `run_app` used)."""
@@ -159,7 +148,6 @@ class JobSpec:
             network_model=self.network_model,
             priority_replies=self.priority_replies,
             seed=self.seed,
-            fidelity=self.fidelity,
             compiled=self.compiled,
         )
 
@@ -178,14 +166,10 @@ class JobSpec:
             # The sharded network is a distinct (K-independent)
             # semantics; legacy specs keep their historical keys.
             payload["sharded"] = True
-        if self.fidelity != "detailed":
-            # Metric-identical by the differential oracle, but a cache
-            # entry still records how it was produced; detailed specs
-            # keep their historical keys.
-            payload["fidelity"] = self.fidelity
         if self.compiled:
-            # Same treatment: byte-identical by the compile oracle, but
-            # keyed distinctly; interpreted specs keep historical keys.
+            # Byte-identical by the compile oracle, but a cache entry
+            # still records how it was produced; interpreted specs keep
+            # their historical keys.
             payload["compiled"] = True
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -203,8 +187,6 @@ class JobSpec:
             extras.append(f"seed={self.seed}")
         if self.shards:
             extras.append(f"shards={self.shards}")
-        if self.fidelity != "detailed":
-            extras.append(self.fidelity)
         if self.compiled:
             extras.append("compiled")
         suffix = f" [{','.join(extras)}]" if extras else ""
@@ -232,7 +214,6 @@ _SPEC_FIELDS = {
     "priority_replies": bool,
     "seed": int,
     "shards": int,
-    "fidelity": str,
     "compiled": bool,
 }
 _SPEC_REQUIRED = ("app", "n_pes", "npp", "h")
@@ -241,10 +222,13 @@ _SPEC_REQUIRED = ("app", "n_pes", "npp", "h")
 def spec_from_dict(payload: dict) -> JobSpec:
     """Rebuild a :class:`JobSpec` from :func:`spec_to_dict` output.
 
-    The service's admission path: strict on shape (unknown fields and
-    missing required ones raise :class:`~repro.errors.ConfigError`, so a
-    client typo can never silently hash to a fresh key) but tolerant of
-    omitted optionals, which take the dataclass defaults.
+    The service's admission path: strict on shape (unknown fields,
+    missing required ones and values of the wrong JSON type raise
+    :class:`~repro.errors.ConfigError`, so a client typo can never
+    silently hash to a fresh key) but tolerant of omitted optionals,
+    which take the dataclass defaults.  Types are checked, never
+    coerced: ``"false"`` is not a bool, and neither ``true`` nor
+    ``4.9`` is an int.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"job spec must be an object, got {type(payload).__name__}")
@@ -254,14 +238,15 @@ def spec_from_dict(payload: dict) -> JobSpec:
     missing = [name for name in _SPEC_REQUIRED if name not in payload]
     if missing:
         raise ConfigError(f"job spec missing required fields {missing}")
-    kwargs = {}
     for name, value in payload.items():
-        convert = _SPEC_FIELDS[name]
-        try:
-            kwargs[name] = convert(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad job-spec field {name}={value!r}: {exc}") from None
-    return JobSpec(**kwargs)
+        expected = _SPEC_FIELDS[name]
+        # Exact type: bool is an int subclass, and a JSON true is not a count.
+        if type(value) is not expected:
+            raise ConfigError(
+                f"bad job-spec field {name}={value!r}: expected "
+                f"{expected.__name__}, got {type(value).__name__}"
+            )
+    return JobSpec(**payload)
 
 
 def expand_sweep(
@@ -274,7 +259,6 @@ def expand_sweep(
     network_model: str = "detailed",
     priority_replies: bool = False,
     seed: int = 0,
-    fidelity: str = "detailed",
     compiled: bool = False,
 ) -> list[JobSpec]:
     """One (app, P, n/P) thread sweep as jobs, skipping h > n/P.
@@ -292,7 +276,6 @@ def expand_sweep(
             network_model=network_model,
             priority_replies=priority_replies,
             seed=seed,
-            fidelity=fidelity,
             compiled=compiled,
         )
         for h in threads

@@ -77,11 +77,6 @@ class RunnerOptions:
     #: sharded semantics with K processes each.  The pool fan-out is
     #: clamped so jobs × shards never oversubscribes the machine.
     shards: int = 0
-    #: Fidelity applied to jobs whose specs don't pin their own:
-    #: ``"hybrid"`` fast-forwards conflict-free windows (metric-proven
-    #: identical, with automatic detailed fallback on a miss; see
-    #: :mod:`repro.sim.hybrid`).
-    fidelity: str = "detailed"
     #: Cohort compiler applied to jobs whose specs don't pin their own
     #: (byte-identical by the compile oracle; see :mod:`repro.compile`).
     compiled: bool = False
@@ -91,26 +86,20 @@ class RunnerOptions:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
         if self.shards < 0:
             raise ConfigError(f"shards must be >= 0, got {self.shards}")
-        if self.fidelity not in ("detailed", "hybrid"):
-            raise ConfigError(
-                f"fidelity must be 'detailed' or 'hybrid', got {self.fidelity!r}"
-            )
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout}")
 
     @property
     def plan(self) -> ExecutionPlan:
         """The execution strategy these options apply to unpinned specs."""
-        return ExecutionPlan(
-            shards=self.shards, fidelity=self.fidelity, compiled=self.compiled
-        )
+        return ExecutionPlan(shards=self.shards, compiled=self.compiled)
 
 
 _options = RunnerOptions()
 
 #: RunnerOptions fields subsumed by ``plan=``; passing them directly to
 #: :func:`configure`/:func:`using` still works but is deprecated.
-_PLAN_FIELDS = ("shards", "fidelity", "compiled")
+_PLAN_FIELDS = ("shards", "compiled")
 
 
 def _expand_plan(overrides: dict) -> dict:
@@ -121,12 +110,10 @@ def _expand_plan(overrides: dict) -> dict:
         if legacy:
             raise PlanError(
                 "pass plan=ExecutionPlan(...) or the legacy "
-                "shards=/fidelity=/compiled= overrides, not both"
+                "shards=/compiled= overrides, not both"
             )
         plan.validate()
-        overrides.update(
-            shards=plan.shards, fidelity=plan.fidelity, compiled=plan.compiled
-        )
+        overrides.update(shards=plan.shards, compiled=plan.compiled)
     elif legacy:
         warnings.warn(
             f"configure({', '.join(f'{name}=' for name in legacy)}...) is "
@@ -141,8 +128,8 @@ def configure(**overrides) -> RunnerOptions:
     """Replace selected fields of the process-global options.
 
     Execution strategy comes in as one ``plan=ExecutionPlan(...)``
-    override; the individual ``shards``/``fidelity``/``compiled``
-    keywords remain as a deprecated shim.
+    override; the individual ``shards``/``compiled`` keywords remain as
+    a deprecated shim.
     """
     global _options
     _options = replace(_options, **_expand_plan(overrides))
@@ -238,13 +225,11 @@ def _write_back(cache: ResultCache | None, spec: JobSpec, record) -> None:
 
 def _exec_spec(spec: JobSpec, options: RunnerOptions) -> JobSpec:
     """The spec actually executed: ``options.shards`` and
-    ``options.fidelity`` applied unless the spec pins its own (memo and
-    cache key off this one, so sharded/hybrid results never alias
+    ``options.compiled`` applied unless the spec pins its own (memo and
+    cache key off this one, so sharded/compiled results never alias
     legacy entries)."""
     if options.shards and not spec.shards:
         spec = replace(spec, shards=options.shards)
-    if options.fidelity != "detailed" and spec.fidelity == "detailed":
-        spec = replace(spec, fidelity=options.fidelity)
     if options.compiled and not spec.compiled:
         spec = replace(spec, compiled=True)
     return spec

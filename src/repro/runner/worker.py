@@ -181,11 +181,10 @@ def execute_job(spec: JobSpec, *, trace_dir: str | None = None):
     kwargs = dict(
         n_pes=spec.n_pes, n=n, h=spec.h, config=config, seed=spec.seed, obs=bus
     )
-    # One dispatch funnel for every execution mode: sharded runs,
-    # hybrid fast-forward (with its detailed-rerun safety net), the
-    # cohort compiler.  The spec's three execution fields are exactly
-    # an ExecutionPlan; config already carries fidelity/compiled, so
-    # the plan only adds the shard fan-out here.
+    # One dispatch funnel for every execution mode: sharded runs and
+    # the cohort compiler.  The spec's two execution fields are exactly
+    # an ExecutionPlan; config already carries compiled, so the plan
+    # only adds the shard fan-out here.
     result = call_with_plan(fn, kwargs, spec.execution_plan)
     verified = result_ok(result)
     if not verified:

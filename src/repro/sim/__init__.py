@@ -10,38 +10,20 @@ The production queue is a two-tier calendar queue (see
 heapq implementation as a differential-testing oracle and benchmark
 reference.
 
-Two execution strategies layer on top of the kernel:
-:mod:`repro.sim.parallel` shards one simulation across worker processes
-under a conservative-window protocol, and :mod:`repro.sim.hybrid`
-documents the ``fidelity="hybrid"`` fast-forward layer — conflict-free
-windows advanced with closed-form costs, metric-identical by
-construction — and provides its differential oracle
-(:class:`HybridDifferentialHarness`) and miss-fallback helper
-(:func:`call_with_fallback`).
+:mod:`repro.sim.parallel` shards one simulation across worker
+processes under a conservative-window protocol.
 """
 
 from .clock import Clock, cycles_to_seconds, seconds_to_cycles
 from .engine import Engine
-from .hybrid import (
-    DifferentialResult,
-    HybridDifferentialHarness,
-    call_with_fallback,
-    comparable_report,
-    diff_paths,
-)
 from .queue import EventQueue, ReferenceEventQueue, ScheduledEvent
 
 __all__ = [
     "Clock",
-    "DifferentialResult",
     "Engine",
     "EventQueue",
-    "HybridDifferentialHarness",
     "ReferenceEventQueue",
     "ScheduledEvent",
-    "call_with_fallback",
-    "comparable_report",
     "cycles_to_seconds",
-    "diff_paths",
     "seconds_to_cycles",
 ]

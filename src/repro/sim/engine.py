@@ -64,10 +64,6 @@ class Engine:
         #: Optional callable returning a description of stuck work, or
         #: ``None``/empty string when the model is legitimately done.
         self.quiescence_watcher: Callable[[], str | None] | None = None
-        #: Callables fired once per :meth:`run` return, after the drain
-        #: loop and before the quiescence check — batch dispatchers
-        #: (e.g. the cohort manager) flush end-of-run accounting here.
-        self.finish_hooks: list[Callable[[], None]] = []
         #: Optional head-of-cycle hook, called with the new cycle number
         #: after the clock advances and before any of that cycle's
         #: events fire.  The sharded network delivers pending packet
@@ -173,8 +169,6 @@ class Engine:
             self._drain_calendar(queue, until)
         else:
             self._drain_generic(queue, until)
-        for hook in self.finish_hooks:
-            hook()
         if not queue and self.quiescence_watcher is not None:
             stuck = self.quiescence_watcher()
             if stuck:

@@ -316,17 +316,6 @@ def call_app(fn, shards: int | None, kwargs: dict):
     n_pes = kwargs.get("n_pes")
     if not isinstance(n_pes, int) or n_pes < 1:
         raise SimulationError(f"sharded run needs an explicit n_pes, got {n_pes!r}")
-    config = kwargs.get("config")
-    if config is not None and getattr(config, "fidelity", None) == "hybrid":
-        # Hybrid fidelity silently degrades to detailed under shards;
-        # the user-facing warning for this combination lives in
-        # ExecutionPlan.validate().  Here we only mirror the fact into
-        # the observation stream, where the obs bus is in reach.
-        obs = kwargs.get("obs")
-        if obs is not None:
-            from ..obs.events import FastForward
-
-            obs.emit(FastForward(0, 0, 0, "disabled", -1, 0))
     count = max(1, min(int(shards), n_pes))
     bounds = partition(n_pes, count)
     if count == 1:

@@ -45,21 +45,6 @@ def _isolated_result_cache(tmp_path_factory):
 
 
 @pytest.fixture(autouse=True)
-def _cold_trace_registry():
-    """Clear the cross-run live-trace registry around every test.
-
-    The registry is deliberately process-global (warm runs skip
-    re-tracing), which would otherwise make cohort counters depend on
-    test execution order.
-    """
-    from repro.compile.live import clear_registry
-
-    clear_registry()
-    yield
-    clear_registry()
-
-
-@pytest.fixture(autouse=True)
 def _default_runner_options():
     """Reset the process-global runner options around every test.
 

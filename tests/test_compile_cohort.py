@@ -1,27 +1,25 @@
 """Machine-level tests for the cohort manager.
 
-Covers the full contract: byte-identical metrics on compilable
-workloads, cohort splitting by branch shape, per-thread (never per-run)
-fallback for unrecordable threads, sampled lockstep validation, the
-forced mid-run divergence bailout, strict-mode surfacing, and EM-C
-front-end tier selection.
+Covers the contract of ``compiled=True``: byte-identical metrics, EM-C
+front-end tier selection, native generator threads running on the
+interpreter, fused reads in both EM-C compile tiers, the COHORT
+diagnostics' shard-merge round trip, and the CLI's cohort line.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro
-from repro import EMX, MachineConfig
-from repro.compile import strict_cohorts
+from repro import EMX, ExecutionPlan, MachineConfig
 from repro.compile.differential import comparable_compile_report
-from repro.errors import CompileDivergence
-from repro.obs import Category, EventBus, RingRecorder
 
 
 def _pingpong_machine(compiled: bool, obs=None, n_pes: int = 4, per_pe: int = 4):
-    """A compilable workload: every PE reads a neighbour slot and
-    writes the result back locally."""
+    """A native workload: every PE reads a neighbour slot and writes the
+    result back locally."""
     m = EMX(MachineConfig(n_pes=n_pes, compiled=compiled), obs)
 
     @m.thread
@@ -38,6 +36,9 @@ def _pingpong_machine(compiled: bool, obs=None, n_pes: int = 4, per_pe: int = 4)
 
 
 def test_compiled_run_metric_identical():
+    """Native generator threads run on the interpreter under
+    ``compiled=True``: identical report, every thread counted as
+    interpreted, occupancy 0."""
     interpreted = _pingpong_machine(False).run()
     compiled = _pingpong_machine(True).run()
     assert comparable_compile_report(interpreted) == comparable_compile_report(
@@ -45,12 +46,9 @@ def test_compiled_run_metric_identical():
     )
     assert interpreted.cohort is None
     summary = compiled.cohort
-    assert summary["records"] == 1
-    assert summary["gen_compiled_threads"] == 16
-    assert summary["gen_interpreted_threads"] == 0
-    assert summary["bailouts"] == 0
-    assert summary["compiled_effects"] > 0
-    assert summary["occupancy"] == 1.0
+    assert summary["gen_interpreted_threads"] == 16
+    assert summary["emc_codegen_threads"] == 0
+    assert summary["occupancy"] == 0.0
 
 
 def test_compiled_memory_state_matches():
@@ -61,141 +59,6 @@ def test_compiled_memory_state_matches():
             assert a.pes[pe].memory.read(16 + slot) == b.pes[pe].memory.read(
                 16 + slot
             )
-
-
-def test_branch_shapes_form_separate_cohorts():
-    m = EMX(MachineConfig(n_pes=4, compiled=True))
-
-    @m.thread
-    def branchy(ctx, k):
-        if ctx.pe == 0:
-            yield ctx.compute(10)
-        else:
-            yield ctx.compute(20)
-        yield ctx.compute(k)
-
-    for pe in range(4):
-        m.spawn(pe, "branchy", 7)
-    report = m.run()
-    assert report.cohort["cohorts"] == 2  # pe==0 shape vs the rest
-    assert report.cohort["records"] == 2
-    assert report.cohort["gen_compiled_threads"] == 4
-
-
-def test_unrecordable_thread_falls_back_per_thread():
-    """ctx.mem users stay interpreted; recording is attempted at most
-    twice per shape, and the run still completes correctly."""
-    bus = EventBus()
-    rec = RingRecorder(bus)
-    m = EMX(MachineConfig(n_pes=4, compiled=True), bus)
-
-    @m.thread
-    def impure(ctx, slot):
-        ctx.mem.write(slot, ctx.mem.read(slot) + 1)
-        yield ctx.compute(3)
-
-    for pe in range(4):
-        m.pes[pe].memory.write(0, 0)
-        m.spawn(pe, "impure", 0)
-    report = m.run()
-    summary = report.cohort
-    assert summary["gen_interpreted_threads"] == 4
-    assert summary["gen_compiled_threads"] == 0
-    assert summary["record_failures"] == 2  # capped, then straight to interp
-    bails = [
-        ev
-        for ev in rec.events
-        if ev.category is Category.COHORT and ev.kind == "record_bail"
-    ]
-    assert len(bails) == 2
-    for pe in range(4):
-        assert m.pes[pe].memory.read(0) == 1
-
-
-def test_validation_sampling(monkeypatch):
-    import repro.compile.cohort as cohort_mod
-
-    monkeypatch.setattr(cohort_mod, "VALIDATE_STRIDE", 2)
-    m = _pingpong_machine(True)
-    report = m.run()
-    summary = report.cohort
-    # Members at index 1, 3, 5, ... of the 16-member cohort validate.
-    assert summary["gen_validated_threads"] == 8
-    assert summary["bailouts"] == 0
-    assert comparable_compile_report(report) == comparable_compile_report(
-        _pingpong_machine(False).run()
-    )
-
-
-def _divergent_machine(compiled: bool, obs=None):
-    """Closure-captured mutable state: the second *instantiation* takes
-    a different path than the recorded representative, so the first
-    validated member must diverge mid-run and bail out."""
-    m = EMX(MachineConfig(n_pes=2, compiled=compiled), obs)
-    instances = []
-
-    @m.thread
-    def shifty(ctx, k):
-        # Only the recording pass and validated members actually run
-        # this body (fast replay steps the trace), so the second real
-        # instantiation is the first lockstep-validated member.
-        instances.append(None)
-        if len(instances) >= 2:
-            yield ctx.compute(99)
-        else:
-            yield ctx.compute(5)
-        yield ctx.compute(k)
-
-    for pe in range(2):
-        for _ in range(2):
-            m.spawn(pe, "shifty", 1)
-    return m
-
-
-def test_forced_midrun_divergence_bails_per_thread():
-    bus = EventBus()
-    rec = RingRecorder(bus)
-    report = _divergent_machine(True, bus).run()
-    summary = report.cohort
-    assert summary["bailouts"] >= 1
-    bail_events = [
-        ev
-        for ev in rec.events
-        if ev.category is Category.COHORT and ev.kind == "bailout"
-    ]
-    assert bail_events and bail_events[0].name == "shifty"
-    # The bailed member finished on its interpreted twin: the run
-    # drained, every thread completed, and the machine reports cleanly.
-    assert report.runtime_cycles > 0
-
-
-def test_forced_midrun_divergence_strict_raises():
-    with strict_cohorts():
-        m = _divergent_machine(True)
-        with pytest.raises(CompileDivergence) as excinfo:
-            m.run()
-    message = str(excinfo.value)
-    assert "diverged at effect" in message
-    assert "pe=" in message and "cycle=" in message  # EXU context enrichment
-
-
-def test_trace_outliving_thread_bails():
-    """A validated member whose real generator ends early (impure guest
-    shrinking its own trip count) bails instead of fabricating effects."""
-    m = EMX(MachineConfig(n_pes=2, compiled=True))
-    instances = []
-
-    @m.thread
-    def shrinking(ctx, k):
-        instances.append(None)
-        yield ctx.compute(5)
-        if len(instances) < 2:  # representative + member 0 only
-            yield ctx.compute(k)
-
-    m.spawn(0, "shrinking", 3)
-    m.spawn(1, "shrinking", 3)
-    report = m.run()
-    assert report.cohort["bailouts"] == 1
 
 
 def test_emc_front_end_uses_codegen_tier():
@@ -226,3 +89,126 @@ def test_config_compiled_flag_round_trip():
     assert via_config.cohort is not None
     assert via_kwarg.cohort is not None
     assert off.cohort is None
+
+
+# ----------------------------------------------------------------------
+# Fused effects: one yield for Compute + RemoteRead, same accounting
+# ----------------------------------------------------------------------
+def _drive(gen, replies):
+    """Collect the effect stream of a guest generator, answering each
+    suspending effect from ``replies``."""
+    from repro.core.effects import FusedRead, FusedReadPair
+
+    effects, send = [], None
+    it = iter(replies)
+    try:
+        while True:
+            eff = gen.send(send)
+            effects.append(eff)
+            send = next(it) if type(eff) in (FusedRead, FusedReadPair) else None
+    except StopIteration:
+        return effects
+
+
+class _FakeMem:
+    size = 4096
+    reads = 0
+    writes = 0
+
+    def __init__(self):
+        self._words: dict = {}
+
+
+class _FakeCtx:
+    pe = 0
+    n_pes = 4
+
+    def __init__(self):
+        self.mem = _FakeMem()
+        self.state: dict = {}
+
+
+@pytest.mark.parametrize("source,reply,fused", [
+    ("thread f(mate) { var v = rread(mate, 8); mem[0] = v; }", 7, "FusedRead"),
+    ("thread f(mate) { var p = rread2(mate, 8, 9); mem[0] = at(p, 0); }",
+     (3, 4), "FusedReadPair"),
+], ids=["FusedRead", "FusedReadPair"])
+def test_emc_tiers_fuse_reads_identically(source, reply, fused):
+    """Both EM-C compile tiers (trace VM and python codegen) emit the
+    fused Compute+read effect, and their streams are equal effect for
+    effect."""
+    from repro.compile.codegen import codegen_thread
+    from repro.compile.lower_emc import lower_thread
+    from repro.compile.trace import run_trace
+    from repro.emc import compile_program
+
+    compiled = compile_program(source)
+    tdef = compiled.ast.threads["f"]
+    prog = lower_thread(compiled.ast, tdef, compiled.env, compiled.costs)
+    fn = codegen_thread(compiled.ast, tdef, compiled.env, compiled.costs)
+
+    traced = _drive(run_trace(prog, _FakeCtx(), (1,)), [reply])
+    coded = _drive(fn(_FakeCtx(), 1), [reply])
+    assert [type(e).__name__ for e in traced] == \
+           [type(e).__name__ for e in coded]
+    assert traced == coded
+    assert fused in {type(e).__name__ for e in traced}
+    addr = next(e for e in traced if type(e).__name__ == fused)
+    assert (addr.addr_a.pe if fused == "FusedReadPair" else addr.addr.pe) == 1
+
+
+# ----------------------------------------------------------------------
+# Observability: the shard-merge round trip
+# ----------------------------------------------------------------------
+def _recorded_compiled_emc_run():
+    from repro.obs import EventBus, RingRecorder
+
+    bus = EventBus()
+    rec = RingRecorder(bus)
+    repro.run("emc-sort", n=16, n_pes=2, h=2, obs=bus,
+              plan=ExecutionPlan(compiled=True))
+    return rec.events
+
+
+def test_cohort_events_round_trip_through_shard_merge():
+    """COHORT diagnostics survive the sharded-run merge path unchanged:
+    any partition of the stream merges to the same sequence, and the
+    merged stream exports to byte-identical Perfetto JSON."""
+    from repro.obs.events import CohortEvent
+    from repro.obs.merge import merge_shard_events
+    from repro.obs.perfetto import to_perfetto
+
+    events = _recorded_compiled_emc_run()
+    assert any(type(ev) is CohortEvent for ev in events)
+    whole = merge_shard_events([list(events)], [{}])
+    split = merge_shard_events(
+        [list(events[0::2]), list(events[1::2])], [{}, {}]
+    )
+    assert whole == split
+    assert [ev for ev in whole if type(ev) is CohortEvent] == \
+           sorted((ev for ev in events if type(ev) is CohortEvent),
+                  key=lambda ev: (ev.t, ev.pe, ev.kind, ev.name, ev.n))
+    a = json.dumps(to_perfetto(whole, n_pes=2), sort_keys=True)
+    b = json.dumps(to_perfetto(split, n_pes=2), sort_keys=True)
+    assert a == b
+
+
+# ----------------------------------------------------------------------
+# Diagnostics formatting
+# ----------------------------------------------------------------------
+def test_format_cohort_lists_tiers():
+    from repro.metrics.report import format_cohort
+
+    real = repro.run("emc-sort", n=64, n_pes=4, h=2,
+                     plan=ExecutionPlan(compiled=True)).cohort
+    text = format_cohort(real)
+    assert text.startswith("cohorts: occupancy 1.00")
+    assert f"emc-codegen {real['emc_codegen_threads']}" in text
+
+
+def test_format_cohort_native_run_is_all_interpreted():
+    from repro.metrics.report import format_cohort
+
+    real = repro.run("sort", n=64, n_pes=4, h=2,
+                     plan=ExecutionPlan(compiled=True)).cohort
+    assert format_cohort(real) == "cohorts: occupancy 0.00  gen-interp 8"

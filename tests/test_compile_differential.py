@@ -4,10 +4,11 @@ The compiled path's bar is byte identity: metrics, ``events_fired``,
 serialized RunRecords, and the Perfetto export must all match the
 interpreted run exactly — the compiler changes how generators are
 driven, never what the machine does.  These tests sweep the fig6/fig7
-shape grid (tiny scale) for both front-ends (native ``threadlib``
-generators and EM-C programs), exercise the harness's shrinking, and
-cover the integration seams: the runner's JobSpec keying, execute_job,
-and the CLI flags.
+shape grid (tiny scale) for the EM-C workload, which compiles, and the
+native apps, which ``compiled=True`` must leave on the interpreter
+untouched; exercise the harness's shrinking and path diff; and cover
+the integration seams: the runner's JobSpec keying, execute_job, and
+the CLI flags.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import pytest
 from repro.compile.differential import (
     CompileDifferentialHarness,
     comparable_compile_report,
+    diff_paths,
 )
 from repro.metrics.serialize import run_record_to_dict
 from repro.runner.jobs import JobSpec, machine_fingerprint, spec_from_dict, spec_to_dict
 from repro.runner.worker import execute_job
 
-#: The fig6/fig7 grid at test scale: every paper workload (both
-#: front-ends) on small machines across the thread sweep's low end.
+#: The fig6/fig7 grid at test scale: every paper workload (native and
+#: EM-C) on small machines across the thread sweep's low end.
 FIG_GRID = [
     (app, n_pes, npp, h)
     for app in ("sort", "fft", "transpose", "emc-sort")
@@ -54,27 +56,23 @@ def test_emc_front_end_fully_compiled():
     assert cohort["emc_codegen_threads"] > 0
 
 
-def test_native_sort_live_traces_byte_identically():
-    """Native sort's merge workers branch on remote data — the pure
-    recorder declines them, the live tier traces them for real, and the
-    run is *still* byte-identical."""
-    harness = CompileDifferentialHarness("sort", seed=0)
-    result = harness.check(n_pes=4, n=64, h=2)
-    cohort = result.compiled.cohort
-    assert cohort["gen_traced_threads"] > 0
-    assert cohort["live_traces"] > 0
-    assert result.identical
-
-
 def test_harness_shrink_returns_identical_for_good_shape():
     harness = CompileDifferentialHarness("sort", seed=0)
     result = harness.shrink(dict(n_pes=4, n=32, h=1))
     assert result.identical
 
 
+def test_diff_paths_names_leaf_differences():
+    a = {"cycles": 10, "network": {"hops": [1, 2], "peak": 3}}
+    b = {"cycles": 11, "network": {"hops": [1, 5], "peak": 3}}
+    assert diff_paths(a, b) == ["cycles", "network.hops[1]"]
+    assert diff_paths(a, a) == []
+    assert diff_paths({"x": 1}, {"y": 1}) == ["x", "y"]
+
+
 def test_run_records_identical_including_events():
-    """What figures and the cache consume is equal in full — unlike
-    hybrid, the compiled path may not even change the event count."""
+    """What figures and the cache consume is equal in full — the
+    compiled path may not even change the event count."""
     base = JobSpec(app="sort", n_pes=4, npp=16, h=2)
     compiled = JobSpec(app="sort", n_pes=4, npp=16, h=2, compiled=True)
     rec_base = run_record_to_dict(execute_job(base))

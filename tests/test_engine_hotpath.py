@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import MachineConfig
 from repro.apps.bitonic import run_bitonic
 from repro.errors import SimulationError
 from repro.machine import machine as machine_mod
@@ -239,10 +240,16 @@ def test_fast_schedule_keeps_validation():
 # ----------------------------------------------------------------------
 # Golden trace: the batch drain may not move a single event
 # ----------------------------------------------------------------------
-def test_perfetto_golden_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "config", [MachineConfig(), MachineConfig(compiled=True)],
+    ids=["detailed", "compiled"],
+)
+def test_perfetto_golden_byte_identical(tmp_path, config):
+    """A compiled native run runs the interpreter, so it must export
+    exactly the detailed golden too."""
     bus = EventBus()
     rec = RingRecorder(bus)
-    run_bitonic(n_pes=2, n=16, h=2, seed=0, obs=bus)
+    run_bitonic(n_pes=2, n=16, h=2, seed=0, obs=bus, config=config)
     path = write_perfetto(tmp_path / "out.perfetto.json", rec.events, n_pes=2)
     golden = GOLDEN_DIR / "sort_p2_n16_h2.perfetto.json"
     assert path.read_bytes() == golden.read_bytes()

@@ -1,10 +1,10 @@
 """ExecutionPlan: the one bundle of execution-strategy knobs.
 
-Covers the frozen dataclass itself (parse/describe/validate and the
-centralised mode-combination rules), the ``plan=`` plumbing through
-``repro.run``, ``JobSpec``, the runner options and the CLI, the legacy
-keyword shims (one DeprecationWarning, same behaviour, same cache
-keys), and the SHARD-category observability the sharded engine emits.
+Covers the frozen dataclass itself (parse/describe/validate), the
+``plan=`` plumbing through ``repro.run``, ``JobSpec``, the runner
+options and the CLI, the legacy keyword shims (one DeprecationWarning,
+same behaviour, same cache keys), the typed errors for removed modes,
+and the SHARD-category observability the sharded engine emits.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import warnings
 import pytest
 
 import repro
-from repro import ExecutionPlan, MachineConfig
-from repro.errors import PlanCompatibilityWarning, PlanError
+from repro import ExecutionPlan
+from repro.errors import ConfigError, PlanError
 from repro.metrics.serialize import report_to_dict
 from repro.obs import Category, EventBus, RingRecorder, ShardWindow
 from repro.obs.perfetto import to_perfetto, validate_perfetto
@@ -27,7 +27,7 @@ from repro.obs.perfetto import to_perfetto, validate_perfetto
 # ----------------------------------------------------------------------
 def test_default_plan_is_sequential_detailed_interpreted():
     plan = ExecutionPlan()
-    assert (plan.shards, plan.fidelity, plan.compiled) == (0, "detailed", False)
+    assert (plan.shards, plan.compiled) == (0, False)
     assert plan.validate() is plan
 
 
@@ -46,7 +46,6 @@ def test_plan_is_frozen_and_hashable():
         ("shards=4", ExecutionPlan(shards=4)),
         ("shards=2,compiled", ExecutionPlan(shards=2, compiled=True)),
         ("compiled=false", ExecutionPlan()),
-        ("fidelity=hybrid", ExecutionPlan(fidelity="hybrid")),
     ],
 )
 def test_parse_accepts_cli_spellings(text, expected):
@@ -59,7 +58,7 @@ def test_parse_accepts_cli_spellings(text, expected):
         ("shards=four", "shards must be an int"),
         ("turbo", "malformed plan token"),
         ("speed=11", "unknown plan key"),
-        ("fidelity=turbo", "unknown fidelity"),
+        ("fidelity=hybrid", "unknown plan key"),
         ("compiled=maybe", "compiled must be a boolean"),
         ("shards=-2", "non-negative"),
     ],
@@ -74,87 +73,39 @@ def test_parse_rejects_malformed_plans(text, match):
     [
         ExecutionPlan(),
         ExecutionPlan(shards=4),
-        ExecutionPlan(fidelity="hybrid"),
+        ExecutionPlan(compiled=True),
         ExecutionPlan(shards=2, compiled=True),
     ],
 )
 def test_describe_parse_round_trip(plan):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert ExecutionPlan.parse(plan.describe()) == plan
+    assert ExecutionPlan.parse(plan.describe()) == plan
 
 
 def test_validate_rejects_bad_field_types():
     with pytest.raises(PlanError, match="non-negative"):
         ExecutionPlan(shards=-1).validate()
-    with pytest.raises(PlanError, match="unknown fidelity"):
-        ExecutionPlan(fidelity="fast").validate()
     with pytest.raises(PlanError, match="compiled must be a bool"):
         ExecutionPlan(compiled="yes").validate()  # type: ignore[arg-type]
 
 
 # ----------------------------------------------------------------------
-# Centralised mode-combination rules
+# Removed modes fail loudly, with the existing typed errors
 # ----------------------------------------------------------------------
-def test_hybrid_under_shards_warns_once():
-    with pytest.warns(PlanCompatibilityWarning, match="hybrid.*disabled under shards"):
-        ExecutionPlan(shards=2, fidelity="hybrid").validate()
+def test_removed_fidelity_is_an_unknown_job_spec_field():
+    from repro.runner.jobs import spec_from_dict
 
-
-def test_plan_warning_is_a_runtime_warning():
-    # Callers filtering on the historical RuntimeWarning still match.
-    with pytest.warns(RuntimeWarning):
-        ExecutionPlan(shards=2, fidelity="hybrid").validate()
-
-
-def test_hybrid_config_under_sharded_plan_warns_and_runs():
-    """The warning fires even when hybrid arrives via the machine
-    config rather than the plan — validate() sees the effective plan."""
-    cfg = MachineConfig(n_pes=8, fidelity="hybrid")
-    with pytest.warns(PlanCompatibilityWarning, match="disabled under shards"):
-        report = repro.run(
-            "sort", n=128, n_pes=8, h=2, config=cfg, plan=ExecutionPlan(shards=2)
+    with pytest.raises(ConfigError, match="unknown job-spec fields"):
+        spec_from_dict(
+            {"app": "sort", "n_pes": 2, "npp": 8, "h": 1, "fidelity": "detailed"}
         )
-    base = repro.run("sort", n=128, n_pes=8, h=2, plan=ExecutionPlan(shards=2))
-    assert report_to_dict(report) == report_to_dict(base)
 
 
-def test_compiled_with_hybrid_warns_but_is_legal():
-    with pytest.warns(PlanCompatibilityWarning, match="compiled=True.*hybrid"):
-        plan = ExecutionPlan(fidelity="hybrid", compiled=True).validate()
-    assert plan == ExecutionPlan(fidelity="hybrid", compiled=True)
+def test_cli_rejects_removed_fidelity_flag():
+    from repro.__main__ import main
 
-
-def test_compiled_under_hybrid_keeps_metric_identity():
-    """compiled= changes strategy, never numbers — also at hybrid
-    fidelity.  Only the diagnostic cohort section may differ (the
-    interpreted run has none)."""
-    from repro.compile.live import clear_registry
-
-    with pytest.warns(PlanCompatibilityWarning, match="fast-forward miss"):
-        compiled = repro.run(
-            "sort", n=128, n_pes=8, h=2,
-            plan=ExecutionPlan(fidelity="hybrid", compiled=True),
-        )
-    clear_registry()
-    interp = repro.run(
-        "sort", n=128, n_pes=8, h=2, plan=ExecutionPlan(fidelity="hybrid")
-    )
-    dc, di = report_to_dict(compiled), report_to_dict(interp)
-    assert dc.pop("cohort") is not None
-    assert di.pop("cohort", None) is None
-    assert dc == di
-
-
-def test_strict_cohorts_without_compiled_warns():
-    from repro.compile import strict_cohorts
-
-    with strict_cohorts():
-        with pytest.warns(PlanCompatibilityWarning, match="compiled=False"):
-            ExecutionPlan().validate()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        ExecutionPlan(compiled=True).validate()  # no warning
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sort", "--fidelity", "hybrid"])
+    assert excinfo.value.code == 2
 
 
 # ----------------------------------------------------------------------
@@ -168,13 +119,7 @@ def test_run_plan_matches_legacy_shards_keyword():
 
 
 def test_run_plan_compiled_matches_legacy_compiled_keyword():
-    from repro.compile.live import clear_registry
-
     planned = repro.run("sort", n=32, n_pes=4, h=1, plan=ExecutionPlan(compiled=True))
-    # Cold-start the second run too: the live-trace registry is warm
-    # after the first, which would change the (diagnostic) cohort
-    # section this test compares in full.
-    clear_registry()
     with pytest.warns(DeprecationWarning, match="compiled=.*deprecated"):
         legacy = repro.run("sort", n=32, n_pes=4, h=1, compiled=True)
     assert planned.cohort is not None
@@ -262,8 +207,8 @@ def test_cli_compiled_plan_prints_cohort_diagnostics(capsys):
           "--plan", "compiled"])
     out = capsys.readouterr().out
     assert "OK" in out
-    assert "cohorts: occupancy" in out
-    assert "live_traces=" in out
+    # Native apps run interpreted under the compiled plan.
+    assert "cohorts: occupancy 0.00" in out
 
 
 def test_cli_plan_conflicts_with_legacy_flags():

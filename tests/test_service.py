@@ -250,6 +250,12 @@ def test_http_error_paths(tmp_path):
             ("POST", "/sweep", b'{"jobs": []}', 400),
             ("POST", "/sweep", b'{"jobs": [{"app": "no-such-app", "n_pes": 2, "npp": 8, "h": 1}]}', 400),
             ("POST", "/sweep", b'{"jobs": [{"app": "sort", "n_pes": 2, "npp": 8, "h": 1, "bogus": 1}]}', 400),
+            # Wire types are checked, never coerced.
+            ("POST", "/sweep", b'{"jobs": [{"app": "sort", "n_pes": 2, "npp": 8, "h": 1, "em4_mode": "false"}]}', 400),
+            ("POST", "/sweep", b'{"jobs": [{"app": "sort", "n_pes": 2, "npp": 8, "h": true}]}', 400),
+            ("POST", "/sweep", b'{"jobs": [{"app": "sort", "n_pes": 4.9, "npp": 8, "h": 1}]}', 400),
+            # The execution plan is validated at admission.
+            ("POST", "/sweep", b'{"jobs": [{"app": "sort", "n_pes": 2, "npp": 8, "h": 1, "shards": -1}]}', 400),
         ]:
             headers = {"Content-Length": str(len(body))} if body else {}
             status, _, _ = await asyncio.to_thread(
