@@ -1,24 +1,22 @@
-"""Shard-scaling benchmark: adaptive-window PDES vs scalar and sequential.
+"""Shard-scaling benchmark: adaptive-window PDES vs sequential.
 
 Runs the fig6-shaped sort sweep under ``repro.sim.parallel`` at K in
 {1, 2, 4} shard processes and records wall-clock speedup versus K=1,
-plus the window-protocol A/B the adaptive scheme is judged by:
+plus the window count the adaptive scheme is judged by:
 
-* **windows** — total barrier rounds across the sweep at K=2 under the
-  default ``adaptive`` protocol (per-pair lookahead matrix, coalesced
-  windows) versus the legacy ``scalar`` protocol (one worst-case
-  lookahead) and versus the *uncoalesced* baseline — the wall-to-wall
-  window count ``ceil(runtime / L)`` a fixed-step protocol would take.
-  Both comparisons are deterministic properties of the protocol, so
-  ``--check`` gates them on every host: adaptive must take strictly
-  fewer barriers than scalar, and fewer than the uncoalesced baseline
-  by the per-shape floor (30% on the tiny CI shape).
+* **windows** — total barrier rounds across the sweep at K=2 (per-pair
+  lookahead matrix, coalesced windows) versus the *uncoalesced*
+  baseline — the wall-to-wall window count ``ceil(runtime / L)`` a
+  fixed-step protocol would take.  The comparison is a deterministic
+  property of the protocol, so ``--check`` gates it on every host: the
+  adaptive windows must undercut the uncoalesced baseline by the
+  per-shape floor (30% on the tiny CI shape).
 * **speedup** — K=4 must beat K=1 by >= 2x, gated only when the host
   has >= 4 cores (shards timeshare below that and the ratio measures
   the host, not the engine).
-* **metrics identity** — every run's total ``events_fired`` is
-  compared across K and across protocols; any mismatch fails the
-  benchmark outright rather than producing a fast wrong number.
+* **metrics identity** — every sharded run's total ``events_fired`` is
+  compared across K; any mismatch fails the benchmark outright rather
+  than producing a fast wrong number.
 
 Usage::
 
@@ -36,7 +34,6 @@ import sys
 import time
 
 from repro.api import ExecutionPlan, run
-from repro.sim import parallel
 
 #: Benchmark shapes: name -> (n_pes, per-PE elements, thread sweep).
 SHAPES = {
@@ -46,7 +43,7 @@ SHAPES = {
 
 SHARD_COUNTS = (1, 2, 4)
 
-#: Shard count the window-protocol A/B runs at.
+#: Shard count the window accounting is recorded at.
 WINDOW_K = 2
 
 #: Minimum window reduction vs the uncoalesced baseline, per shape.
@@ -56,7 +53,7 @@ WINDOW_K = 2
 REDUCTION_FLOOR_PCT = {"tiny": 30.0, "paper": 15.0}
 
 
-def _sweep(shape: str, shards: int | None, protocol: str = "adaptive"):
+def _sweep(shape: str, shards: int | None):
     """One sort sweep at one shard count; (events, seconds, windows).
 
     ``windows`` accumulates the barrier accounting of every sharded run
@@ -69,11 +66,10 @@ def _sweep(shape: str, shards: int | None, protocol: str = "adaptive"):
     windows = {"count": 0, "coalesced": 0, "uncoalesced_baseline": 0}
     t0 = time.perf_counter()
     for h in threads:
-        with parallel.window_protocol(protocol):
-            report = run(
-                "sort", n_pes=n_pes, n=n_pes * npp, h=h,
-                plan=ExecutionPlan(shards=shards or 0),
-            )
+        report = run(
+            "sort", n_pes=n_pes, n=n_pes * npp, h=h,
+            plan=ExecutionPlan(shards=shards or 0),
+        )
         events += report.events_fired
         if report.windows is not None:
             w = report.windows
@@ -85,7 +81,7 @@ def _sweep(shape: str, shards: int | None, protocol: str = "adaptive"):
 
 
 def measure(shape: str, repeats: int = 1) -> dict:
-    """Best-of-``repeats`` wall time at each K, plus the window A/B."""
+    """Best-of-``repeats`` wall time at each K, plus the window count."""
     out: dict = {
         "shape": shape,
         "cores_detected": os.cpu_count(),
@@ -111,19 +107,12 @@ def measure(shape: str, repeats: int = 1) -> dict:
     for label, res in out["shards"].items():
         res["speedup_vs_k1"] = round(base / res["wall_seconds"], 3)
 
-    # Window-protocol A/B: same sweep, same K, scalar windows.
-    scalar_events, _, scalar_windows = _sweep(shape, WINDOW_K, protocol="scalar")
-    events_by_k["scalar"] = scalar_events
     assert adaptive_windows is not None
     out["windows"] = {
         "shards": WINDOW_K,
         "adaptive": adaptive_windows["count"],
-        "scalar": scalar_windows["count"],
         "uncoalesced_baseline": adaptive_windows["uncoalesced_baseline"],
         "coalesced_jumps": adaptive_windows["coalesced"],
-        "reduction_vs_scalar_pct": round(
-            100.0 * (1 - adaptive_windows["count"] / scalar_windows["count"]), 1
-        ),
         "reduction_vs_uncoalesced_pct": round(
             100.0
             * (1 - adaptive_windows["count"] / adaptive_windows["uncoalesced_baseline"]),
@@ -136,7 +125,7 @@ def measure(shape: str, repeats: int = 1) -> dict:
     if len(distinct) != 1:
         raise SystemExit(
             f"determinism violation: events_fired differs across shard "
-            f"counts/protocols: {events_by_k}"
+            f"counts: {events_by_k}"
         )
     return out
 
@@ -145,11 +134,6 @@ def check(measured: dict) -> list[str]:
     """The CI gates; returns failure strings (empty = pass)."""
     failures: list[str] = []
     w = measured["windows"]
-    if w["adaptive"] >= w["scalar"]:
-        failures.append(
-            f"adaptive protocol must take fewer barriers than scalar, got "
-            f"{w['adaptive']} vs {w['scalar']}"
-        )
     floor = REDUCTION_FLOOR_PCT[measured["shape"]]
     if w["reduction_vs_uncoalesced_pct"] < floor:
         failures.append(
@@ -187,7 +171,6 @@ def main(argv: list[str] | None = None) -> int:
     w = measured["windows"]
     print(
         f"windows at K={w['shards']}: adaptive={w['adaptive']} "
-        f"scalar={w['scalar']} (-{w['reduction_vs_scalar_pct']}%) "
         f"uncoalesced={w['uncoalesced_baseline']} "
         f"(-{w['reduction_vs_uncoalesced_pct']}%)"
     )
@@ -206,11 +189,11 @@ def main(argv: list[str] | None = None) -> int:
             "(repro.sim.parallel) on the fig6-shaped sort sweep.  K=1 is "
             "the same window protocol over a loopback exchange; 'legacy' "
             "is the pre-existing sequential engine.  The 'windows' block "
-            "compares barrier rounds at K=2: the default adaptive "
+            "compares barrier rounds at K=2 of the adaptive window "
             "protocol (per-pair lookahead matrix + coalesced windows) "
-            "versus the legacy scalar protocol and versus the "
-            "uncoalesced wall-to-wall baseline ceil(runtime/L); both "
-            "reductions are deterministic and gated in CI.  Speedup "
+            "against the uncoalesced wall-to-wall baseline "
+            "ceil(runtime/L); the reduction is deterministic and gated "
+            "in CI.  Speedup "
             "depends on cores_detected: shards timeshare when K exceeds "
             "the core count, so the >=2x-at-K=4 gate applies only to "
             "hosts with >= 4 cores; this record was measured on a "

@@ -55,9 +55,8 @@ from .metrics.report import format_table
 def _add_plan_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--plan", default=None, metavar="SPEC",
-        help='execution plan, e.g. "shards=4,compiled" (the one '
-             "replacement for the deprecated --shards/--compiled flags; "
-             "see repro.ExecutionPlan)")
+        help='execution plan, e.g. "shards=4,compiled" '
+             "(see repro.ExecutionPlan)")
 
 
 def _add_runner_flags(parser: argparse.ArgumentParser, default_jobs: int | None = 1) -> None:
@@ -77,51 +76,13 @@ def _add_runner_flags(parser: argparse.ArgumentParser, default_jobs: int | None 
         help="write a Perfetto trace per executed job under DIR "
              "(cache hits produce no trace; off by default)")
     _add_plan_flag(parser)
-    parser.add_argument(
-        "--compiled", action="store_true",
-        help="[deprecated: use --plan compiled] route thread creation "
-             "through the cohort compiler: EM-C threads run generated code "
-             "(byte-identical metrics and events; off by default)")
 
 
 def _cli_plan(args: argparse.Namespace):
-    """Resolve ``--plan`` / legacy ``--shards --compiled`` flags.
-
-    ``--plan`` wins and refuses to be combined with non-default legacy
-    flags; legacy flags still work but emit one DeprecationWarning
-    (visible: ``__main__`` is exempt from the default warning filter's
-    DeprecationWarning suppression).
-    """
-    import warnings
-
+    """The ``--plan`` flag as an :class:`~repro.api.ExecutionPlan`."""
     from .api import ExecutionPlan
-    from .errors import PlanError
 
-    legacy = {}
-    if getattr(args, "shards", 0):
-        legacy["shards"] = args.shards
-    if getattr(args, "compiled", False):
-        legacy["compiled"] = True
-    text = getattr(args, "plan", None)
-    if text:
-        if legacy:
-            raise PlanError(
-                f"--plan cannot be combined with --{'/--'.join(sorted(legacy))}"
-            )
-        return ExecutionPlan.parse(text)
-    if legacy:
-        plan = ExecutionPlan(
-            shards=legacy.get("shards", 0),
-            compiled=legacy.get("compiled", False),
-        )
-        warnings.warn(
-            f"--{'/--'.join(sorted(legacy))} is deprecated; "
-            f'pass --plan "{plan.describe()}" instead',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return plan
-    return ExecutionPlan()
+    return ExecutionPlan.parse(args.plan or "")
 
 
 def _progress_printer():
@@ -207,7 +168,7 @@ def _cmd_export(args: argparse.Namespace) -> None:
 
     _configure_runner(args)
     reset_stats()
-    for path in export_all(args.outdir):
+    for path in export_all(args.out):
         print(f"wrote {path}")
     print(_runner_summary())
 
@@ -388,7 +349,7 @@ def _cmd_apps(args: argparse.Namespace) -> None:
             "name": canonical,
             "aliases": aliases,
             "signature": params,
-            "flags": ["--plan", "--shards", "--compiled"],
+            "flags": ["--plan"],
         })
     if args.json:
         import json
@@ -400,8 +361,7 @@ def _cmd_apps(args: argparse.Namespace) -> None:
         print(f"{entry['name']}{alias}")
         print(f"  signature: {', '.join(entry['signature'])}")
     print("\nevery app runs through repro.run(...) and supports "
-          '--plan "shards=K,compiled" (the deprecated '
-          "--shards/--compiled spellings still work)")
+          '--plan "shards=K,compiled"')
 
 
 def _cmd_app(args: argparse.Namespace) -> None:
@@ -524,8 +484,8 @@ def main(argv: list[str] | None = None) -> None:
     p.set_defaults(func=_cmd_micro)
 
     p = sub.add_parser("export", help="regenerate all figures as CSV")
-    p.add_argument("--out", "--outdir", dest="outdir", default="figures_csv",
-                   metavar="DIR", help="output directory (default: %(default)s)")
+    p.add_argument("--out", default="figures_csv", metavar="DIR",
+                   help="output directory (default: %(default)s)")
     _add_runner_flags(p)
     p.set_defaults(func=_cmd_export)
 
@@ -538,12 +498,6 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--threads", default=None, metavar="H,H,...",
                    help="comma-separated thread counts "
                         "(default: the paper's 1..16 sweep)")
-    p.add_argument("--shards", type=int, default=0, metavar="K",
-                   help="[deprecated: use --plan shards=K] shard each "
-                        "simulation across K worker processes "
-                        "(conservative-window parallel run; 0 = legacy "
-                        "sequential models; jobs x shards is budgeted "
-                        "against the core count)")
     _add_runner_flags(p, default_jobs=None)
     p.set_defaults(func=_cmd_sweep)
 
@@ -638,14 +592,6 @@ def main(argv: list[str] | None = None) -> None:
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="record the run and write a Perfetto trace to FILE")
         _add_plan_flag(p)
-        p.add_argument("--shards", type=int, default=0, metavar="K",
-                       help="[deprecated: use --plan shards=K] run the "
-                            "simulation across K worker processes "
-                            "(0 = legacy sequential models)")
-        p.add_argument("--compiled", action="store_true",
-                       help="[deprecated: use --plan compiled] route thread "
-                            "creation through the cohort compiler "
-                            "(byte-identical; off by default)")
         p.set_defaults(func=_cmd_app, app=app)
 
     p = sub.add_parser(
@@ -663,15 +609,6 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--buffer", type=int, default=1_000_000, metavar="N",
                    help="ring-buffer capacity in events (default: %(default)s)")
     _add_plan_flag(p)
-    p.add_argument("--shards", type=int, default=0, metavar="K",
-                   help="[deprecated: use --plan shards=K] run the simulation "
-                        "across K worker processes; sharded traces gain a "
-                        "window-protocol track (0 = legacy sequential models)")
-    p.add_argument("--compiled", action="store_true",
-                   help="[deprecated: use --plan compiled] route thread "
-                        "creation through the cohort compiler; traces then "
-                        "contain COHORT diagnostic events "
-                        "(byte-identical otherwise; off by default)")
     p.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)

@@ -14,17 +14,11 @@ signature, checks verification, and returns the
 The CLI (``python -m repro``) and the experiment runner dispatch through
 the same registry, so adding a workload is one ``@register_app("name")``
 decorator — not parallel edits to three hand-maintained dicts.
-
-**Legacy calls.**  The ``run_*`` functions were historically called with
-``(n_pes, n, h)`` positional; :func:`register_app` wraps each app with a
-shim that still accepts that pattern but emits a
-:class:`DeprecationWarning`.  New code passes keywords only.
+Every entry point is keyword-only.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -50,9 +44,6 @@ __all__ = [
 #: :func:`get_app`/:func:`app_names` to read it with loading handled.
 APPS: dict[str, Callable[..., Any]] = {}
 
-#: Historical positional order of the ``run_*`` entry points.
-_LEGACY_POSITIONAL = ("n_pes", "n", "h")
-
 
 def register_app(name: str, *aliases: str) -> Callable:
     """Register a workload entry point under ``name`` (plus aliases).
@@ -60,41 +51,17 @@ def register_app(name: str, *aliases: str) -> Callable:
     The decorated function must take keyword-only arguments including at
     least ``n_pes``, ``n``, ``h``, ``config`` and ``obs``, and return a
     result object exposing ``.report`` (a MachineReport) and a
-    verification flag (``sorted_ok`` or ``verified``).  The returned
-    wrapper additionally accepts up to three *legacy* positional
-    arguments, mapped to ``(n_pes, n, h)`` with a DeprecationWarning.
+    verification flag (``sorted_ok`` or ``verified``).  The function
+    itself is registered and returned, tagged with ``app_names``.
     """
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if args:
-                if len(args) > len(_LEGACY_POSITIONAL):
-                    raise TypeError(
-                        f"{fn.__name__}() takes at most {len(_LEGACY_POSITIONAL)} "
-                        f"positional arguments ({len(args)} given)"
-                    )
-                warnings.warn(
-                    f"calling {fn.__name__} with positional arguments is "
-                    f"deprecated; pass {', '.join(_LEGACY_POSITIONAL[: len(args)])} "
-                    f"as keywords",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                for pname, value in zip(_LEGACY_POSITIONAL, args):
-                    if pname in kwargs:
-                        raise TypeError(
-                            f"{fn.__name__}() got multiple values for argument {pname!r}"
-                        )
-                    kwargs[pname] = value
-            return fn(**kwargs)
-
-        wrapper.app_names = (name, *aliases)  # type: ignore[attr-defined]
+        fn.app_names = (name, *aliases)  # type: ignore[attr-defined]
         for key in (name, *aliases):
             if key in APPS:
                 raise ProgramError(f"app name {key!r} registered twice")
-            APPS[key] = wrapper
-        return wrapper
+            APPS[key] = fn
+        return fn
 
     return decorate
 
@@ -137,12 +104,11 @@ def result_ok(result: Any) -> bool:
 class ExecutionPlan:
     """How to execute a workload — the one bundle of engine-mode knobs.
 
-    Execution strategy used to sprawl: ``shards=`` and ``compiled=``
-    were threaded separately through :func:`run`,
-    :class:`~repro.config.MachineConfig`,
-    :class:`~repro.runner.jobs.JobSpec`,
-    :class:`~repro.runner.sweep.RunnerOptions` and every CLI
-    subcommand.  An ``ExecutionPlan`` carries both once::
+    Every entry point takes it the same way: :func:`run` takes
+    ``plan=``, :class:`~repro.runner.sweep.RunnerOptions` has a ``plan``
+    field, the CLI takes ``--plan``, and
+    :class:`~repro.runner.jobs.JobSpec` keeps the two as flat wire
+    fields behind its ``execution_plan`` property::
 
         report = repro.run("sort", n=1024, n_pes=16, h=4,
                            plan=repro.ExecutionPlan(shards=4))
@@ -251,8 +217,6 @@ def run(
     config: Any = None,
     obs: Any = None,
     plan: ExecutionPlan | None = None,
-    shards: int | None = None,
-    compiled: bool | None = None,
     **app_kwargs: Any,
 ) -> "MachineReport":
     """Run one workload and return its :class:`~repro.machine.MachineReport`.
@@ -261,40 +225,13 @@ def run(
     size, ``n_pes`` the processor count, ``h`` the threads per processor.
     Execution strategy comes in as ``plan=ExecutionPlan(...)`` — see
     :class:`ExecutionPlan` for what each field does.  Extra keywords are
-    forwarded to the app (e.g. ``seed=``, ``verify=``, ``kernel=``).
-    Raises :class:`~repro.errors.ProgramError` for unknown apps or when
-    the run fails its self-verification.
-
-    The separate ``shards=``/``compiled=`` keywords are the pre-plan
-    spelling, kept as a deprecated shim: each call site using them gets
-    one :class:`DeprecationWarning` and the equivalent plan built on its
-    behalf.  They cannot be combined with ``plan=``.
+    forwarded to the app (e.g. ``seed=``, ``verify=``, ``kernel=``), so
+    an unknown keyword is the app's own ``TypeError``.  Raises
+    :class:`~repro.errors.ProgramError` for unknown apps or when the run
+    fails its self-verification.
     """
     fn = get_app(app)
     kwargs = dict(n_pes=n_pes, n=n, h=h, config=config, obs=obs, **app_kwargs)
-    legacy = {
-        name: value
-        for name, value in (("shards", shards), ("compiled", compiled))
-        if value is not None
-    }
-    if legacy:
-        if plan is not None:
-            raise PlanError(
-                "pass plan=ExecutionPlan(...) or the legacy "
-                "shards=/compiled= keywords, not both"
-            )
-        warnings.warn(
-            f"repro.run({', '.join(f'{k}=' for k in sorted(legacy))}...) is "
-            "deprecated; pass plan=repro.ExecutionPlan(...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if compiled is not None:
-            # Explicit compiled=False historically forced the compiler
-            # *off* even when config said otherwise; preserve that by
-            # rewriting the config here, before the plan dispatch.
-            kwargs["config"] = _with_compiled(kwargs.get("config"), compiled)
-        plan = ExecutionPlan(shards=shards or 0, compiled=bool(compiled))
     result = call_with_plan(fn, kwargs, plan or ExecutionPlan())
     if not result_ok(result):
         raise ProgramError(f"app {app!r} (n={n}, n_pes={n_pes}, h={h}) failed verification")

@@ -1,16 +1,14 @@
-"""The cohort compiler's EM-C tiers.
+"""The cohort compiler's EM-C tier.
 
-EM-C threads are lowered onto faster steppers with identical yield
-protocols, compiled once per thread definition and shared by every
-instance:
+EM-C threads are compiled to Python generator functions with the
+interpreter's yield protocol, once per thread definition and shared by
+every instance:
 
 :mod:`repro.compile.codegen`
-    EM-C AST → generated Python generator source (the fast tier).
-:mod:`repro.compile.lower_emc` / :mod:`repro.compile.trace`
-    EM-C AST → flat effect-opcode trace run by a register VM.
+    EM-C AST → generated Python generator source.
 :mod:`repro.compile.cohort`
-    The per-machine manager: tier selection (codegen, then the trace
-    VM, then the interpreter) and occupancy accounting.
+    The per-machine manager: codegen, falling back to the interpreter
+    for thread shapes codegen declines, and occupancy accounting.
 :mod:`repro.compile.differential`
     The interpreted-vs-compiled identity oracle.
 
@@ -20,10 +18,8 @@ plan=ExecutionPlan(compiled=True))``, or ``--plan compiled`` on the CLI.
 """
 
 from .cohort import CohortManager
-from .codegen import codegen_thread
+from .codegen import LoweringError, codegen_thread
 from .differential import CompileDifferentialHarness, comparable_compile_report
-from .lower_emc import LoweringError, lower_thread
-from .trace import TraceProgram, run_trace
 
 __all__ = [
     "CohortManager",
@@ -31,7 +27,4 @@ __all__ = [
     "CompileDifferentialHarness",
     "comparable_compile_report",
     "LoweringError",
-    "lower_thread",
-    "TraceProgram",
-    "run_trace",
 ]

@@ -1,12 +1,11 @@
-"""EM-C AST → native Python generator functions (the fast EMC tier).
+"""EM-C AST → native Python generator functions (the EM-C compile tier).
 
-The trace IR in :mod:`repro.compile.trace` is the portable reference
-form, but its VM still pays one dispatch per opcode.  This module
-compiles an EM-C thread straight to Python source — guest variables
-become Python locals, pure arithmetic stays a single expression, and
-every effectful builtin becomes an inline ``yield`` — and ``exec``\\ s it
-into a generator function with the same ``(ctx, *args)`` calling
-convention as the interpreter's thread functions.
+This module compiles an EM-C thread straight to Python source — guest
+variables become Python locals, pure arithmetic stays a single
+expression, and every effectful builtin becomes an inline ``yield`` —
+and ``exec``\\ s it into a generator function with the same
+``(ctx, *args)`` calling convention as the interpreter's thread
+functions.
 
 The contract is the one the whole subsystem rests on: charge-for-charge
 and effect-for-effect identity with :class:`repro.emc.interp._Interp`.
@@ -14,16 +13,21 @@ Constant cycle charges are summed at *codegen* time and spilled into the
 ``_p`` pending accumulator at region boundaries (branches, loops,
 flushes) — legal because pending only becomes observable when flushed as
 one ``Compute`` — and every runtime error path reproduces the
-interpreter's exception type and message text exactly.  Shapes the
-generator cannot prove it translates faithfully raise
-:class:`~repro.compile.lower_emc.LoweringError`, exactly like the trace
-lowering, and the caller falls back a tier.
+interpreter's exception type and message text exactly.  Anything the
+generator cannot prove it translates faithfully — a variable only
+conditionally declared, a use the interpreter would resolve
+dynamically, a builtin whose arity is already wrong in the source,
+source nested deeper than CPython can compile — raises
+:class:`LoweringError`, and the caller runs that thread on the
+interpreter.  Runtime errors the interpreter *would* raise (undefined
+variable, bad spawn target) are therefore reproduced by construction:
+either codegen proves they cannot happen, or the thread never compiles.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable
+from typing import Any, Callable
 
 from ..core.effects import (
     BarrierWait,
@@ -40,12 +44,15 @@ from ..core.effects import (
 )
 from ..emc import ast
 from ..emc.costs import EmcCosts
-from ..errors import EmcRuntimeError, MemoryFault, ProgramError
+from ..errors import EmcRuntimeError, MemoryFault, ProgramError, ReproError
 from ..packet.address import GlobalAddress
-from .lower_emc import LoweringError, _collect_decls
-from .trace import _as_index, _fail
 
-__all__ = ["codegen_thread"]
+__all__ = ["LoweringError", "codegen_thread"]
+
+
+class LoweringError(ReproError):
+    """This thread shape cannot be compiled; run it interpreted."""
+
 
 #: Binary operators with a direct Python spelling (same precedence is
 #: irrelevant — codegen fully parenthesises).
@@ -54,6 +61,20 @@ _PY_CMPS = {"==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 _ATOM = re.compile(r"^(?:[A-Za-z_][A-Za-z0-9_]*|\d+)$")
 _INT_LIT = re.compile(r"^\d+$")
+
+
+def _fail(line: int, message: str) -> EmcRuntimeError:
+    return EmcRuntimeError(f"EM-C runtime error at line {line}: {message}")
+
+
+def _as_index(value: Any, line: int) -> int:
+    """Replicates ``_Interp._as_index`` (shared error text matters)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _fail(line, f"memory index must be numeric, got {value!r}")
+    index = int(value)
+    if index != value:
+        raise _fail(line, f"memory index must be integral, got {value!r}")
+    return index
 
 
 def _div(a, b, line):
@@ -102,6 +123,34 @@ _EFFECTFUL = frozenset(
     ("rread", "rread2", "rblock", "rwrite", "spawn", "barrier_wait",
      "token_wait", "token_advance", "switch_now")
 )
+
+
+def _collect_decls(node) -> set[str]:
+    """Every variable name declared anywhere under ``node``."""
+    names: set[str] = set()
+
+    def walk(stmt) -> None:
+        kind = type(stmt)
+        if kind is ast.VarDecl:
+            names.add(stmt.name)
+        elif kind is ast.Block:
+            for s in stmt.statements:
+                walk(s)
+        elif kind is ast.If:
+            walk(stmt.then_block)
+            if stmt.else_block is not None:
+                walk(stmt.else_block)
+        elif kind is ast.While:
+            walk(stmt.body)
+        elif kind is ast.For:
+            if stmt.init is not None:
+                walk(stmt.init)
+            if stmt.step is not None:
+                walk(stmt.step)
+            walk(stmt.body)
+
+    walk(node)
+    return names
 
 
 class _CodeGen:
@@ -339,7 +388,7 @@ class _CodeGen:
 
     def gen_effect(self, expr: ast.Call, args: list[str]) -> str:
         """One effectful builtin: flush pending, then an inline yield
-        through the same validation the trace VM replicates."""
+        through the interpreter's own validation."""
         name = expr.name
         line = expr.line
 
@@ -679,7 +728,15 @@ def codegen_thread(
     """
     gen = _CodeGen(program, tdef, env, costs)
     src, globals_ = gen.build()
-    code = compile(src, f"<emc-codegen:{tdef.name}>", "exec")
+    try:
+        code = compile(src, f"<emc-codegen:{tdef.name}>", "exec")
+    except SyntaxError as exc:
+        # CPython's static limits (e.g. 20 nested blocks) reject source
+        # the interpreter runs fine.
+        raise LoweringError(
+            f"thread {tdef.name!r}: generated source does not compile: {exc.msg} "
+            "(interpreter fallback)"
+        ) from None
     exec(code, globals_)
     fn = globals_[f"_gen_{tdef.name}"]
     fn.__name__ = tdef.name

@@ -9,13 +9,12 @@ difference.
 
 **EM-C threads** (functions tagged ``__emc_thread__`` by
 :class:`repro.emc.interp.CompiledProgram`) are compiled once per thread
-definition and shared by every instance — the definition's cohort:
-first the Python code generator (:mod:`repro.compile.codegen`), then
-the flat trace VM (:mod:`repro.compile.trace`) when codegen declines,
-then the reference AST interpreter.  Both compile tiers bail out under
-exactly the conditions where their semantics could drift
-(:class:`LoweringError`), so the fallback chain never changes
-observable behaviour.
+definition and shared by every instance — the definition's cohort — by
+the Python code generator (:mod:`repro.compile.codegen`).  Codegen
+bails out with :class:`LoweringError` under exactly the conditions
+where its semantics could drift, and the thread then runs on the
+reference AST interpreter, so the fallback never changes observable
+behaviour.
 
 **Native generator threads** and threads carrying a call continuation
 run on the interpreter and count as interpreted.
@@ -26,9 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..obs.events import CohortEvent
-from .codegen import codegen_thread
-from .lower_emc import LoweringError, lower_thread
-from .trace import run_trace
+from .codegen import LoweringError, codegen_thread
 
 __all__ = ["CohortManager"]
 
@@ -39,12 +36,12 @@ class CohortManager:
     def __init__(self, machine) -> None:
         self._machine = machine
         self._obs = machine.obs
-        # EM-C tier cache: (id(CompiledProgram), thread name) -> (tier, obj)
-        self._emc_cache: dict[tuple[int, str], tuple[str, Any]] = {}
+        # EM-C cache: (id(CompiledProgram), thread name) -> codegen fn,
+        # or None when the definition runs interpreted.
+        self._emc_cache: dict[tuple[int, str], Any] = {}
         self._emc_programs: list = []  # keep cache keys' referents alive
         # Counters (reported via summary()):
         self.emc_codegen_threads = 0
-        self.emc_trace_threads = 0
         self.emc_interp_threads = 0
         self.gen_interpreted_threads = 0
 
@@ -65,40 +62,30 @@ class CohortManager:
         return func(ctx, *args)
 
     # ------------------------------------------------------------------
-    # EM-C front-end: per-definition tiered compile
+    # EM-C front-end: per-definition compile
     # ------------------------------------------------------------------
     def _emc_instantiate(self, func, emc, ctx, args):
         program, tdef = emc
         key = (id(program), tdef.name)
-        entry = self._emc_cache.get(key)
-        if entry is None:
-            entry = self._emc_compile(program, tdef, ctx.pe)
-            self._emc_cache[key] = entry
+        if key in self._emc_cache:
+            fn = self._emc_cache[key]
+        else:
+            fn = self._emc_cache[key] = self._emc_compile(program, tdef, ctx.pe)
             self._emc_programs.append(program)
-        tier, obj = entry
-        if tier == "codegen":
+        if fn is not None:
             self.emc_codegen_threads += 1
-            return obj(ctx, *args)
-        if tier == "trace":
-            self.emc_trace_threads += 1
-            return run_trace(obj, ctx, args)
+            return fn(ctx, *args)
         self.emc_interp_threads += 1
         return func(ctx, *args)
 
-    def _emc_compile(self, program, tdef, pe: int) -> tuple[str, Any]:
+    def _emc_compile(self, program, tdef, pe: int):
         try:
             fn = codegen_thread(program.ast, tdef, program.env, program.costs)
-            self._emit("emc_codegen", pe, tdef.name, len(tdef.params))
-            return ("codegen", fn)
-        except LoweringError:
-            pass
-        try:
-            prog = lower_thread(program.ast, tdef, program.env, program.costs)
-            self._emit("emc_trace", pe, tdef.name, len(prog.ops))
-            return ("trace", prog)
         except LoweringError:
             self._emit("emc_interp", pe, tdef.name, 0)
-            return ("interp", None)
+            return None
+        self._emit("emc_codegen", pe, tdef.name, len(tdef.params))
+        return fn
 
     # ------------------------------------------------------------------
     # Reporting
@@ -110,11 +97,10 @@ class CohortManager:
 
     def summary(self) -> dict:
         """The ``MachineReport.cohort`` section (diagnostic only)."""
-        compiled = self.emc_codegen_threads + self.emc_trace_threads
+        compiled = self.emc_codegen_threads
         total = compiled + self.emc_interp_threads + self.gen_interpreted_threads
         return {
-            "emc_codegen_threads": self.emc_codegen_threads,
-            "emc_trace_threads": self.emc_trace_threads,
+            "emc_codegen_threads": compiled,
             "emc_interp_threads": self.emc_interp_threads,
             "gen_interpreted_threads": self.gen_interpreted_threads,
             "occupancy": (compiled / total) if total else 0.0,

@@ -154,8 +154,8 @@ class MachineConfig:
     compiled:
         If true, route thread creation through the cohort compiler
         (:mod:`repro.compile.cohort`): EM-C threads run on generated
-        Python or the flat trace VM; native generator threads and EM-C
-        programs no tier accepts run on the interpreter.  Metrics, obs
+        Python; native generator threads and EM-C threads codegen
+        declines run on the interpreter.  Metrics, obs
         events (minus the diagnostic ``COHORT`` category) and exports
         are identical by construction.
     seed:

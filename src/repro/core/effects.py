@@ -71,11 +71,11 @@ class RemoteRead(Effect):
 class FusedRead(Effect):
     """``Compute(cycles)`` immediately followed by ``RemoteRead(addr)``.
 
-    Emitted only by the EM-C compile tiers (codegen and the trace VM):
-    they know at compile time that a compute charge is followed by a
-    remote read, so they fuse the pair into one yield.  The EXU accounts for it exactly
-    as the two-effect sequence would — same cycle charges, same packet
-    offsets, same counters — so fused and unfused runs are
+    Emitted only by EM-C codegen (:mod:`repro.compile.codegen`): it
+    knows at compile time that a compute charge is followed by a remote
+    read, so it fuses the pair into one yield.  The EXU accounts for it
+    exactly as the two-effect sequence would — same cycle charges, same
+    packet offsets, same counters — so fused and unfused runs are
     byte-identical.  ``cycles`` may be zero (a bare read).
     """
 

@@ -40,9 +40,9 @@ class PlanError(ConfigError):
     """An invalid :class:`repro.api.ExecutionPlan`.
 
     Raised by ``ExecutionPlan.validate()`` (and the entry points that
-    funnel through it) for malformed plans — a negative shard count, an
-    unknown plan key, a plan passed alongside the legacy keyword knobs
-    it replaces.
+    funnel through it) and ``ExecutionPlan.parse()`` for malformed
+    plans — a negative shard count, a non-bool ``compiled``, an unknown
+    or malformed plan key.
     """
 
 

@@ -60,7 +60,7 @@ class MachineReport:
     #: from metric comparisons like ``events_fired``.
     cohort: dict | None = None
     #: Window-protocol accounting for sharded runs (``None`` otherwise):
-    #: protocol name, barrier/window counts, coalesce count, per-shard
+    #: shard count, barrier/window counts, coalesce count, per-shard
     #: barrier wall time and idle windows, lookahead-matrix bounds.
     #: Diagnostic only — it depends on K and wall clocks, so it is
     #: excluded from the serialised report and all metric comparisons.

@@ -46,7 +46,6 @@ def format_cohort(cohort: dict) -> str:
     tiers = []
     for label, key in (
         ("emc-codegen", "emc_codegen_threads"),
-        ("emc-trace", "emc_trace_threads"),
         ("emc-interp", "emc_interp_threads"),
         ("gen-interp", "gen_interpreted_threads"),
     ):
@@ -67,12 +66,12 @@ def format_series(name: str, series: dict[int, float], unit: str = "") -> str:
 def format_windows(windows: dict) -> str:
     """Render ``MachineReport.windows`` (sharded-run barrier accounting).
 
-    One summary line — protocol, barrier count, coalesced jumps, the
+    One summary line — shard count, barrier count, coalesced jumps, the
     lookahead-matrix spread — followed by a per-shard table of window
     counts, idle windows and barrier wall time.
     """
     summary = (
-        f"window protocol: {windows['protocol']}  shards={windows['shards']}  "
+        f"windows: shards={windows['shards']}  "
         f"barriers={windows['count']}  coalesced={windows['coalesced']}  "
         f"lookahead={windows['lookahead_min']}..{windows['lookahead_max']}"
     )

@@ -2,15 +2,16 @@
 
 This is the network model behind ``repro.run(..., plan=ExecutionPlan(
 shards=K))``.  The machine's PEs are partitioned into K contiguous
-shards, each advancing its own engine under the adaptive window
-protocol of :mod:`repro.sim.parallel`.  The protocol's safety bound is
+shards, each advancing its own engine under the window protocol of
+:mod:`repro.sim.parallel`.  The protocol's safety bound is
 the **per-pair lookahead matrix** ``L[i][j]`` (see
 :func:`lookahead_matrix`): the minimum injection-to-delivery latency of
 any packet from a PE of shard *i* to a *different* PE of shard *j*,
 computed from real shuffle-ring topology distance — so far-apart shard
-pairs synchronise far less often than the old scalar worst case forced.
-The scalar :func:`lookahead` (the matrix minimum) remains as the
-partition-independent floor.
+pairs synchronise far less often than one worst-case bound would force.
+The scalar :func:`lookahead` (the matrix minimum) is the
+partition-independent floor: it guards a network built without a shard
+spec, and it is the lookahead a K = 1 run reports.
 
 Two properties make the result independent of K:
 
@@ -148,9 +149,8 @@ class ShardedOmegaNetwork:
     ``spec`` (a :class:`repro.sim.parallel.ShardSpec`) enables the
     per-pair machinery: the lookahead matrix, the tighter pairwise
     egress guard in :meth:`send`, and the per-destination-shard bound
-    the adaptive window protocol reads.  Without it (direct
-    construction in tests) the scalar ``lookahead`` guards every
-    boundary crossing, as before.
+    the window protocol reads.  Without it (direct construction in
+    tests) the scalar ``lookahead`` guards every boundary crossing.
     """
 
     def __init__(self, engine, config: MachineConfig, owns, obs=None, spec=None) -> None:
@@ -340,7 +340,7 @@ class ShardedOmegaNetwork:
     def add_ingress(self, records: list) -> None:
         """Merge another shard's egress records addressed to local PEs.
 
-        Ingested at the window barrier.  The adaptive protocol
+        Ingested at the window barrier.  The window protocol
         guarantees every record's arrival cycle lies beyond the
         ingesting shard's last horizon (the pairwise lookahead bounds
         it below by the sender's ``ea + L``), so the tick always lands

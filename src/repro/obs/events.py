@@ -193,9 +193,10 @@ class CohortEvent:
     """Cohort-compiler progress on a ``compiled=True`` machine.
 
     Diagnostic: these exist only on the compiled path and are excluded
-    from interpreted-vs-compiled comparisons.  ``kind`` is one of
-    ``emc_codegen``/``emc_trace``/``emc_interp`` — an EM-C thread
-    definition settling on a compile tier; ``n`` = params or trace ops.
+    from interpreted-vs-compiled comparisons.  ``kind`` is
+    ``emc_codegen`` or ``emc_interp`` — an EM-C thread definition
+    compiled to Python, or left on the interpreter; ``n`` is the
+    definition's parameter count when compiled, else 0.
     """
 
     category: ClassVar[Category] = Category.COHORT

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import InitVar, asdict, dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 from ..api import ExecutionPlan
 from ..config import MachineConfig
-from ..errors import ConfigError, PlanError
+from ..errors import ConfigError
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -97,27 +97,6 @@ class JobSpec:
     #: but compiled jobs still key distinctly so a cache entry records
     #: how it was made.
     compiled: bool = False
-    #: Construction-time alternative to the two execution fields: a
-    #: :class:`repro.api.ExecutionPlan` whose ``shards``/``compiled``
-    #: are copied onto the spec, then discarded.  Keys, wire format and
-    #: ordering see only the plain fields, so
-    #: ``JobSpec(..., plan=ExecutionPlan(shards=2))`` and the legacy
-    #: ``JobSpec(..., shards=2)`` are the same spec.
-    plan: InitVar[ExecutionPlan | None] = None
-
-    def __post_init__(self, plan: ExecutionPlan | None) -> None:
-        if plan is not None:
-            if self.shards or self.compiled:
-                raise PlanError(
-                    "pass plan=ExecutionPlan(...) or the legacy "
-                    "shards=/compiled= fields, not both"
-                )
-            plan.validate()
-            object.__setattr__(self, "shards", int(plan.shards))
-            object.__setattr__(self, "compiled", bool(plan.compiled))
-        # Consumed: store None so dataclasses.replace() round-trips
-        # without resurrecting (and re-applying) a stale plan.
-        object.__setattr__(self, "plan", None)
 
     @property
     def execution_plan(self) -> ExecutionPlan:
@@ -259,7 +238,6 @@ def expand_sweep(
     network_model: str = "detailed",
     priority_replies: bool = False,
     seed: int = 0,
-    compiled: bool = False,
 ) -> list[JobSpec]:
     """One (app, P, n/P) thread sweep as jobs, skipping h > n/P.
 
@@ -276,7 +254,6 @@ def expand_sweep(
             network_model=network_model,
             priority_replies=priority_replies,
             seed=seed,
-            compiled=compiled,
         )
         for h in threads
         if h <= npp

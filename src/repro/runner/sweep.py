@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import warnings
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
 from ..api import ExecutionPlan
-from ..errors import ConfigError, PlanError
+from ..errors import ConfigError
 from .cache import ResultCache
 from .jobs import FIGURES, JobSpec, dedupe, expand_figures, expand_sweep
 from .pool import PoolStatus, run_jobs
@@ -71,69 +71,32 @@ class RunnerOptions:
     #: under this directory (cache hits produce no artifact; the cache
     #: key is unaffected).
     trace_dir: str | None = None
-    #: Shard workers *per job* (conservative-window parallel simulation,
-    #: :mod:`repro.sim.parallel`).  0 = legacy sequential simulation;
-    #: K >= 1 runs jobs whose specs don't pin ``shards`` under the
-    #: sharded semantics with K processes each.  The pool fan-out is
-    #: clamped so jobs × shards never oversubscribes the machine.
-    shards: int = 0
-    #: Cohort compiler applied to jobs whose specs don't pin their own
-    #: (byte-identical by the compile oracle; see :mod:`repro.compile`).
-    compiled: bool = False
+    #: Execution strategy for jobs whose specs don't pin their own.
+    #: ``plan.shards`` K >= 1 runs each such job under the sharded
+    #: conservative-window semantics (:mod:`repro.sim.parallel`) with K
+    #: processes; the pool fan-out is clamped so jobs × shards never
+    #: oversubscribes the machine.  ``plan.compiled`` routes thread
+    #: creation through the cohort compiler (byte-identical by the
+    #: compile oracle; see :mod:`repro.compile`).
+    plan: ExecutionPlan = ExecutionPlan()
 
     def validate(self) -> None:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        if self.shards < 0:
-            raise ConfigError(f"shards must be >= 0, got {self.shards}")
+        self.plan.validate()
         if self.timeout is not None and self.timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {self.timeout}")
-
-    @property
-    def plan(self) -> ExecutionPlan:
-        """The execution strategy these options apply to unpinned specs."""
-        return ExecutionPlan(shards=self.shards, compiled=self.compiled)
 
 
 _options = RunnerOptions()
 
-#: RunnerOptions fields subsumed by ``plan=``; passing them directly to
-#: :func:`configure`/:func:`using` still works but is deprecated.
-_PLAN_FIELDS = ("shards", "compiled")
-
-
-def _expand_plan(overrides: dict) -> dict:
-    """Fold a ``plan=ExecutionPlan(...)`` override into the flat fields."""
-    plan = overrides.pop("plan", None)
-    legacy = [name for name in _PLAN_FIELDS if name in overrides]
-    if plan is not None:
-        if legacy:
-            raise PlanError(
-                "pass plan=ExecutionPlan(...) or the legacy "
-                "shards=/compiled= overrides, not both"
-            )
-        plan.validate()
-        overrides.update(shards=plan.shards, compiled=plan.compiled)
-    elif legacy:
-        warnings.warn(
-            f"configure({', '.join(f'{name}=' for name in legacy)}...) is "
-            "deprecated; pass plan=ExecutionPlan(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return overrides
-
 
 def configure(**overrides) -> RunnerOptions:
-    """Replace selected fields of the process-global options.
-
-    Execution strategy comes in as one ``plan=ExecutionPlan(...)``
-    override; the individual ``shards``/``compiled`` keywords remain as
-    a deprecated shim.
-    """
+    """Replace selected fields of the process-global options."""
     global _options
-    _options = replace(_options, **_expand_plan(overrides))
-    _options.validate()
+    options = replace(_options, **overrides)
+    options.validate()
+    _options = options
     return _options
 
 
@@ -224,13 +187,13 @@ def _write_back(cache: ResultCache | None, spec: JobSpec, record) -> None:
 
 
 def _exec_spec(spec: JobSpec, options: RunnerOptions) -> JobSpec:
-    """The spec actually executed: ``options.shards`` and
-    ``options.compiled`` applied unless the spec pins its own (memo and
-    cache key off this one, so sharded/compiled results never alias
-    legacy entries)."""
-    if options.shards and not spec.shards:
-        spec = replace(spec, shards=options.shards)
-    if options.compiled and not spec.compiled:
+    """The spec actually executed: ``options.plan`` applied to whatever
+    the spec does not pin itself (memo and cache key off this one, so
+    sharded/compiled results never alias sequential entries)."""
+    plan = options.plan
+    if plan.shards and not spec.shards:
+        spec = replace(spec, shards=plan.shards)
+    if plan.compiled and not spec.compiled:
         spec = replace(spec, compiled=True)
     return spec
 
@@ -296,12 +259,11 @@ def run_specs(
     if misses:
         especs = dedupe(exec_of[spec] for spec in misses)
         workers = options.jobs
-        if options.shards > 1 and workers > 1:
+        shards = max(espec.shards for espec in especs)
+        if shards > 1 and workers > 1:
             # Every sharded job occupies `shards` cores: budget the pool
             # so jobs × shards stays within the machine.
-            import os
-
-            workers = max(1, min(workers, (os.cpu_count() or 1) // options.shards))
+            workers = max(1, min(workers, (os.cpu_count() or 1) // shards))
         status = PoolStatus(total=len(ordered), workers=workers, cached=len(results))
         if options.progress is not None:
             options.progress(status)

@@ -9,9 +9,9 @@ their cycle via the engine's ``pre_cycle`` hook (see
 :mod:`repro.network.sharded`), so the protocol below only decides *how
 far* each shard may run between barriers, never *what* it simulates.
 
-The default ``"adaptive"`` protocol uses the per-pair lookahead matrix
-``L[i][j]`` (:func:`repro.network.sharded.lookahead_matrix`) — the real
-topology distance between each pair of shards.  Per barrier:
+The window protocol uses the per-pair lookahead matrix ``L[i][j]``
+(:func:`repro.network.sharded.lookahead_matrix`) — the real topology
+distance between each pair of shards.  Per barrier:
 
 1. every shard broadcasts its boundary packets (*egress*) plus the
    earliest cycle it has any local work (engine queue or pending
@@ -37,13 +37,8 @@ guard in :meth:`~repro.network.sharded.ShardedOmegaNetwork.send`
 enforces exactly this bound.  Progress: the shard with minimal ``ea``
 has ``ea = na`` (no chain can undercut the global minimum) and a
 horizon at or past it, so every round fires at least one real event.
-
-The legacy ``"scalar"`` protocol (every shard runs ``[T, T + L - 1]``
-with the one worst-case scalar lookahead) is kept behind
-:func:`window_protocol` for comparison; the adaptive protocol must —
-and the benchmark gate checks it does — take strictly fewer barriers.
-Either way the simulated outcome is byte-identical: windows only pace
-the engines.
+Windows only pace the engines: the simulated outcome is byte-identical
+for every K.
 
 Transport is a full mesh of ``multiprocessing`` pipes between the
 coordinating process (shard 0) and ``os.fork``'d children, mirroring
@@ -62,8 +57,7 @@ accounting to shard 0, which merges them (deterministically — see
 that report is a pure function of the simulated run, not the partition:
 K ∈ {1, 2, 4, …} produce identical reports.  Only the report's
 ``windows`` diagnostics section (barrier counts and wall times) depends
-on K and the protocol — it is deliberately excluded from the report's
-serialised form.
+on K — it is deliberately excluded from the report's serialised form.
 """
 
 from __future__ import annotations
@@ -84,7 +78,6 @@ __all__ = [
     "active_context",
     "activate",
     "partition",
-    "window_protocol",
     "call_app",
     "run_windowed",
 ]
@@ -395,37 +388,6 @@ def _reap(pids: list[int], kill: bool) -> None:
 # ----------------------------------------------------------------------
 # The window protocol (driven from EMX.run)
 # ----------------------------------------------------------------------
-#: Active window protocol: "adaptive" (per-pair lookahead matrix,
-#: coalesced windows — the default) or "scalar" (the legacy fixed-length
-#: global windows, kept for comparison).  Module-level on purpose: it is
-#: read inside the forked shard workers, which inherit it at fork time.
-_PROTOCOLS = ("adaptive", "scalar")
-_window_protocol = "adaptive"
-
-
-@contextlib.contextmanager
-def window_protocol(name: str):
-    """Scope the window protocol for sharded runs started inside.
-
-    Must wrap the *call* that starts the run (``repro.run(...)``):
-    workers fork inside it and inherit the setting.  Both protocols
-    simulate the identical machine — they differ only in how many
-    barriers pace it — so this is a benchmarking/diagnostics knob, not
-    a semantics switch.
-    """
-    if name not in _PROTOCOLS:
-        raise SimulationError(
-            f"unknown window protocol {name!r}; expected one of {_PROTOCOLS}"
-        )
-    global _window_protocol
-    previous = _window_protocol
-    _window_protocol = name
-    try:
-        yield
-    finally:
-        _window_protocol = previous
-
-
 def _earliest_affect(na: list, matrix) -> list:
     """Relax per-shard next-work bounds over the lookahead matrix.
 
@@ -476,15 +438,12 @@ def run_windowed(machine, until: int | None = None):
     spec = ctx.spec
     me = spec.index
     count = spec.count
-    protocol = _window_protocol
     matrix = net.pair_lookahead
-    scalar_l = net.lookahead
     # dst PE -> owning shard, for folding egress arrivals into na[].
     shard_of = []
     for index, (lo, hi) in enumerate(spec.bounds):
         shard_of.extend([index] * (hi - lo))
     wstats = {
-        "protocol": protocol,
         "rounds": 0,
         "coalesced": 0,
         "idle_windows": 0,
@@ -518,10 +477,7 @@ def run_windowed(machine, until: int | None = None):
             for index, (_, egress, _) in enumerate(replies):
                 if index != me and egress:
                     net.add_ingress(egress)
-            if protocol == "adaptive" and count > 1:
-                ea = _earliest_affect(na, matrix)
-            else:
-                ea = na
+            ea = _earliest_affect(na, matrix) if count > 1 else na
             global_next = min(ea)
             if global_next is _INF:
                 break
@@ -533,9 +489,7 @@ def run_windowed(machine, until: int | None = None):
                 )
             if until is not None and start > until:
                 break
-            if protocol == "scalar":
-                horizon = start + scalar_l - 1
-            elif count > 1:
+            if count > 1:
                 horizon = min(
                     ea[k] + matrix[k][me] for k in range(count) if k != me
                 ) - 1
@@ -661,7 +615,6 @@ def _windows_section(machine, blobs: list[dict], real_bus) -> dict:
     else:
         look_min = look_max = net.lookahead
     section = {
-        "protocol": own["protocol"],
         "shards": len(blobs),
         "count": own["rounds"],
         "coalesced": own["coalesced"],

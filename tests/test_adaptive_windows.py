@@ -1,18 +1,17 @@
 """Adaptive-lookahead window protocol: matrix bounds, coalescing, accounting.
 
-The tentpole contract (see ``src/repro/sim/parallel.py``): the per-pair
+The contract (see ``src/repro/sim/parallel.py``): the per-pair
 lookahead matrix is a *true lower bound* on cross-shard delivery latency
-(so the adaptive protocol is conservative), every off-diagonal entry
-dominates the legacy scalar lookahead (so adaptive windows are never
-shorter), and switching protocols changes only the barrier schedule —
-the simulated outcome, serialised report bytes included, is identical.
+(so the window protocol is conservative), every off-diagonal entry
+dominates the scalar lookahead floor, and idle gaps coalesce into one
+barrier.  That windows never change the simulated outcome is covered by
+the cross-K identity tests in ``test_parallel_engine.py``.
 ``MachineReport.windows`` carries the barrier accounting and must stay
 out of the serialised form.
 """
 
 from __future__ import annotations
 
-import json
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +20,7 @@ import repro
 from repro import EMX, ExecutionPlan, MachineConfig
 from repro.errors import SimulationError
 from repro.metrics.report import format_windows
-from repro.metrics.serialize import report_to_dict, report_to_json
+from repro.metrics.serialize import report_to_dict
 from repro.sim import Engine, parallel
 from repro.network import build_network
 from repro.network.sharded import lookahead, lookahead_matrix
@@ -114,36 +113,11 @@ def test_matrix_is_a_true_lower_bound_per_shard_pair(model, n_pes, shards):
 
 
 # ----------------------------------------------------------------------
-# Protocol comparison: identical bytes, strictly fewer barriers
+# Coalescing
 # ----------------------------------------------------------------------
-def _run_with_protocol(protocol, shards, app="sort", n_pes=8, npp=16, h=2):
-    with parallel.window_protocol(protocol):
-        return repro.run(
-            app, n=n_pes * npp, n_pes=n_pes, h=h,
-            plan=ExecutionPlan(shards=shards),
-        )
-
-
-@pytest.mark.parametrize("shards", [2, 4])
-def test_adaptive_and_scalar_protocols_agree_byte_for_byte(shards):
-    adaptive = _run_with_protocol("adaptive", shards)
-    scalar = _run_with_protocol("scalar", shards)
-    assert report_to_json(adaptive) == report_to_json(scalar)
-    # Only the barrier schedule may differ — and adaptive must win.
-    assert adaptive.windows["protocol"] == "adaptive"
-    assert scalar.windows["protocol"] == "scalar"
-    assert adaptive.windows["count"] < scalar.windows["count"]
-
-
 def test_adaptive_coalesces_idle_gaps():
-    report = _run_with_protocol("adaptive", 2)
+    report = repro.run("sort", n=128, n_pes=8, h=2, plan=ExecutionPlan(shards=2))
     assert report.windows["coalesced"] > 0
-
-
-def test_unknown_protocol_rejected():
-    with pytest.raises(SimulationError, match="unknown window protocol"):
-        with parallel.window_protocol("optimistic"):
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -177,8 +151,7 @@ def test_sequential_runs_have_no_windows_section():
 def test_format_windows_renders_summary_and_table():
     report = repro.run("sort", n=128, n_pes=8, h=2, plan=ExecutionPlan(shards=2))
     text = format_windows(report.windows)
-    assert "window protocol: adaptive" in text
-    assert "shards=2" in text
+    assert text.startswith("windows: shards=2  barriers=")
     assert "barrier_s" in text
 
 

@@ -1,4 +1,4 @@
-"""The `repro.api` front door: registry, facade, and legacy-call shims."""
+"""The `repro.api` front door: registry, facade, and unified signatures."""
 
 import inspect
 
@@ -88,28 +88,6 @@ def test_every_app_signature_has_unified_core():
             p.kind in (inspect.Parameter.KEYWORD_ONLY, inspect.Parameter.VAR_KEYWORD)
             for p in params.values()
         ), f"{name} still has positional parameters"
-
-
-# ----------------------------------------------------------------------
-# Legacy positional shim
-# ----------------------------------------------------------------------
-def test_legacy_positional_maps_and_warns():
-    with pytest.warns(DeprecationWarning, match="positional"):
-        legacy = run_bitonic(2, 16, 2, seed=0)
-    modern = run_bitonic(n_pes=2, n=16, h=2, seed=0)
-    assert legacy.report.runtime_cycles == modern.report.runtime_cycles
-    assert legacy.report.events_fired == modern.report.events_fired
-
-
-def test_legacy_too_many_positionals_is_typeerror():
-    with pytest.raises(TypeError, match="positional"):
-        run_bitonic(2, 16, 2, 0)
-
-
-def test_legacy_duplicate_keyword_is_typeerror():
-    with pytest.raises(TypeError, match="multiple values"):
-        with pytest.warns(DeprecationWarning):
-            run_bitonic(2, 16, 2, h=2)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Machine-level tests for the cohort manager.
 
 Covers the contract of ``compiled=True``: byte-identical metrics, EM-C
-front-end tier selection, native generator threads running on the
-interpreter, fused reads in both EM-C compile tiers, the COHORT
-diagnostics' shard-merge round trip, and the CLI's cohort line.
+threads on codegen with the interpreter as fallback, native generator
+threads running on the interpreter, fused reads in generated code, the
+COHORT diagnostics' shard-merge round trip, and the CLI's cohort line.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro import EMX, ExecutionPlan, MachineConfig
 from repro.compile.differential import comparable_compile_report
+from repro.emc import load_emc
 
 
 def _pingpong_machine(compiled: bool, obs=None, n_pes: int = 4, per_pe: int = 4):
@@ -62,7 +63,8 @@ def test_compiled_memory_state_matches():
 
 
 def test_emc_front_end_uses_codegen_tier():
-    report = repro.run("emc-sort", n=64, n_pes=4, h=2, compiled=True)
+    report = repro.run("emc-sort", n=64, n_pes=4, h=2,
+                       plan=ExecutionPlan(compiled=True))
     summary = report.cohort
     assert summary["emc_codegen_threads"] > 0
     assert summary["emc_interp_threads"] == 0
@@ -72,23 +74,51 @@ def test_emc_front_end_uses_codegen_tier():
 def test_emc_compiled_matches_interpreted():
     base = dict(n=64, n_pes=4, h=2)
     interpreted = repro.run("emc-sort", **base)
-    compiled = repro.run("emc-sort", compiled=True, **base)
+    compiled = repro.run("emc-sort", plan=ExecutionPlan(compiled=True), **base)
     assert comparable_compile_report(interpreted) == comparable_compile_report(
         compiled
     )
 
 
 def test_config_compiled_flag_round_trip():
-    """compiled=True via config object, repro.run keyword, and default
+    """compiled=True via config object, the execution plan, and default
     off all agree on whether the cohort section exists."""
     via_config = repro.run(
         "sort", n=32, n_pes=4, h=1, config=MachineConfig(compiled=True)
     )
-    via_kwarg = repro.run("sort", n=32, n_pes=4, h=1, compiled=True)
+    via_plan = repro.run(
+        "sort", n=32, n_pes=4, h=1, plan=ExecutionPlan(compiled=True)
+    )
     off = repro.run("sort", n=32, n_pes=4, h=1)
     assert via_config.cohort is not None
-    assert via_kwarg.cohort is not None
+    assert via_plan.cohort is not None
     assert off.cohort is None
+
+
+def test_too_deep_loop_nest_falls_back_to_interpreter():
+    """21 nested loops exceed CPython's 20-block static limit: codegen
+    declines the thread and it runs interpreted, byte-identically."""
+    depth = 21
+    loops = "".join(
+        f"for (var i{d} = 0; i{d} < 1; i{d} = i{d} + 1) {{ " for d in range(depth)
+    )
+    source = (
+        f"thread deep(peer) {{ var total = 0; {loops}"
+        f"total = total + rread(peer, 0); {'} ' * depth}mem[8] = total; }}"
+    )
+
+    def run(compiled):
+        m = EMX(MachineConfig(n_pes=2, compiled=compiled))
+        load_emc(m, source)
+        m.pes[1].memory.write(0, 11)
+        m.spawn(0, "deep", 1)
+        return m.run()
+
+    interpreted, compiled = run(False), run(True)
+    assert comparable_compile_report(interpreted) == comparable_compile_report(
+        compiled
+    )
+    assert compiled.cohort["emc_interp_threads"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -134,26 +164,18 @@ class _FakeCtx:
      (3, 4), "FusedReadPair"),
 ], ids=["FusedRead", "FusedReadPair"])
 def test_emc_tiers_fuse_reads_identically(source, reply, fused):
-    """Both EM-C compile tiers (trace VM and python codegen) emit the
-    fused Compute+read effect, and their streams are equal effect for
-    effect."""
+    """EM-C codegen emits the fused Compute+read effect, addressed to
+    the thread's ``mate`` argument."""
     from repro.compile.codegen import codegen_thread
-    from repro.compile.lower_emc import lower_thread
-    from repro.compile.trace import run_trace
     from repro.emc import compile_program
 
     compiled = compile_program(source)
     tdef = compiled.ast.threads["f"]
-    prog = lower_thread(compiled.ast, tdef, compiled.env, compiled.costs)
     fn = codegen_thread(compiled.ast, tdef, compiled.env, compiled.costs)
 
-    traced = _drive(run_trace(prog, _FakeCtx(), (1,)), [reply])
     coded = _drive(fn(_FakeCtx(), 1), [reply])
-    assert [type(e).__name__ for e in traced] == \
-           [type(e).__name__ for e in coded]
-    assert traced == coded
-    assert fused in {type(e).__name__ for e in traced}
-    addr = next(e for e in traced if type(e).__name__ == fused)
+    assert fused in {type(e).__name__ for e in coded}
+    addr = next(e for e in coded if type(e).__name__ == fused)
     assert (addr.addr_a.pe if fused == "FusedReadPair" else addr.addr.pe) == 1
 
 

@@ -8,7 +8,7 @@ shape grid (tiny scale) for the EM-C workload, which compiles, and the
 native apps, which ``compiled=True`` must leave on the interpreter
 untouched; exercise the harness's shrinking and path diff; and cover
 the integration seams: the runner's JobSpec keying, execute_job, and
-the CLI flags.
+the CLI's ``--plan``.
 """
 
 from __future__ import annotations
@@ -98,7 +98,8 @@ def test_jobspec_compiled_keys_distinctly():
 def test_cli_compiled_flag(capsys):
     from repro.__main__ import main
 
-    main(["sort", "--pes", "4", "--size", "16", "--threads", "2", "--compiled"])
+    main(["sort", "--pes", "4", "--size", "16", "--threads", "2",
+          "--plan", "compiled"])
     out = capsys.readouterr().out
     assert "OK" in out
 
@@ -111,7 +112,7 @@ def test_cli_apps_lists_registry(capsys):
     for name in ("sort", "emc-sort", "fft", "transpose"):
         assert name in out
     assert "n_pes, n, h" in out  # the unified signature
-    assert "--compiled" in out  # supported flags
+    assert "--plan" in out  # supported flags
 
 
 def test_cli_apps_json(capsys):
@@ -124,13 +125,14 @@ def test_cli_apps_json(capsys):
     by_name = {e["name"]: e for e in entries}
     assert "bitonic" in by_name["sort"]["aliases"]
     assert by_name["fft"]["signature"][:3] == ["n_pes", "n", "h"]
-    assert "--compiled" in by_name["sort"]["flags"]
+    assert by_name["sort"]["flags"] == ["--plan"]
 
 
 def test_comparable_report_drops_only_cohort():
     import repro
 
-    report = repro.run("sort", n=32, n_pes=4, h=1, compiled=True)
+    report = repro.run("sort", n=32, n_pes=4, h=1,
+                       plan=repro.ExecutionPlan(compiled=True))
     comparable = comparable_compile_report(report)
     assert "cohort" not in comparable
     assert "events_fired" in comparable

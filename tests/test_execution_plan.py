@@ -1,23 +1,21 @@
 """ExecutionPlan: the one bundle of execution-strategy knobs.
 
 Covers the frozen dataclass itself (parse/describe/validate), the
-``plan=`` plumbing through ``repro.run``, ``JobSpec``, the runner
-options and the CLI, the legacy keyword shims (one DeprecationWarning,
-same behaviour, same cache keys), the typed errors for removed modes,
-and the SHARD-category observability the sharded engine emits.
+``plan=`` plumbing through ``repro.run``, the runner options and the
+CLI, the errors Python and argparse raise for removed modes and
+spellings, and the SHARD-category observability the sharded engine
+emits.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
 import repro
 from repro import ExecutionPlan
 from repro.errors import ConfigError, PlanError
-from repro.metrics.serialize import report_to_dict
 from repro.obs import Category, EventBus, RingRecorder, ShardWindow
 from repro.obs.perfetto import to_perfetto, validate_perfetto
 
@@ -108,87 +106,76 @@ def test_cli_rejects_removed_fidelity_flag():
     assert excinfo.value.code == 2
 
 
-# ----------------------------------------------------------------------
-# repro.run(plan=) and the legacy keyword shim
-# ----------------------------------------------------------------------
-def test_run_plan_matches_legacy_shards_keyword():
-    planned = repro.run("sort", n=128, n_pes=8, h=2, plan=ExecutionPlan(shards=2))
-    with pytest.warns(DeprecationWarning, match="shards=.*deprecated"):
-        legacy = repro.run("sort", n=128, n_pes=8, h=2, shards=2)
-    assert report_to_dict(planned) == report_to_dict(legacy)
+def _run_sort(**kwargs):
+    return repro.run("sort", n=32, n_pes=4, h=1, **kwargs)
 
 
-def test_run_plan_compiled_matches_legacy_compiled_keyword():
-    planned = repro.run("sort", n=32, n_pes=4, h=1, plan=ExecutionPlan(compiled=True))
-    with pytest.warns(DeprecationWarning, match="compiled=.*deprecated"):
-        legacy = repro.run("sort", n=32, n_pes=4, h=1, compiled=True)
-    assert planned.cohort is not None
-    assert report_to_dict(planned) == report_to_dict(legacy)
+def _sort_app_positional():
+    from repro.api import get_app
+
+    return get_app("sort")(2, 16, 2)
 
 
-def test_run_rejects_plan_plus_legacy_keywords():
-    with pytest.raises(PlanError, match="not both"):
-        repro.run(
-            "sort", n=32, n_pes=4, h=1, plan=ExecutionPlan(shards=2), shards=2
-        )
-
-
-# ----------------------------------------------------------------------
-# JobSpec and RunnerOptions integration
-# ----------------------------------------------------------------------
-def test_jobspec_plan_is_the_same_spec_as_legacy_fields():
+def _jobspec_with_plan():
     from repro.runner import JobSpec
 
-    planned = JobSpec(
-        app="sort", n_pes=8, npp=16, h=2, plan=ExecutionPlan(shards=2)
-    )
-    legacy = JobSpec(app="sort", n_pes=8, npp=16, h=2, shards=2)
-    assert planned == legacy
-    assert planned.key() == legacy.key()
-    assert planned.describe() == legacy.describe()
-    assert planned.execution_plan == ExecutionPlan(shards=2)
+    return JobSpec(app="sort", n_pes=8, npp=16, h=2, plan=ExecutionPlan(shards=2))
 
 
-def test_jobspec_rejects_plan_plus_legacy_fields():
-    from repro.runner import JobSpec
+def _configure_shards():
+    from repro.runner import configure
 
-    with pytest.raises(PlanError, match="not both"):
-        JobSpec(app="sort", n_pes=8, npp=16, h=2, shards=2,
-                plan=ExecutionPlan(shards=2))
+    return configure(shards=2)
 
 
-def test_jobspec_replace_does_not_resurrect_the_plan():
-    from dataclasses import replace
+def _cli(*argv):
+    from repro.__main__ import main
 
-    from repro.runner import JobSpec
-
-    spec = JobSpec(app="sort", n_pes=8, npp=16, h=2, plan=ExecutionPlan(shards=2))
-    bumped = replace(spec, h=4)
-    assert bumped.shards == 2 and bumped.h == 4
+    return lambda: main(list(argv))
 
 
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: _run_sort(shards=2), TypeError),
+        (lambda: _run_sort(compiled=True), TypeError),
+        (_sort_app_positional, TypeError),
+        (_jobspec_with_plan, TypeError),
+        (_configure_shards, TypeError),
+        (_cli("sort", "--shards", "2"), SystemExit),
+        (_cli("sort", "--compiled"), SystemExit),
+        (_cli("export", "--outdir", "d"), SystemExit),
+    ],
+    ids=["run-shards", "run-compiled", "app-positional", "jobspec-plan",
+         "configure-shards", "cli-sort-shards", "cli-sort-compiled",
+         "cli-export-outdir"],
+)
+def test_removed_spellings_fail_loudly(call, error):
+    """Each pre-plan spelling gets the error Python or argparse raises
+    for any unknown argument — no shim, no warning."""
+    with pytest.raises(error) as excinfo:
+        call()
+    if error is SystemExit:
+        assert excinfo.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# RunnerOptions.plan
+# ----------------------------------------------------------------------
 def test_runner_using_accepts_plan(tmp_path):
-    from repro.runner import using
+    from repro.runner import configure, using
     from repro.runner.sweep import get_options
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        with using(cache_dir=str(tmp_path), plan=ExecutionPlan(shards=2)):
-            opts = get_options()
-            assert opts.shards == 2
-            assert opts.plan == ExecutionPlan(shards=2)
-
-
-def test_runner_legacy_fields_deprecated(tmp_path):
-    from repro.runner import using
-
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        with using(cache_dir=str(tmp_path), shards=2):
-            pass
+    with using(cache_dir=str(tmp_path), plan=ExecutionPlan(shards=2)):
+        assert get_options().plan == ExecutionPlan(shards=2)
+    assert get_options().plan == ExecutionPlan()
+    with pytest.raises(PlanError, match="non-negative"):
+        configure(plan=ExecutionPlan(shards=-1))
+    assert get_options().plan == ExecutionPlan()
 
 
 # ----------------------------------------------------------------------
-# CLI: --plan, legacy flag shims
+# CLI: --plan
 # ----------------------------------------------------------------------
 def test_cli_plan_flag_runs_and_prints_window_summary(capsys):
     from repro.__main__ import main
@@ -197,7 +184,7 @@ def test_cli_plan_flag_runs_and_prints_window_summary(capsys):
           "--plan", "shards=2"])
     out = capsys.readouterr().out
     assert "OK" in out
-    assert "window protocol: adaptive" in out
+    assert "windows: shards=2" in out
 
 
 def test_cli_compiled_plan_prints_cohort_diagnostics(capsys):
@@ -209,23 +196,6 @@ def test_cli_compiled_plan_prints_cohort_diagnostics(capsys):
     assert "OK" in out
     # Native apps run interpreted under the compiled plan.
     assert "cohorts: occupancy 0.00" in out
-
-
-def test_cli_plan_conflicts_with_legacy_flags():
-    from repro.__main__ import main
-
-    with pytest.raises(PlanError, match="--plan cannot be combined"):
-        main(["sort", "--pes", "8", "--size", "128", "--threads", "2",
-              "--plan", "shards=2", "--shards", "2"])
-
-
-def test_cli_legacy_shards_flag_still_works_with_warning(capsys):
-    from repro.__main__ import main
-
-    with pytest.warns(DeprecationWarning, match="--shards is deprecated"):
-        main(["sort", "--pes", "8", "--size", "128", "--threads", "2",
-              "--shards", "2"])
-    assert "OK" in capsys.readouterr().out
 
 
 def test_cli_help_advertises_plan():

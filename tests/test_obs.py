@@ -40,7 +40,7 @@ def recorded_run(app="sort", n_pes=2, n=16, h=2, **kwargs):
     bus = EventBus()
     rec = RingRecorder(bus)
     runner = run_bitonic if app == "sort" else run_fft
-    result = runner(n_pes, n, h, seed=0, obs=bus, **kwargs)
+    result = runner(n_pes=n_pes, n=n, h=h, seed=0, obs=bus, **kwargs)
     return result, rec
 
 
@@ -110,7 +110,7 @@ def test_disabled_obs_is_none_and_emits_nothing():
 
 
 def test_observed_run_matches_unobserved_run():
-    plain = run_bitonic(2, 16, 2, seed=0)
+    plain = run_bitonic(n_pes=2, n=16, h=2, seed=0)
     observed, rec = recorded_run()
     assert len(rec) > 0
     pr, orr = plain.report, observed.report
@@ -183,7 +183,7 @@ def test_burst_timeline_feeds_trace_events():
 def test_burst_timeline_agrees_with_machine_trace():
     # The obs-derived timeline must reproduce the config.trace spans.
     cfg = MachineConfig(trace=True)
-    plain = run_bitonic(2, 16, 2, seed=0, config=cfg)
+    plain = run_bitonic(n_pes=2, n=16, h=2, seed=0, config=cfg)
     _, rec = recorded_run(config=cfg)
     derived = burst_timeline(rec.events)
     for pe, expected in plain.report.traces.items():
@@ -217,7 +217,7 @@ def test_perfetto_export_validates(tmp_path):
 def test_perfetto_truncated_ring_still_pairs():
     bus = EventBus()
     rec = RingRecorder(bus, capacity=64)  # drops early sends
-    run_bitonic(2, 16, 2, seed=0, obs=bus)
+    run_bitonic(n_pes=2, n=16, h=2, seed=0, obs=bus)
     assert rec.dropped > 0
     obj = to_perfetto(rec.events, n_pes=2)
     assert validate_perfetto(obj) == []

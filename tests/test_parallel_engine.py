@@ -1,10 +1,10 @@
 """Sharded parallel simulation: determinism, lookahead, differentials.
 
-The contract under test (see ``src/repro/sim/parallel.py``): a run with
-``shards=K`` is *metrics-identical* for every K — all ``MachineReport``
-counters, cycle counts, switch attributions, network statistics, merged
-observability streams and per-PE traces are pure functions of the
-simulated run, never of the partition.  Plus the window math the
+The contract under test (see ``src/repro/sim/parallel.py``): a run
+with ``ExecutionPlan(shards=K)`` is *metrics-identical* for every K —
+all ``MachineReport`` counters, cycle counts, switch attributions,
+network statistics, merged observability streams and per-PE traces are
+pure functions of the simulated run, never of the partition.  Plus the window math the
 protocol leans on: the lookahead L derived from ``MachineConfig`` is a
 true lower bound on delivery latency in *both* legacy network models,
 and empty windows (no boundary traffic) cannot deadlock the barrier
@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import pytest
 
 import repro
-from repro import EMX, MachineConfig
+from repro import EMX, ExecutionPlan, MachineConfig
 from repro.config import TimingModel
 from repro.errors import SimulationError
 from repro.metrics.serialize import report_to_dict
@@ -30,7 +30,9 @@ from repro.sim import parallel
 
 
 def _report_dict(app, n_pes, npp, h, shards):
-    report = repro.run(app, n=n_pes * npp, n_pes=n_pes, h=h, shards=shards)
+    report = repro.run(
+        app, n=n_pes * npp, n_pes=n_pes, h=h, plan=ExecutionPlan(shards=shards)
+    )
     return report_to_dict(report)
 
 
@@ -46,7 +48,7 @@ def test_shard_count_never_changes_metrics(app, n_pes, npp, h):
 
 
 def test_sharded_run_verifies_and_reports_runtime():
-    report = repro.run("sort", n=128, n_pes=8, h=2, shards=2)
+    report = repro.run("sort", n=128, n_pes=8, h=2, plan=ExecutionPlan(shards=2))
     assert report.runtime_cycles > 0
     assert report.network.packets > 0
     assert len(report.counters) == 8
@@ -66,7 +68,7 @@ def _recorded_events(app, shards):
 
     bus = EventBus()
     recorder = RingRecorder(bus, capacity=500_000)
-    repro.run(app, n=128, n_pes=8, h=2, shards=shards, obs=bus)
+    repro.run(app, n=128, n_pes=8, h=2, plan=ExecutionPlan(shards=shards), obs=bus)
     return recorder.events
 
 
@@ -91,7 +93,9 @@ def test_perfetto_export_byte_identical_across_shard_counts():
 def test_machine_traces_identical_across_shard_counts():
     def traced(k):
         cfg = MachineConfig(n_pes=8, trace=True)
-        return repro.run("sort", n=128, n_pes=8, h=2, config=cfg, shards=k).traces
+        return repro.run(
+            "sort", n=128, n_pes=8, h=2, config=cfg, plan=ExecutionPlan(shards=k)
+        ).traces
 
     t1, t2, t4 = traced(1), traced(2), traced(4)
     assert set(t1) == set(range(8))
@@ -301,13 +305,14 @@ def test_jobspec_shards_key_semantics():
     assert legacy.key() != sharded2.key()
     assert sharded2.key() == sharded4.key()
     assert "shards=2" in sharded2.describe()
+    assert sharded2.execution_plan == ExecutionPlan(shards=2)
 
 
 def test_runner_shards_option_maps_specs(tmp_path):
     from repro.runner import JobSpec, ResultCache, run_specs, using
 
     spec = JobSpec(app="sort", n_pes=4, npp=8, h=2)
-    with using(cache_dir=str(tmp_path), shards=2):
+    with using(cache_dir=str(tmp_path), plan=ExecutionPlan(shards=2)):
         records = run_specs([spec])
         cache = ResultCache(str(tmp_path))
         # Result keyed by the caller's spec; cache keyed by the exec spec.
@@ -316,6 +321,22 @@ def test_runner_shards_option_maps_specs(tmp_path):
 
         assert replace(spec, shards=2) in cache
         assert spec not in cache
+
+
+def test_pool_budget_counts_shards_pinned_on_specs(tmp_path, monkeypatch):
+    """jobs × shards is budgeted against the cores whether the shard
+    count comes from the runner's plan or is pinned on the specs."""
+    import os
+
+    from repro.runner import JobSpec, RunnerOptions, run_specs
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    specs = [JobSpec(app="sort", n_pes=4, npp=4, h=1, seed=s, shards=4) for s in range(4)]
+    workers = []
+    run_specs(specs, options=RunnerOptions(
+        jobs=4, cache_dir=str(tmp_path), progress=lambda st: workers.append(st.workers),
+    ))
+    assert workers and set(workers) == {1}
 
 
 def test_execute_job_records_wall_time_and_rss(tmp_path):

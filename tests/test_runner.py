@@ -287,14 +287,19 @@ def test_run_jobs_empty():
 
 
 def _flagged_crash_worker(spec, timeout):
-    """Crash the worker process hard iff the flag file is present.
+    """Crash the worker process hard iff this worker consumes the flag.
 
     The flag is consumed *before* dying, so the retry pass succeeds —
-    modelling a transient worker loss (OOM kill, stray signal).
+    modelling a transient worker loss (OOM kill, stray signal).  The
+    ``unlink`` is the atomic test-and-consume: when both pool workers
+    race for the flag, exactly one wins and crashes.
     """
     flag = pathlib.Path(os.environ["REPRO_TEST_CRASH_FLAG"])
-    if flag.exists():
+    try:
         flag.unlink()
+    except FileNotFoundError:
+        pass
+    else:
         os._exit(17)
     from repro.runner.worker import run_job_worker
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import pathlib
 
@@ -96,15 +95,6 @@ def test_cli_export_reports_runner_summary(capsys, tmp_path, cache_dir):
     # And the two exports are byte-identical, file by file.
     for path in sorted(out_a.glob("*.csv")):
         assert (out_b / path.name).read_bytes() == path.read_bytes()
-
-
-def test_cli_export_outdir_alias(capsys, tmp_path, cache_dir):
-    outdir = tmp_path / "legacy"
-    main(["export", "--outdir", str(outdir), "--jobs", "1",
-          "--cache-dir", str(cache_dir)])
-    capsys.readouterr()
-    rows = list(csv.DictReader((outdir / "fig6.csv").open()))
-    assert rows and rows[0]["figure"] == "fig6"
 
 
 def test_cli_fig_command_accepts_runner_flags(capsys, cache_dir):
