@@ -15,11 +15,10 @@ Quickstart — run a paper workload through the app registry::
     report = repro.run("fft", n=1024, n_pes=16, h=4)
     print(report.runtime_cycles, report.breakdown)
 
-Execution strategy (process sharding, the cohort compiler) is one
-object::
+Execution strategy (the cohort compiler) is one object::
 
-    report = repro.run("fft", n=1024, n_pes=16, h=4,
-                       plan=repro.ExecutionPlan(shards=4))
+    report = repro.run("emc-sort", n=1024, n_pes=16, h=4,
+                       plan=repro.ExecutionPlan(compiled=True))
 
 Or drive the machine directly::
 

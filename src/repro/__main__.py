@@ -12,7 +12,6 @@ Usage::
     python -m repro cache stats       # inspect the on-disk result store
     python -m repro apps              # list registered workloads + flags
     python -m repro sort --pes 8 --size 128 --threads 4
-    python -m repro sort --pes 8 --plan shards=4     # windowed parallel run
     python -m repro fft  --pes 8 --size 128 --threads 4 --plan compiled
     python -m repro sort --timeline    # ASCII per-PE activity timeline
     python -m repro trace fft --out run.perfetto.json  # Perfetto trace
@@ -55,7 +54,7 @@ from .metrics.report import format_table
 def _add_plan_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--plan", default=None, metavar="SPEC",
-        help='execution plan, e.g. "shards=4,compiled" '
+        help='execution plan, e.g. "compiled" '
              "(see repro.ExecutionPlan)")
 
 
@@ -361,7 +360,7 @@ def _cmd_apps(args: argparse.Namespace) -> None:
         print(f"{entry['name']}{alias}")
         print(f"  signature: {', '.join(entry['signature'])}")
     print("\nevery app runs through repro.run(...) and supports "
-          '--plan "shards=K,compiled"')
+          "--plan compiled")
 
 
 def _cmd_app(args: argparse.Namespace) -> None:
@@ -400,10 +399,6 @@ def _cmd_app(args: argparse.Namespace) -> None:
         print("switches/PE: " + ", ".join(
             f"{k.value} {report.switches(k):.0f}" for k in SwitchKind))
         print(f"network: {report.network.summary()}")
-        if report.windows is not None:
-            from .metrics.report import format_windows
-
-            print(format_windows(report.windows))
         if report.cohort is not None:
             from .metrics.report import format_cohort
 
@@ -433,14 +428,8 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         write_perfetto,
     )
 
-    from .obs import Category
-
     bus = EventBus()
     recorder = RingRecorder(bus, capacity=args.buffer)
-    # SHARD is opt-in (excluded from the default subscription so model
-    # streams stay K-invariant); the trace exporter wants the window-
-    # protocol track, so subscribe the same recorder explicitly.
-    bus.subscribe(recorder.record, [Category.SHARD])
     kwargs = dict(
         n_pes=args.pes, n=args.pes * args.size, h=args.threads, seed=args.seed, obs=bus
     )

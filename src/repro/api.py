@@ -107,26 +107,20 @@ class ExecutionPlan:
     Every entry point takes it the same way: :func:`run` takes
     ``plan=``, :class:`~repro.runner.sweep.RunnerOptions` has a ``plan``
     field, the CLI takes ``--plan``, and
-    :class:`~repro.runner.jobs.JobSpec` keeps the two as flat wire
-    fields behind its ``execution_plan`` property::
+    :class:`~repro.runner.jobs.JobSpec` keeps it as a flat wire field
+    behind its ``execution_plan`` property::
 
-        report = repro.run("sort", n=1024, n_pes=16, h=4,
-                           plan=repro.ExecutionPlan(shards=4))
+        report = repro.run("emc-sort", n=1024, n_pes=16, h=4,
+                           plan=repro.ExecutionPlan(compiled=True))
 
-    * ``shards`` — run the simulation across K forked worker processes
-      under the conservative-window scheme (:mod:`repro.sim.parallel`);
-      metrics are identical for every K, ``0`` keeps the sequential
-      engine.
     * ``compiled`` — route thread creation through the cohort compiler
       (:mod:`repro.compile`).
 
     The class is frozen (hashable, safe as a cache-key ingredient).
-    Every combination of its fields is legal, so :meth:`validate` only
-    checks field types; :meth:`parse` turns the CLI's
-    ``--plan shards=4,compiled`` spelling into a plan.
+    :meth:`validate` checks the field's type; :meth:`parse` turns the
+    CLI's ``--plan compiled`` spelling into a plan.
     """
 
-    shards: int = 0
     compiled: bool = False
 
     def validate(self) -> "ExecutionPlan":
@@ -134,8 +128,6 @@ class ExecutionPlan:
 
         Malformed plans raise :class:`~repro.errors.PlanError`.
         """
-        if type(self.shards) is not int or self.shards < 0:
-            raise PlanError(f"shards must be a non-negative int, got {self.shards!r}")
         if type(self.compiled) is not bool:
             raise PlanError(f"compiled must be a bool, got {self.compiled!r}")
         return self
@@ -145,8 +137,8 @@ class ExecutionPlan:
         """Build a plan from the CLI spelling ``key=value[,key=value...]``.
 
         Keys are the field names; ``compiled`` accepts a bare flag or a
-        boolean literal: ``"shards=4"``, ``"shards=2,compiled"``.  An
-        empty string is the default plan.
+        boolean literal: ``"compiled"``, ``"compiled=false"``.  An empty
+        string is the default plan; a key given twice is an error.
         """
         values: dict[str, Any] = {}
         for token in filter(None, (t.strip() for t in text.split(","))):
@@ -155,25 +147,19 @@ class ExecutionPlan:
                 key, raw = "compiled", "true"
             elif not sep:
                 raise PlanError(f"malformed plan token {token!r}; expected key=value")
-            if key == "shards":
-                try:
-                    values[key] = int(raw)
-                except ValueError:
-                    raise PlanError(f"shards must be an int, got {raw!r}") from None
-            elif key == "compiled":
+            if key in values:
+                raise PlanError(f"plan key {key!r} given more than once")
+            if key == "compiled":
                 if raw.lower() not in ("true", "false", "1", "0"):
                     raise PlanError(f"compiled must be a boolean, got {raw!r}")
                 values[key] = raw.lower() in ("true", "1")
             else:
-                raise PlanError(f"unknown plan key {key!r}; expected shards/compiled")
+                raise PlanError(f"unknown plan key {key!r}; expected compiled")
         return cls(**values).validate()
 
     def describe(self) -> str:
         """The canonical compact spelling (parseable by :meth:`parse`)."""
-        parts = [f"shards={self.shards}"]
-        if self.compiled:
-            parts.append("compiled")
-        return ",".join(parts)
+        return "compiled" if self.compiled else ""
 
 
 def call_with_plan(fn: Callable[..., Any], kwargs: dict, plan: ExecutionPlan) -> Any:
@@ -190,10 +176,6 @@ def call_with_plan(fn: Callable[..., Any], kwargs: dict, plan: ExecutionPlan) ->
     config = kwargs.get("config")
     if plan.compiled and (config is None or not config.compiled):
         kwargs = {**kwargs, "config": _with_compiled(config, True)}
-    if plan.shards:
-        from .sim import parallel
-
-        return parallel.call_app(fn, plan.shards, kwargs)
     return fn(**kwargs)
 
 

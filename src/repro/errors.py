@@ -41,8 +41,8 @@ class PlanError(ConfigError):
 
     Raised by ``ExecutionPlan.validate()`` (and the entry points that
     funnel through it) and ``ExecutionPlan.parse()`` for malformed
-    plans — a negative shard count, a non-bool ``compiled``, an unknown
-    or malformed plan key.
+    plans — a non-bool ``compiled``, an unknown, repeated or malformed
+    plan key.
     """
 
 

@@ -59,12 +59,6 @@ class MachineReport:
     #: per-tier thread counts and occupancy.  Diagnostic only, excluded
     #: from metric comparisons like ``events_fired``.
     cohort: dict | None = None
-    #: Window-protocol accounting for sharded runs (``None`` otherwise):
-    #: shard count, barrier/window counts, coalesce count, per-shard
-    #: barrier wall time and idle windows, lookahead-matrix bounds.
-    #: Diagnostic only — it depends on K and wall clocks, so it is
-    #: excluded from the serialised report and all metric comparisons.
-    windows: dict | None = None
 
     @property
     def runtime_seconds(self) -> float:
@@ -109,31 +103,11 @@ class EMX:
     ) -> None:
         self.config = config or MachineConfig()
         self.config.validate()
-        from ..sim import parallel  # machine ↔ parallel: lazy to break the cycle
-
-        #: Shard context when built inside ``repro.run(..., shards=K)``;
-        #: ``None`` selects the legacy sequential machine.
-        self.shard = parallel.active_context()
-        #: The caller's bus; in a sharded run events are captured in a
-        #: per-shard log and replayed into this bus after merging.
-        self._outer_obs = obs
-        if self.shard is not None and obs is not None:
-            from ..obs.merge import ShardEventLog
-
-            obs = ShardEventLog()
         #: Observability bus (``None`` = tracing off; every emit site in
         #: the model guards on exactly this attribute being non-None).
         self.obs = obs
         self.engine = Engine(self.config.max_cycles)
-        if self.shard is not None:
-            from ..network.sharded import ShardedOmegaNetwork
-
-            self.network = ShardedOmegaNetwork(
-                self.engine, self.config, self.shard.spec.owns, obs=obs,
-                spec=self.shard.spec,
-            )
-        else:
-            self.network = build_network(self.engine, self.config, obs=obs)
+        self.network = build_network(self.engine, self.config, obs=obs)
         self.registry = ProgramRegistry()
         self.live_threads = 0
         self._next_tid = 0
@@ -141,8 +115,7 @@ class EMX:
         self.pes = [EMCYProcessor(pe, self) for pe in range(self.config.n_pes)]
         for proc in self.pes:
             self.network.attach(proc.pe, proc.deliver)
-        if self.shard is None:
-            self.engine.quiescence_watcher = self._stuck_report
+        self.engine.quiescence_watcher = self._stuck_report
         #: Cohort compiler (``compiled=True`` only): intercepts thread
         #: creation to swap in compiled effect steppers.
         self.cohorts = None
@@ -176,8 +149,6 @@ class EMX:
             raise ProgramError(f"spawn on PE {pe} of {self.config.n_pes}")
         if func_name not in self.registry:
             raise ProgramError(f"spawn of unregistered thread function {func_name!r}")
-        if self.shard is not None and not self.shard.spec.owns(pe):
-            return  # another shard simulates this PE (setup is replicated)
         pkt = Packet(
             kind=PacketKind.INVOKE,
             src=pe,
@@ -269,10 +240,6 @@ class EMX:
     # ------------------------------------------------------------------
     def run(self, until: int | None = None) -> MachineReport:
         """Run to quiescence (or ``until``) and return the report."""
-        if self.shard is not None:
-            from ..sim import parallel
-
-            return parallel.run_windowed(self, until)
         self.engine.run(until)
         runtime = max((p.counters.last_active for p in self.pes), default=0)
         for proc in self.pes:

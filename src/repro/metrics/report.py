@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-__all__ = ["format_table", "format_cohort", "format_series", "format_windows"]
+__all__ = ["format_table", "format_cohort", "format_series"]
 
 
 def _cell(value: Any) -> str:
@@ -62,24 +62,3 @@ def format_series(name: str, series: dict[int, float], unit: str = "") -> str:
     header_y = f"{name}{f' [{unit}]' if unit else ''}"
     return format_table(["threads", header_y], rows)
 
-
-def format_windows(windows: dict) -> str:
-    """Render ``MachineReport.windows`` (sharded-run barrier accounting).
-
-    One summary line — shard count, barrier count, coalesced jumps, the
-    lookahead-matrix spread — followed by a per-shard table of window
-    counts, idle windows and barrier wall time.
-    """
-    summary = (
-        f"windows: shards={windows['shards']}  "
-        f"barriers={windows['count']}  coalesced={windows['coalesced']}  "
-        f"lookahead={windows['lookahead_min']}..{windows['lookahead_max']}"
-    )
-    rows = [
-        (shard, per["windows"], per["idle_windows"], per["barrier_wall_seconds"])
-        for shard, per in enumerate(windows["per_shard"])
-    ]
-    table = format_table(
-        ["shard", "windows", "idle", "barrier_s"], rows
-    )
-    return f"{summary}\n{table}"

@@ -50,11 +50,6 @@ def report_to_dict(report) -> dict[str, Any]:
     Compiled runs add a ``cohort`` section (the compiler's accounting);
     interpreted runs serialise exactly as they always have, so cached
     records and goldens are unaffected.
-
-    ``MachineReport.windows`` is deliberately **not** serialised: it
-    describes the shard partition and wall-clock barrier costs, so
-    including it would break the cross-K byte-identity of serialised
-    reports (K ∈ {1, 2, 4} must produce identical bytes).
     """
     breakdown = report.breakdown
     out = {

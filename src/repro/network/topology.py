@@ -18,7 +18,7 @@ power of two (the prototype's 80) are padded with pure switch boxes.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from ..errors import RoutingError
 
@@ -102,37 +102,6 @@ class CircularOmegaTopology:
             self.hop_count(s, d) for s in range(self.n_pes) for d in range(self.n_pes)
         )
         return total / (self.n_pes * self.n_pes)
-
-    def min_hops_between(
-        self, sources: "range | Sequence[int]", targets: "range | Sequence[int]"
-    ) -> int:
-        """Smallest hop count from any PE in ``sources`` to any *other*
-        PE in ``targets`` (same-PE pairs are excluded — a self-send
-        never crosses the network).
-
-        This is the topology-distance primitive behind the sharded
-        engine's per-pair lookahead matrix
-        (:func:`repro.network.sharded.lookahead_matrix`): the earliest a
-        packet injected by the source group can reach the target group
-        is ``min_hops + eject`` cycles later, so disjoint groups that
-        sit far apart on the shuffle ring legitimately synchronise less
-        often than adjacent ones.
-        """
-        best: int | None = None
-        for src in sources:
-            for dst in targets:
-                if src == dst:
-                    continue
-                hops = self.hop_count(src, dst)
-                if best is None or hops < best:
-                    best = hops
-                    if best == 1:
-                        return best  # ring minimum for distinct boxes
-        if best is None:
-            raise RoutingError(
-                f"no cross pair between PE groups {sources!r} and {targets!r}"
-            )
-        return best
 
     def graph(self):  # pragma: no cover - optional convenience
         """The switch digraph as a ``networkx.DiGraph`` (edges carry ``bit``)."""

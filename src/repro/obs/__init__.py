@@ -44,7 +44,6 @@ from .events import (
     PacketHop,
     PacketSend,
     ServiceEvent,
-    ShardWindow,
     ThreadLife,
     ThreadSwitch,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "BarrierEvent",
     "ThreadLife",
     "ServiceEvent",
-    "ShardWindow",
     "EventBus",
     "RingRecorder",
     "PacketSpan",

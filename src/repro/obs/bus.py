@@ -34,13 +34,7 @@ class EventBus:
     def subscribe(
         self, fn: Subscriber, categories: Iterable[Category] | None = None
     ) -> None:
-        """Deliver every event (or only ``categories``) to ``fn``.
-
-        ``categories=None`` means *every model category*: it excludes
-        :attr:`Category.SHARD`, whose events describe the shard
-        partition rather than the simulated machine and are delivered
-        only to subscribers naming the category explicitly.
-        """
+        """Deliver every event (or only ``categories``) to ``fn``."""
         cats = None if categories is None else frozenset(categories)
         self._subscribers.append((fn, cats))
         self._rebuild()
@@ -60,7 +54,7 @@ class EventBus:
             c: tuple(
                 fn
                 for fn, cats in self._subscribers
-                if (c is not Category.SHARD if cats is None else c in cats)
+                if cats is None or c in cats
             )
             for c in Category
         }

@@ -35,7 +35,6 @@ __all__ = [
     "ThreadLife",
     "ServiceEvent",
     "CohortEvent",
-    "ShardWindow",
 ]
 
 
@@ -50,13 +49,6 @@ class Category(enum.Enum):
     THREAD = "thread"
     SERVICE = "service"
     COHORT = "cohort"
-    #: Window-protocol diagnostics from sharded runs.  Opt-in only: a
-    #: ``categories=None`` subscription does **not** receive it (see
-    #: :class:`~repro.obs.bus.EventBus`), because these events describe
-    #: the partition (K, barrier placement, wall time), not the
-    #: simulated machine, and would break the K-invariance of default
-    #: recordings.
-    SHARD = "shard"
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,29 +198,6 @@ class CohortEvent:
     kind: str
     name: str = ""
     n: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class ShardWindow:
-    """One conservative window executed by one shard.
-
-    Emitted by the window protocol (:mod:`repro.sim.parallel`) after the
-    final merge, one event per (shard, window), in ``(t, end, shard)``
-    order.  ``t``/``end`` bound the window in simulated cycles;
-    ``barrier_us`` is the *wall-clock* microseconds that shard spent in
-    the window's opening barrier (like :class:`ServiceEvent`, real time
-    rides along as a diagnostic); ``fired`` counts the events the shard
-    fired inside the window (0 = it sat the window out).  SHARD-category
-    — subscribe to it explicitly; see :class:`Category`.
-    """
-
-    category: ClassVar[Category] = Category.SHARD
-
-    t: int
-    end: int
-    shard: int
-    barrier_us: float = 0.0
-    fired: int = 0
 
 
 @dataclass(frozen=True, slots=True)

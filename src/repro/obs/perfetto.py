@@ -14,10 +14,6 @@ Serialises a recorded event stream to the JSON trace-event format that
 * instant events for context switches (classified as the paper's
   Fig. 9 kinds), matching-store parks/matches, barrier protocol steps
   and thread lifecycle transitions;
-* a ``shards`` pseudo-process with one track per shard, carrying the
-  window-protocol schedule of sharded runs (SHARD-category
-  :class:`~repro.obs.events.ShardWindow` events — recorded only by
-  subscribers that opted into the category);
 * instant ``cohort:*`` markers on the PE tracks for cohort-compiler
   progress (:class:`~repro.obs.events.CohortEvent` — present only on
   ``compiled=True`` runs).
@@ -41,7 +37,6 @@ from .events import (
     PacketDeliver,
     PacketHop,
     PacketSend,
-    ShardWindow,
     ThreadLife,
     ThreadSwitch,
 )
@@ -103,7 +98,6 @@ def to_perfetto(events, *, n_pes: int | None = None) -> dict:
     def _bar_id(barrier_id: int) -> int:
         return bar_norm.setdefault(barrier_id, len(bar_norm))
     pes: set[int] = set(range(n_pes)) if n_pes is not None else set()
-    shards: set[int] = set()
     trace: list[dict] = []
     for ev in events:
         et = type(ev)
@@ -144,9 +138,6 @@ def to_perfetto(events, *, n_pes: int | None = None) -> dict:
             if ev.seq in paired:
                 trace.append(ev)
         elif et is PacketHop:
-            trace.append(ev)
-        elif et is ShardWindow:
-            shards.add(ev.shard)
             trace.append(ev)
         elif et is CohortEvent:
             # Compiler progress markers (one per EM-C tier decision) on
@@ -203,14 +194,6 @@ def to_perfetto(events, *, n_pes: int | None = None) -> dict:
     pids = sorted(pes)
     net_pid = (max(pids) + 1) if pids else 0
     out: list[dict] = _metadata(pids, net_pid)
-    # Window-protocol track: one pseudo-process, one thread per shard.
-    shard_pid = net_pid + 1
-    for shard in sorted(shards):
-        if shard == min(shards):
-            out.append({"ph": "M", "name": "process_name", "pid": shard_pid,
-                        "tid": 0, "args": {"name": "shards"}})
-        out.append({"ph": "M", "name": "thread_name", "pid": shard_pid,
-                    "tid": shard, "args": {"name": f"shard {shard}"}})
     for item in trace:
         et = type(item)
         if et is dict:
@@ -242,21 +225,6 @@ def to_perfetto(events, *, n_pes: int | None = None) -> dict:
                 "name": f"sw{item.node}.{item.bit}", "cat": "hop", "ph": "i",
                 "s": "t", "ts": _us(item.t), "pid": net_pid, "tid": 0,
                 "args": {"seq": _id(item.seq)},
-            })
-        elif et is ShardWindow:
-            # One duration slice per (shard, window) on the shard track:
-            # the window-protocol schedule laid over the machine's
-            # timeline, so barrier placement is visible next to the
-            # bursts it paces.
-            out.append({
-                "name": f"window s{item.shard}", "cat": "shard",
-                "ph": "X", "ts": _us(item.t),
-                "dur": _us(item.end) - _us(item.t),
-                "pid": shard_pid, "tid": item.shard,
-                "args": {
-                    "shard": item.shard, "cycles": item.end - item.t,
-                    "barrier_us": item.barrier_us, "fired": item.fired,
-                },
             })
     return {
         "traceEvents": out,

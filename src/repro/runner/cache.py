@@ -63,7 +63,7 @@ class CacheStats:
     #: Aggregated execution cost of the entries that recorded it (older
     #: entries predate the side channel): total simulation wall time and
     #: the largest per-job peak RSS.  This is the data `cache stats`
-    #: surfaces for budgeting jobs × shards against a machine's cores
+    #: surfaces for budgeting a sweep's jobs against a machine's cores
     #: and memory.
     timed_entries: int = 0
     wall_seconds: float = 0.0

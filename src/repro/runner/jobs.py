@@ -86,12 +86,6 @@ class JobSpec:
     network_model: str = "detailed"
     priority_replies: bool = False
     seed: int = 0
-    #: 0 = legacy sequential simulation; K >= 1 runs the sharded
-    #: conservative-window semantics (see :mod:`repro.sim.parallel`)
-    #: across K worker processes.  Metrics are K-independent, so the
-    #: cache key only records *that* the sharded semantics was used,
-    #: never the worker count.
-    shards: int = 0
     #: Route thread creation through the cohort compiler
     #: (:mod:`repro.compile`).  Differentially proven byte-identical,
     #: but compiled jobs still key distinctly so a cache entry records
@@ -101,7 +95,7 @@ class JobSpec:
     @property
     def execution_plan(self) -> ExecutionPlan:
         """This spec's execution strategy as one :class:`ExecutionPlan`."""
-        return ExecutionPlan(shards=self.shards, compiled=self.compiled)
+        return ExecutionPlan(compiled=self.compiled)
 
     def validate(self) -> None:
         """Raise on an unrunnable spec (unknown app, nonsense sizes, or
@@ -141,10 +135,6 @@ class JobSpec:
             "seed": self.seed,
             "machine": machine_fingerprint(self.config()),
         }
-        if self.shards:
-            # The sharded network is a distinct (K-independent)
-            # semantics; legacy specs keep their historical keys.
-            payload["sharded"] = True
         if self.compiled:
             # Byte-identical by the compile oracle, but a cache entry
             # still records how it was produced; interpreted specs keep
@@ -164,8 +154,6 @@ class JobSpec:
             extras.append("prio")
         if self.seed:
             extras.append(f"seed={self.seed}")
-        if self.shards:
-            extras.append(f"shards={self.shards}")
         if self.compiled:
             extras.append("compiled")
         suffix = f" [{','.join(extras)}]" if extras else ""
@@ -192,7 +180,6 @@ _SPEC_FIELDS = {
     "network_model": str,
     "priority_replies": bool,
     "seed": int,
-    "shards": int,
     "compiled": bool,
 }
 _SPEC_REQUIRED = ("app", "n_pes", "npp", "h")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import os
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
@@ -72,12 +71,9 @@ class RunnerOptions:
     #: key is unaffected).
     trace_dir: str | None = None
     #: Execution strategy for jobs whose specs don't pin their own.
-    #: ``plan.shards`` K >= 1 runs each such job under the sharded
-    #: conservative-window semantics (:mod:`repro.sim.parallel`) with K
-    #: processes; the pool fan-out is clamped so jobs × shards never
-    #: oversubscribes the machine.  ``plan.compiled`` routes thread
-    #: creation through the cohort compiler (byte-identical by the
-    #: compile oracle; see :mod:`repro.compile`).
+    #: ``plan.compiled`` routes thread creation through the cohort
+    #: compiler (byte-identical by the compile oracle; see
+    #: :mod:`repro.compile`).
     plan: ExecutionPlan = ExecutionPlan()
 
     def validate(self) -> None:
@@ -189,11 +185,8 @@ def _write_back(cache: ResultCache | None, spec: JobSpec, record) -> None:
 def _exec_spec(spec: JobSpec, options: RunnerOptions) -> JobSpec:
     """The spec actually executed: ``options.plan`` applied to whatever
     the spec does not pin itself (memo and cache key off this one, so
-    sharded/compiled results never alias sequential entries)."""
-    plan = options.plan
-    if plan.shards and not spec.shards:
-        spec = replace(spec, shards=plan.shards)
-    if plan.compiled and not spec.compiled:
+    compiled results never alias interpreted entries)."""
+    if options.plan.compiled and not spec.compiled:
         spec = replace(spec, compiled=True)
     return spec
 
@@ -259,11 +252,6 @@ def run_specs(
     if misses:
         especs = dedupe(exec_of[spec] for spec in misses)
         workers = options.jobs
-        shards = max(espec.shards for espec in especs)
-        if shards > 1 and workers > 1:
-            # Every sharded job occupies `shards` cores: budget the pool
-            # so jobs × shards stays within the machine.
-            workers = max(1, min(workers, (os.cpu_count() or 1) // shards))
         status = PoolStatus(total=len(ordered), workers=workers, cached=len(results))
         if options.progress is not None:
             options.progress(status)

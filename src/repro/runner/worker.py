@@ -181,10 +181,8 @@ def execute_job(spec: JobSpec, *, trace_dir: str | None = None):
     kwargs = dict(
         n_pes=spec.n_pes, n=n, h=spec.h, config=config, seed=spec.seed, obs=bus
     )
-    # One dispatch funnel for every execution mode: sharded runs and
-    # the cohort compiler.  The spec's two execution fields are exactly
-    # an ExecutionPlan; config already carries compiled, so the plan
-    # only adds the shard fan-out here.
+    # The dispatch funnel every entry point shares; the spec's one
+    # execution field, ``compiled``, already rides on ``config``.
     result = call_with_plan(fn, kwargs, spec.execution_plan)
     verified = result_ok(result)
     if not verified:
@@ -219,14 +217,17 @@ def execute_job(spec: JobSpec, *, trace_dir: str | None = None):
 
 
 def _max_rss_kb() -> int | None:
-    """Peak RSS of this process (and its reaped shard children), in KiB."""
+    """Peak RSS of this process, in KiB.
+
+    Only ``RUSAGE_SELF``: a job runs in this process, so the peak of
+    any child it has reaped (an earlier pool's workers, a subprocess)
+    is not the job's.
+    """
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX
         return None
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
-    peak = max(usage.ru_maxrss, children.ru_maxrss)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Linux reports KiB; macOS reports bytes.
     if sys.platform == "darwin":  # pragma: no cover - linux CI
         peak //= 1024

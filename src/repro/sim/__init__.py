@@ -9,9 +9,6 @@ The production queue is a two-tier calendar queue (see
 :mod:`repro.sim.queue`); :class:`ReferenceEventQueue` keeps the original
 heapq implementation as a differential-testing oracle and benchmark
 reference.
-
-:mod:`repro.sim.parallel` shards one simulation across worker
-processes under a conservative-window protocol.
 """
 
 from .clock import Clock, cycles_to_seconds, seconds_to_cycles

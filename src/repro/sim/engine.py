@@ -64,19 +64,6 @@ class Engine:
         #: Optional callable returning a description of stuck work, or
         #: ``None``/empty string when the model is legitimately done.
         self.quiescence_watcher: Callable[[], str | None] | None = None
-        #: Optional head-of-cycle hook, called with the new cycle number
-        #: after the clock advances and before any of that cycle's
-        #: events fire.  The sharded network delivers pending packet
-        #: arrivals here, so delivery order is a pure function of the
-        #: simulation — independent of how the run is windowed across
-        #: shard barriers.  Anything the hook schedules for the current
-        #: cycle fires after the cycle's pre-existing events (normal
-        #: ``seq`` order).
-        self.pre_cycle: Callable[[int], None] | None = None
-        # Highest cycle the generic loop has run the hook for (the
-        # calendar loop visits each cycle exactly once and needs no
-        # tracker).
-        self._hooked_cycle = -1
         self._push = self.queue.push  # bound once: schedule() is hot
         if type(self.queue) is EventQueue:
             self._bind_fast_schedule()
@@ -201,9 +188,6 @@ class Engine:
                     return
             clock.advance_to(t)
             self.now = t
-            pre_cycle = self.pre_cycle
-            if pre_cycle is not None:
-                pre_cycle(t)
             # Fire the whole bucket in place.  Same-cycle pushes append
             # to `bucket` while we iterate, so the index runs until it
             # falls off the (possibly growing) end — IndexError is the
@@ -244,9 +228,6 @@ class Engine:
             ev = queue.pop()
             clock.advance_to(ev.time)
             self.now = ev.time
-            if self.pre_cycle is not None and ev.time > self._hooked_cycle:
-                self._hooked_cycle = ev.time
-                self.pre_cycle(ev.time)
             self.events_fired += 1
             ev.fn(*ev.args)
 

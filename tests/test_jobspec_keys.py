@@ -67,17 +67,9 @@ def test_seed_and_machine_flags_move_the_key():
         JobSpec(app="sort", n_pes=4, npp=32, h=2, seed=1),
         JobSpec(app="sort", n_pes=4, npp=32, h=2, em4_mode=True),
         JobSpec(app="sort", n_pes=4, npp=32, h=2, priority_replies=True),
-        JobSpec(app="sort", n_pes=4, npp=32, h=2, shards=2),
     ]
     keys = {base.key()} | {variant.key() for variant in variants}
     assert len(keys) == len(variants) + 1
-
-
-def test_shard_count_does_not_move_the_key():
-    """Sharding is K-independent semantics: K=2 and K=8 share a key."""
-    two = JobSpec(app="sort", n_pes=4, npp=32, h=2, shards=2)
-    eight = JobSpec(app="sort", n_pes=4, npp=32, h=2, shards=8)
-    assert two.key() == eight.key()
 
 
 def test_keys_match_across_processes():

@@ -184,3 +184,41 @@ def test_hottest_ports_sorted():
 def test_port_utilization_empty_network():
     engine, net, _ = rig()
     assert net.port_utilization() == {}
+
+
+# ----------------------------------------------------------------------
+# Differential: analytic vs detailed agree on conflict-free traffic
+# ----------------------------------------------------------------------
+def _probe_latencies(n_pes, model):
+    """Per-packet delivery latency of every ordered pair, one packet in
+    flight at a time (1000-cycle spacing leaves every port idle)."""
+    config = MachineConfig(n_pes=n_pes, network_model=model)
+    engine = Engine()
+    net = build_network(engine, config)
+    latencies = {}
+    sent_at = {}
+
+    def sink_for(dst):
+        def sink(p):
+            latencies[(p.src, p.dst)] = engine.now - sent_at[(p.src, p.dst)]
+
+        return sink
+
+    for pe in range(n_pes):
+        net.attach(pe, sink_for(pe))
+    pairs = [(s, d) for s in range(n_pes) for d in range(n_pes) if s != d]
+    for i, (src, dst) in enumerate(pairs):
+        when = i * 1000
+        sent_at[(src, dst)] = when
+        packet = Packet(kind=PacketKind.READ_REQ, src=src, dst=dst, data=None)
+        engine.schedule_at(when, net.send, packet)
+    engine.run()
+    assert len(latencies) == len(pairs)
+    return latencies
+
+
+@pytest.mark.parametrize("n_pes", [2, 16, 64])
+def test_models_agree_on_conflict_free_traffic(n_pes):
+    detailed = _probe_latencies(n_pes, "detailed")
+    analytic = _probe_latencies(n_pes, "analytic")
+    assert detailed == analytic

@@ -121,6 +121,36 @@ def test_cache_miss_put_hit(tmp_path):
     assert st.entries == len(cache) == 1 and st.bytes > 0
 
 
+def test_execute_job_records_wall_time_and_rss(tmp_path):
+    record = execute_job(SPEC)
+    exec_info = getattr(record, "_exec")
+    assert exec_info["wall_seconds"] > 0
+    assert exec_info["max_rss_kb"] is None or exec_info["max_rss_kb"] > 0
+    cache = ResultCache(str(tmp_path))
+    cache.put(SPEC, record)
+    st = cache.stats()
+    assert st.timed_entries == 1
+    assert st.wall_seconds > 0
+    assert "timed entries" in st.describe()
+    # The side channel never leaks into record equality or serialisation.
+    assert "_exec" not in run_record_to_dict(record)
+    assert cache.get(SPEC) == record
+
+
+def test_recorded_rss_ignores_reaped_children(monkeypatch):
+    """A job's peak RSS is this process's own: a bigger child reaped
+    earlier (a finished pool worker, any subprocess) is not the job's."""
+    import resource
+    from types import SimpleNamespace
+
+    peaks = {resource.RUSAGE_SELF: 40_000, resource.RUSAGE_CHILDREN: 400_000}
+    monkeypatch.setattr(
+        resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=peaks[who])
+    )
+    record = execute_job(SPEC)
+    assert getattr(record, "_exec")["max_rss_kb"] == 40_000
+
+
 def test_cache_env_var_root(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "via-env"))
     assert ResultCache().root == tmp_path / "via-env"
@@ -202,6 +232,24 @@ def test_clear_cache_disk_purges(tmp_path):
         reset_stats()
         run_job(SPEC)
     assert stats().executed == 1
+
+
+def test_runner_compiled_option_maps_specs(tmp_path):
+    """``RunnerOptions.plan`` applies to specs that don't pin their own:
+    the result is keyed by the caller's spec, the cache by the spec
+    actually executed."""
+    from dataclasses import replace
+
+    from repro import ExecutionPlan
+
+    clear_memo()
+    spec = JobSpec(app="emc-sort", n_pes=2, npp=8, h=2)
+    with using(cache_dir=str(tmp_path), plan=ExecutionPlan(compiled=True)):
+        records = run_specs([spec])
+    cache = ResultCache(str(tmp_path))
+    assert list(records) == [spec]
+    assert replace(spec, compiled=True) in cache
+    assert spec not in cache
 
 
 def test_options_validation_and_reset():
