@@ -4,72 +4,32 @@ sorting eight elements — as a live timeline.
 
 Px holds (2,5,6,7) and Py holds (1,3,4,8); each processor's two threads
 read the mate's elements through split-phase reads and merge in token
-order.  With tracing enabled, the rendered timeline shows exactly the
-paper's story: interleaved read bursts, dormant windows where both
-threads await replies (unmasked communication), and the serialized
-merges at the end.
+order.  Recording the run's burst events, the rendered timeline shows
+exactly the paper's story: interleaved read bursts, dormant windows
+where both threads await replies (unmasked communication), and the
+serialized merges at the end.
 
 Run:  python examples/fig4_timeline.py
 """
 
-from repro import MachineConfig
 from repro.apps import run_bitonic
+from repro.obs import Category, EventBus, burst_timeline
 from repro.trace import render_timeline, utilization
 
 
 def main() -> None:
     # The paper's Fig. 4 data: one compare-split step over two PEs.
     data = [2, 5, 6, 7, 1, 3, 4, 8]
-    result = run_bitonic(
-        n_pes=2,
-        n=8,
-        h=2,
-        data=data,
-        config=MachineConfig(n_pes=2, trace=True),
-    )
+    bus = EventBus()
+    spans: list = []
+    bus.subscribe(spans.append, [Category.BURST])
+    result = run_bitonic(n_pes=2, n=8, h=2, data=data, obs=bus)
     assert result.sorted_ok
     print("sorted output:", result.output)
     print()
 
-    # Re-run to grab the machine's traces (run_bitonic builds its own
-    # machine internally, so drive one explicitly for the timeline).
-    from repro import EMX
-    from repro.apps.bitonic import (
-        BitonicParams,
-        STABLE_BASE,
-        _fresh_merge_state,
-        bitonic_worker,
-    )
-    from repro.apps.reference import compare_split_direction, reference_bitonic_schedule
-    from repro.core import OrderToken
-    from repro.isa.costs import KERNEL_COSTS
-
-    machine = EMX(MachineConfig(n_pes=2, trace=True))
-    machine.register(bitonic_worker)
-    barrier = machine.make_barrier(2)
-    schedule = reference_bitonic_schedule(2)
-    params = BitonicParams(
-        h=2,
-        npp=4,
-        kernel=KERNEL_COSTS,
-        barrier=barrier,
-        schedule=schedule,
-        read_issue_cycles=machine.config.timing.pkt_gen,
-    )
-    for pe in range(2):
-        block = list(data[pe * 4 : (pe + 1) * 4])
-        machine.pes[pe].memory.write_block(STABLE_BASE, block)
-        st = machine.pes[pe].guest_state
-        st["params"] = params
-        st["token"] = OrderToken()
-        st["L"] = block
-        _, keep_low0 = compare_split_direction(pe, *schedule[0])
-        st["mi"] = _fresh_merge_state(keep_low0, 4)
-        for t in range(2):
-            machine.spawn(pe, "bitonic_worker", t)
-    machine.run()
-
-    traces = machine.traces()
+    traces = {pe: [] for pe in range(2)}
+    traces.update(burst_timeline(spans))
     print(render_timeline(traces, width=76))
     print()
     for pe, events in traces.items():

@@ -37,7 +37,7 @@ Or drive the machine directly::
     print(report.runtime_cycles, report.network.summary())
 """
 
-from .api import APPS, ExecutionPlan, app_names, connect, get_app, register_app, run
+from .api import APPS, ExecutionPlan, app_names, get_app, register_app, run
 from .config import CLOCK_HZ, CYCLE_SECONDS, MachineConfig, TimingModel
 from .core import GlobalBarrier, OrderToken, ThreadCtx
 from .errors import ReproError
@@ -49,7 +49,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "run",
-    "connect",
     "ExecutionPlan",
     "APPS",
     "app_names",

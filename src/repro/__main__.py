@@ -15,9 +15,6 @@ Usage::
     python -m repro fft  --pes 8 --size 128 --threads 4 --plan compiled
     python -m repro sort --timeline    # ASCII per-PE activity timeline
     python -m repro trace fft --out run.perfetto.json  # Perfetto trace
-    python -m repro serve --port 8737  # start the multi-client sweep service
-    python -m repro submit --url http://127.0.0.1:8737 --figures fig6
-    python -m repro svc-status         # inspect a running service
 
 ``REPRO_SCALE`` (tiny | small | large) picks the figure size ladder.
 Figure-producing commands accept ``--jobs N`` (parallel simulation),
@@ -200,116 +197,14 @@ def _cmd_cache(args: argparse.Namespace) -> None:
     cache = ResultCache(args.cache_dir)
     if args.action == "stats":
         if args.json:
-            # The same schema the service's /status "cache" section
-            # uses (counters are zeros here: this process did no
-            # lookups — the keys exist so tooling can share one parser).
+            # CacheStats.to_dict(); the lookup counters are zeros here
+            # because this process did no lookups.
             print(json.dumps(cache.stats().to_dict(), indent=2, sort_keys=True))
         else:
             print(f"cache: {cache.stats().describe()}")
     else:
         dropped = cache.purge()
         print(f"purged {dropped} entries from {cache.root}")
-
-
-def _cmd_serve(args: argparse.Namespace) -> None:
-    import asyncio
-    import dataclasses
-    import json
-    import signal
-
-    from .service import SweepService
-
-    bus = recorder = None
-    if args.obs_log:
-        from .obs import Category, EventBus, RingRecorder
-
-        bus = EventBus()
-        recorder = RingRecorder(bus, categories=[Category.SERVICE])
-
-    async def main() -> None:
-        service = SweepService(
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
-            workers=args.workers,
-            inline=args.inline,
-            batch_size=args.batch_size,
-            linger_s=args.linger,
-            max_queue=args.max_queue,
-            timeout=args.timeout,
-            obs=bus,
-        )
-        host, port = await service.start(args.host, args.port)
-        print(f"repro service listening on http://{host}:{port} "
-              f"(workers {service.workers}, batch {service.batch_size}, "
-              f"queue {service.max_queue})", flush=True)
-        loop = asyncio.get_running_loop()
-
-        def _stop() -> None:
-            asyncio.ensure_future(service.shutdown(drain=True))
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, _stop)
-            except (NotImplementedError, OSError):  # pragma: no cover
-                pass
-        await service.wait_stopped()
-        print(f"service: {service.stats.describe()}")
-        if recorder is not None:
-            with open(args.obs_log, "w") as fh:
-                for event in recorder.events:
-                    fh.write(json.dumps(dataclasses.asdict(event)) + "\n")
-            print(f"wrote {len(recorder)} service events to {args.obs_log}")
-
-    asyncio.run(main())
-
-
-def _progress_submit():
-    """Per-job progress on interactive stderr, else None."""
-    if not sys.stderr.isatty():
-        return None
-
-    def _print(event: dict) -> None:
-        if event.get("event") == "job":
-            print(f"  {event['key'][:12]} {event['source']}", file=sys.stderr)
-
-    return _print
-
-
-def _cmd_submit(args: argparse.Namespace) -> None:
-    from .experiments.common import THREAD_SWEEP
-    from .runner import FIGURES, JobSpec, expand_figures
-    from .service import SweepClient
-
-    if args.app:
-        specs = [JobSpec(app=args.app, n_pes=args.pes, npp=args.size,
-                         h=args.h, seed=args.seed)]
-    else:
-        threads = THREAD_SWEEP
-        if args.threads:
-            threads = tuple(int(h) for h in args.threads.split(","))
-        figures = tuple(args.figures) if args.figures else FIGURES
-        specs = expand_figures(default_scale(), threads, figures)
-    client = SweepClient(args.url, timeout_s=args.timeout)
-    summary = client.submit(
-        specs, stream=not args.no_stream, on_progress=_progress_submit()
-    )
-    print(f"{summary['jobs']} jobs: {summary['warm']} warm, "
-          f"{summary['dedup']} deduped, {summary['executed']} executed, "
-          f"{summary['failed']} failed")
-    if summary["failed"]:
-        for entry in summary["results"]:
-            if entry["error"] is not None:
-                print(f"  FAILED {entry['key'][:12]}: {entry['error']}",
-                      file=sys.stderr)
-        sys.exit(1)
-
-
-def _cmd_svc_status(args: argparse.Namespace) -> None:
-    import json
-
-    from .service import SweepClient
-
-    print(json.dumps(SweepClient(args.url).status(), indent=2, sort_keys=True))
 
 
 def _cmd_goldens(args: argparse.Namespace) -> None:
@@ -367,16 +262,17 @@ def _cmd_app(args: argparse.Namespace) -> None:
     runner = get_app(args.app)
     kwargs: dict = {}
     recorder = None
-    if args.trace:
-        from .obs import EventBus, RingRecorder
+    spans: list = []
+    if args.trace or args.timeline:
+        from .obs import Category, EventBus, RingRecorder
 
+        # One bus feeds both the Perfetto recording and the timeline.
         bus = EventBus()
-        recorder = RingRecorder(bus)
         kwargs["obs"] = bus
-    if args.timeline:
-        from .config import MachineConfig
-
-        kwargs["config"] = MachineConfig(trace=True)
+        if args.trace:
+            recorder = RingRecorder(bus)
+        if args.timeline:
+            bus.subscribe(spans.append, [Category.BURST])
     kwargs.update(n_pes=args.pes, n=args.pes * args.size, h=args.threads,
                   seed=args.seed)
     from .api import call_with_plan
@@ -404,9 +300,13 @@ def _cmd_app(args: argparse.Namespace) -> None:
 
             print(format_cohort(report.cohort))
     if args.timeline:
+        from .obs import burst_timeline
         from .trace import render_timeline
 
-        print(render_timeline(report.traces, start=0, end=report.runtime_cycles))
+        # Every PE gets a row, even one that never ran a burst.
+        rows = {pe: [] for pe in range(args.pes)}
+        rows.update(burst_timeline(spans))
+        print(render_timeline(rows, start=0, end=report.runtime_cycles))
     if recorder is not None:
         from .obs import write_perfetto
 
@@ -495,69 +395,8 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)")
     p.add_argument("--json", action="store_true",
-                   help="emit stats as JSON (the service /status schema)")
+                   help="emit stats as JSON (CacheStats.to_dict())")
     p.set_defaults(func=_cmd_cache)
-
-    from .service import DEFAULT_PORT
-
-    p = sub.add_parser(
-        "serve",
-        help="start the multi-client sweep service (shared cache, "
-             "in-flight dedup, batched execution, backpressure)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=DEFAULT_PORT,
-                   help="listen port; 0 picks an ephemeral port "
-                        "(default: %(default)s)")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="batch worker processes (default: all cores)")
-    p.add_argument("--inline", action="store_true",
-                   help="run batches in server-process threads instead of "
-                        "a process pool (tiny jobs, tests)")
-    p.add_argument("--batch-size", type=int, default=8, metavar="B",
-                   help="max jobs coalesced per dispatched batch "
-                        "(default: %(default)s)")
-    p.add_argument("--linger", type=float, default=0.02, metavar="SEC",
-                   help="how long an open batch waits for more jobs "
-                        "(default: %(default)s)")
-    p.add_argument("--max-queue", type=int, default=256, metavar="Q",
-                   help="admission-queue bound; beyond it sweeps shed "
-                        "with HTTP 429 (default: %(default)s)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                   help="per-job wall-clock budget (default: unlimited)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="shared result-cache root "
-                        "(default: $REPRO_CACHE_DIR or ~/.cache/repro)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="serve without the shared disk cache (dedup only)")
-    p.add_argument("--obs-log", default=None, metavar="FILE",
-                   help="write service events as JSON lines on shutdown")
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser("submit", help="submit a sweep to a running service")
-    p.add_argument("--url", default=f"http://127.0.0.1:{DEFAULT_PORT}",
-                   help="service URL (default: %(default)s)")
-    p.add_argument("--figures", nargs="+", metavar="FIG",
-                   choices=["fig6", "fig7", "fig8", "fig9"],
-                   help="submit these figures' sweeps (default: all)")
-    p.add_argument("--threads", default=None, metavar="H,H,...",
-                   help="comma-separated thread counts "
-                        "(default: the paper's 1..16 sweep)")
-    p.add_argument("--app", default=None,
-                   help="submit one job instead of figure sweeps")
-    p.add_argument("--pes", type=int, default=8)
-    p.add_argument("--size", type=int, default=64, help="elements per PE")
-    p.add_argument("--h", type=int, default=4, help="threads per PE")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=300.0, metavar="SEC",
-                   help="client-side response timeout (default: %(default)s)")
-    p.add_argument("--no-stream", action="store_true",
-                   help="single JSON response instead of streamed progress")
-    p.set_defaults(func=_cmd_submit)
-
-    p = sub.add_parser("svc-status", help="print a running service's status")
-    p.add_argument("--url", default=f"http://127.0.0.1:{DEFAULT_PORT}",
-                   help="service URL (default: %(default)s)")
-    p.set_defaults(func=_cmd_svc_status)
 
     p = sub.add_parser("apps", help="list registered workloads and their flags")
     p.add_argument("--json", action="store_true",
@@ -575,9 +414,12 @@ def main(argv: list[str] | None = None) -> None:
         p.add_argument("--size", type=int, default=128, help="elements per PE")
         p.add_argument("--threads", type=int, default=4)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true", help="emit the full report as JSON")
-        p.add_argument("--timeline", action="store_true",
-                       help="render an ASCII per-PE activity timeline")
+        # The timeline is text, so it cannot follow a JSON document.
+        output = p.add_mutually_exclusive_group()
+        output.add_argument("--json", action="store_true",
+                            help="emit the full report as JSON")
+        output.add_argument("--timeline", action="store_true",
+                            help="render an ASCII per-PE activity timeline")
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="record the run and write a Perfetto trace to FILE")
         _add_plan_flag(p)

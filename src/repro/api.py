@@ -36,7 +36,6 @@ __all__ = [
     "result_ok",
     "call_with_plan",
     "run",
-    "connect",
 ]
 
 #: Registry of runnable workloads, keyed by CLI name (and aliases).
@@ -218,20 +217,3 @@ def run(
     if not result_ok(result):
         raise ProgramError(f"app {app!r} (n={n}, n_pes={n_pes}, h={h}) failed verification")
     return result.report
-
-
-def connect(url: str = "http://127.0.0.1:8737", **client_kwargs: Any):
-    """A :class:`~repro.service.client.SweepClient` for a running sweep
-    service (``repro serve``) — the remote counterpart of :func:`run`::
-
-        client = repro.connect("http://127.0.0.1:8737")
-        summary = client.submit(expand_sweep("sort", 8, 64, [1, 2, 4]))
-
-    Submissions are content-keyed, deduplicated against other clients'
-    in-flight work on the server, and answered from its shared result
-    cache when warm.  Keyword arguments (``retries``, ``backoff_s``,
-    ``timeout_s``) configure the client's retry policy.
-    """
-    from .service import SweepClient
-
-    return SweepClient(url, **client_kwargs)

@@ -171,8 +171,6 @@ class MachineConfig:
     network_model: str = "detailed"
     compiled: bool = False
     max_cycles: int = 4_000_000_000
-    #: Record burst-level trace events for :mod:`repro.trace` timelines.
-    trace: bool = False
     seed: int = 0
     timing: TimingModel = field(default_factory=_default_timing)
 

@@ -53,8 +53,6 @@ class MachineReport:
     events_fired: int
     counters: list[PECounters]
     network: NetworkStats
-    #: Per-PE burst traces (populated when ``MachineConfig.trace`` is on).
-    traces: dict[int, list] | None = None
     #: Cohort-compiler accounting (``None`` unless ``compiled=True``):
     #: per-tier thread counts and occupancy.  Diagnostic only, excluded
     #: from metric comparisons like ``events_fired``.
@@ -250,7 +248,6 @@ class EMX:
             events_fired=self.engine.events_fired,
             counters=[p.counters for p in self.pes],
             network=self.network.stats,
-            traces=self.traces() if self.config.trace else None,
             cohort=self._cohort_summary(),
         )
 
@@ -259,10 +256,6 @@ class EMX:
         if self.cohorts is None:
             return None
         return self.cohorts.summary()
-
-    def traces(self) -> dict[int, list]:
-        """Per-PE trace events (requires ``MachineConfig(trace=True)``)."""
-        return {proc.pe: proc.trace for proc in self.pes}
 
     def _stuck_report(self) -> str | None:
         reports = [r for r in (p.stuck_report() for p in self.pes) if r]

@@ -43,7 +43,6 @@ from .events import (
     PacketDeliver,
     PacketHop,
     PacketSend,
-    ServiceEvent,
     ThreadLife,
     ThreadSwitch,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "MatchEvent",
     "BarrierEvent",
     "ThreadLife",
-    "ServiceEvent",
     "EventBus",
     "RingRecorder",
     "PacketSpan",

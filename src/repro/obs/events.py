@@ -33,7 +33,6 @@ __all__ = [
     "MatchEvent",
     "BarrierEvent",
     "ThreadLife",
-    "ServiceEvent",
     "CohortEvent",
 ]
 
@@ -47,7 +46,6 @@ class Category(enum.Enum):
     MATCH = "match"
     BARRIER = "barrier"
     THREAD = "thread"
-    SERVICE = "service"
     COHORT = "cohort"
 
 
@@ -154,30 +152,6 @@ class BarrierEvent:
     barrier_id: int
     gen: int
     action: str
-
-
-@dataclass(frozen=True, slots=True)
-class ServiceEvent:
-    """One sweep-service occurrence (wall clock, not simulated time).
-
-    Unlike the simulator events, ``t`` is **microseconds since service
-    start** — the service observes real execution, not modelled cycles.
-    ``kind`` is one of ``request`` (a sweep arrived; ``n`` = jobs),
-    ``warm``/``dedup``/``admit`` (per-job admission disposition; ``n`` =
-    queue depth after), ``shed`` (backpressure rejected a request; ``n``
-    = jobs turned away), ``batch`` (a batch dispatched; ``n`` = batch
-    size), ``job`` (one execution finished; ``value`` = wall seconds,
-    ``n`` = peak RSS KiB from the cache side channel) or ``drain``
-    (graceful shutdown finished; ``n`` = results persisted).
-    """
-
-    category: ClassVar[Category] = Category.SERVICE
-
-    t: int
-    kind: str
-    key: str = ""
-    n: int = 0
-    value: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)

@@ -7,8 +7,8 @@ reshape it into the structures the paper's analysis actually uses:
   basis of latency histograms and queue-occupancy profiles that extend
   the aggregate :class:`~repro.network.stats.NetworkStats`;
 * :func:`burst_timeline` — per-PE activity spans as
-  :class:`~repro.trace.TraceEvent`, feeding the existing ASCII timeline
-  renderer without requiring ``MachineConfig(trace=True)``;
+  :class:`~repro.trace.TraceEvent`, feeding the ASCII timeline
+  renderer;
 * :func:`switch_table` — the per-kind switch-count attribution behind
   the paper's Tables 3/4, reconstructed from the event stream and
   cross-checkable against :class:`~repro.metrics.counters.PECounters`.
@@ -145,9 +145,9 @@ _TIMELINE_KINDS = {"burst", "spin", "service", "idle"}
 def burst_timeline(events) -> dict[int, list[TraceEvent]]:
     """Per-PE EXU activity as :class:`~repro.trace.TraceEvent` lists.
 
-    This reconstructs exactly what ``MachineConfig(trace=True)`` would
-    have recorded, but from the observability stream — so one tracing
-    mechanism feeds both the ASCII timeline and the Perfetto export.
+    The EXU's ``BurstSpan`` events are the one record of its activity,
+    so one event stream feeds both the ASCII timeline and the Perfetto
+    export.  Only PEs with at least one span get a key.
     """
     traces: dict[int, list[TraceEvent]] = {}
     for ev in events:

@@ -43,8 +43,6 @@ class EMCYProcessor:
         #: Guest scratch shared by all threads on this PE (the apps keep
         #: their per-processor program state here).
         self.guest_state: dict = {}
-        #: Burst-level trace (populated when ``config.trace`` is set).
-        self.trace: list = []
 
         # Pipeline units.
         self.obu = OutputBufferUnit(pe, machine.engine, machine.network, machine.obs)

@@ -43,7 +43,6 @@ from ..errors import SchedulerError, ThreadProtocolError
 from ..metrics.counters import Bucket, SwitchKind
 from ..obs.events import BarrierEvent, BurstSpan, ThreadSwitch
 from ..packet import Packet, PacketKind
-from ..trace import TraceEvent
 
 __all__ = ["ExecutionUnit"]
 
@@ -65,7 +64,6 @@ class ExecutionUnit:
         machine = proc.machine
         self._engine = machine.engine
         self._timing = machine.config.timing
-        self._trace_on = machine.config.trace
         self._obs = machine.obs
         self.busy_until = 0
         self._kick_scheduled = False
@@ -107,8 +105,6 @@ class ExecutionUnit:
             counters.comm_gap_count += 1
             if gap > counters.comm_gap_max:
                 counters.comm_gap_max = gap
-            if self._trace_on:
-                self._proc.trace.append(TraceEvent(self._last_end, now, "idle"))
             obs = self._obs
             if obs is not None:
                 obs.emit(BurstSpan(self._last_end, self._proc.pe, now, "idle"))
@@ -170,8 +166,6 @@ class ExecutionUnit:
                 self.busy_until = t0 + cost
                 self._last_end = self.busy_until
                 counters.note_active(t0, self.busy_until)
-                if self._trace_on:
-                    self._proc.trace.append(TraceEvent(t0, self.busy_until, "spin"))
                 obs = self._obs
                 if obs is not None:
                     obs.emit(
@@ -230,8 +224,6 @@ class ExecutionUnit:
         self.busy_until = t0 + cost
         self._last_end = self.busy_until
         proc.counters.note_active(t0, self.busy_until)
-        if self._trace_on:
-            proc.trace.append(TraceEvent(t0, self.busy_until, "service"))
         if self._obs is not None:
             self._obs.emit(BurstSpan(t0, proc.pe, self.busy_until, "service"))
         proc.obu.inject_at(self.busy_until, reply)
@@ -559,8 +551,6 @@ class ExecutionUnit:
         counters.add_cycles(Bucket.OVERHEAD, over)
         counters.add_cycles(Bucket.SWITCHING, sw)
         counters.note_active(t0, self.busy_until)
-        if self._trace_on:
-            proc.trace.append(TraceEvent(t0, self.busy_until, "burst", thread.name))
         if obs is not None:
             obs.emit(BurstSpan(t0, pe, self.busy_until, "burst", thread.name))
         if emits:

@@ -47,15 +47,7 @@ from .sweep import (
     sweep_threads,
     using,
 )
-from .worker import (
-    BatchOutcome,
-    JobTimeout,
-    execute_batch,
-    execute_job,
-    run_batch_worker,
-    run_job_worker,
-    trace_artifact_path,
-)
+from .worker import JobTimeout, execute_job, run_job_worker, trace_artifact_path
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -76,9 +68,6 @@ __all__ = [
     "JobTimeout",
     "execute_job",
     "run_job_worker",
-    "BatchOutcome",
-    "execute_batch",
-    "run_batch_worker",
     "trace_artifact_path",
     "RunnerOptions",
     "RunStats",

@@ -33,10 +33,10 @@ import os
 import pathlib
 import shutil
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..metrics.serialize import run_record_from_dict, run_record_to_dict
-from .jobs import SCHEMA_VERSION, JobSpec
+from .jobs import SCHEMA_VERSION, JobSpec, spec_to_dict
 
 __all__ = ["ENV_CACHE_DIR", "CacheStats", "ResultCache", "default_cache_root"]
 
@@ -69,15 +69,13 @@ class CacheStats:
     wall_seconds: float = 0.0
     peak_rss_kb: int = 0
     #: Live lookup counters of the :class:`ResultCache` instance that
-    #: produced this snapshot (hits/misses/writes/discards, plus any
-    #: counters a composing layer folds in — the sweep service adds
-    #: ``dedup``).  A fresh CLI process reports zeros; the shape is the
-    #: shared schema between ``cache stats --json`` and the service's
-    #: status endpoint.
+    #: produced this snapshot (hits/misses/writes/discards).  A fresh
+    #: CLI process reports zeros; ``cache stats --json`` prints them
+    #: with the rest of :meth:`to_dict`.
     counters: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """JSON-safe form — the one stats schema every surface shares."""
+        """JSON-safe form, as ``cache stats --json`` prints it."""
         return {
             "root": self.root,
             "schema": self.schema,
@@ -111,7 +109,7 @@ class ResultCache:
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = pathlib.Path(root).expanduser() if root else default_cache_root()
         #: Live per-instance lookup accounting, surfaced by
-        #: :meth:`stats` (and through it the service status endpoint).
+        #: :meth:`stats`.
         self.counters: dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -168,7 +166,7 @@ class ResultCache:
         payload = {
             "schema": SCHEMA_VERSION,
             "key": spec.key(),
-            "spec": asdict(spec),
+            "spec": spec_to_dict(spec),
             "record": run_record_to_dict(record),
         }
         # Wall time / peak RSS ride along when the record carries them
@@ -178,7 +176,7 @@ class ResultCache:
         if exec_info is not None:
             payload["exec"] = exec_info
         # Unique per (pid, thread, sequence): concurrent writers of the
-        # same key — two pool processes, or two service batch threads —
+        # same key — two processes, or two threads of one process —
         # each write their own temp file and race only on the atomic
         # rename, where last-writer-wins is idempotent (same content).
         tmp = path.parent / (

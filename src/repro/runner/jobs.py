@@ -166,7 +166,7 @@ def dedupe(specs: Iterable[JobSpec]) -> list[JobSpec]:
 
 
 def spec_to_dict(spec: JobSpec) -> dict:
-    """A :class:`JobSpec` as a JSON-safe dict (the service wire format)."""
+    """A :class:`JobSpec` as a JSON-safe dict (the cache entry's ``spec``)."""
     return asdict(spec)
 
 
@@ -188,13 +188,12 @@ _SPEC_REQUIRED = ("app", "n_pes", "npp", "h")
 def spec_from_dict(payload: dict) -> JobSpec:
     """Rebuild a :class:`JobSpec` from :func:`spec_to_dict` output.
 
-    The service's admission path: strict on shape (unknown fields,
-    missing required ones and values of the wrong JSON type raise
-    :class:`~repro.errors.ConfigError`, so a client typo can never
-    silently hash to a fresh key) but tolerant of omitted optionals,
-    which take the dataclass defaults.  Types are checked, never
-    coerced: ``"false"`` is not a bool, and neither ``true`` nor
-    ``4.9`` is an int.
+    Strict on shape (unknown fields, missing required ones and values
+    of the wrong JSON type raise :class:`~repro.errors.ConfigError`, so
+    a typo can never silently hash to a fresh key) but tolerant of
+    omitted optionals, which take the dataclass defaults.  Types are
+    checked, never coerced: ``"false"`` is not a bool, and neither
+    ``true`` nor ``4.9`` is an int.
     """
     if not isinstance(payload, dict):
         raise ConfigError(f"job spec must be an object, got {type(payload).__name__}")

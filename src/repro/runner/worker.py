@@ -12,9 +12,10 @@ A per-job wall-clock budget is enforced *inside* the worker
 exceeds its budget raises :class:`JobTimeout` in its own process (or
 thread) and surfaces as an ordinary failed future, not a wedged pool.
 On the main thread of a POSIX process the mechanism is ``SIGALRM``;
-off the main thread — the sweep service runs batch workers in threads —
-a watchdog thread injects the timeout asynchronously, so the budget is
-enforced wherever the job runs.
+off the main thread — the serial path runs the worker in the caller's
+thread, which may be any thread — a watchdog thread injects the
+timeout asynchronously, so the budget is enforced wherever the job
+runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import dataclass
 
 from ..api import call_with_plan, get_app, result_ok
 from ..errors import ProgramError, SimulationError
@@ -36,9 +36,6 @@ __all__ = [
     "deadline",
     "execute_job",
     "run_job_worker",
-    "BatchOutcome",
-    "execute_batch",
-    "run_batch_worker",
     "trace_artifact_path",
 ]
 
@@ -108,8 +105,9 @@ def deadline(seconds: float | None):
 
     On the main thread of a POSIX process (exactly what a pool worker
     is) the mechanism is ``SIGALRM``, ceiled to whole seconds.  On any
-    other thread — the sweep service's batch workers — a watchdog thread
-    enforces the budget at float precision via an injected exception.
+    other thread — a runner call made off the main thread runs its
+    serial jobs there — a watchdog thread enforces the budget at float
+    precision via an injected exception.
     With ``seconds=None``, or where neither mechanism exists, it is a
     no-op so the engine degrades gracefully rather than failing.
     """
@@ -245,105 +243,3 @@ def run_job_worker(
     """
     with deadline(timeout):
         return execute_job(spec, trace_dir=trace_dir)
-
-
-@dataclass(frozen=True)
-class BatchOutcome:
-    """One job's result inside a batch: record or error, never both.
-
-    ``source`` is ``"executed"`` for a fresh simulation, ``"cache"``
-    when the batch worker found the entry already on disk (another
-    worker or server instance got there first), and ``"error"`` when
-    the job failed; failures carry ``error`` (``"ExcType: message"``)
-    instead of poisoning the whole batch.
-    """
-
-    key: str
-    spec: JobSpec
-    record: object | None
-    source: str
-    error: str | None = None
-    wall_seconds: float = 0.0
-    max_rss_kb: int = 0
-
-
-def execute_batch(
-    specs: list[JobSpec],
-    *,
-    timeout: float | None = None,
-    cache_dir: str | None = None,
-    use_cache: bool = True,
-    trace_dir: str | None = None,
-) -> list[BatchOutcome]:
-    """Run several jobs back to back in this process (or thread).
-
-    This is the sweep service's unit of dispatch: one batch amortizes
-    process startup and task-submission overhead across many small
-    jobs.  Each job gets its own :func:`deadline` budget, each result
-    is written to the shared content-addressed cache *immediately* (so
-    a crash or shutdown mid-batch loses only the job in progress, never
-    completed work), and each failure is captured per job in its
-    :class:`BatchOutcome` rather than aborting the rest of the batch.
-    """
-    cache = None
-    if use_cache:
-        from .cache import ResultCache
-
-        cache = ResultCache(cache_dir)
-    outcomes: list[BatchOutcome] = []
-    for spec in specs:
-        key = spec.key()
-        started = time.perf_counter()
-        try:
-            record = cache.get(spec) if cache is not None else None
-            source = "cache"
-            if record is None:
-                with deadline(timeout):
-                    record = execute_job(spec, trace_dir=trace_dir)
-                source = "executed"
-                if cache is not None:
-                    cache.put(spec, record)
-        except Exception as exc:
-            outcomes.append(
-                BatchOutcome(
-                    key=key,
-                    spec=spec,
-                    record=None,
-                    source="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                    wall_seconds=time.perf_counter() - started,
-                )
-            )
-            continue
-        exec_info = getattr(record, "_exec", None) or {}
-        outcomes.append(
-            BatchOutcome(
-                key=key,
-                spec=spec,
-                record=record,
-                source=source,
-                wall_seconds=float(
-                    exec_info.get("wall_seconds") or time.perf_counter() - started
-                ),
-                max_rss_kb=int(exec_info.get("max_rss_kb") or 0),
-            )
-        )
-    return outcomes
-
-
-def run_batch_worker(
-    specs: list[JobSpec],
-    timeout: float | None = None,
-    cache_dir: str | None = None,
-    use_cache: bool = True,
-    trace_dir: str | None = None,
-) -> list[BatchOutcome]:
-    """Pool entry point for one batch (picklable, like its single-job
-    sibling).  The service dispatches these across its worker pool."""
-    return execute_batch(
-        specs,
-        timeout=timeout,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        trace_dir=trace_dir,
-    )

@@ -1,7 +1,8 @@
 """Execution tracing: burst-level timelines per processor.
 
-Enable with ``MachineConfig(trace=True)``; every EXU burst, spin check,
-DMA service and idle gap is recorded as a :class:`TraceEvent`, and
+A :class:`TraceEvent` is one span of EXU activity — a burst, spin
+check, EM-4 read service or idle gap.  :func:`repro.obs.burst_timeline`
+builds the per-PE lists from a run's ``BurstSpan`` events, and
 :func:`render_timeline` draws an ASCII Gantt of the machine — the
 fastest way to *see* overlap working (or failing), e.g. the paper's
 Fig. 4 timeline can be reproduced for any program.

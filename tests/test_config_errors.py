@@ -24,10 +24,6 @@ def test_with_returns_validated_copy():
         base.with_(n_pes=-1)
 
 
-def test_trace_flag_round_trips():
-    assert MachineConfig(trace=True).with_(n_pes=2).trace
-
-
 def test_timing_switch_cost_derivation():
     tm = TimingModel()
     assert tm.switch_cost == tm.reg_save + tm.match_invoke

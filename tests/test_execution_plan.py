@@ -132,6 +132,14 @@ def _configure_shards():
     return configure(shards=2)
 
 
+def _machine_config_trace():
+    return repro.MachineConfig(trace=True)
+
+
+def _connect():
+    return getattr(repro, "connect")
+
+
 def _cli(*argv):
     from repro.__main__ import main
 
@@ -153,16 +161,22 @@ def _cli(*argv):
         (_cli("sort", "--compiled"), SystemExit),
         (_cli("export", "--outdir", "d"), SystemExit),
         (_cli("sort", "--plan", "shards=2"), PlanError),
+        (_machine_config_trace, TypeError),
+        (_connect, AttributeError),
+        (_cli("serve"), SystemExit),
+        (_cli("submit"), SystemExit),
+        (_cli("svc-status"), SystemExit),
     ],
     ids=["run-shards", "run-compiled", "app-positional", "jobspec-plan",
          "configure-shards", "plan-shards", "jobspec-shards",
          "spec-dict-shards", "cli-sort-shards", "cli-sort-compiled",
-         "cli-export-outdir", "cli-plan-shards"],
+         "cli-export-outdir", "cli-plan-shards", "config-trace",
+         "repro-connect", "cli-serve", "cli-submit", "cli-svc-status"],
 )
 def test_removed_spellings_fail_loudly(call, error):
     """Each removed spelling gets the error Python, argparse, the job-spec
-    decoder or the plan parser raises for any unknown argument — no
-    shim, no warning."""
+    decoder or the plan parser raises for any unknown argument, field,
+    attribute or command — no shim, no warning."""
     with pytest.raises(error) as excinfo:
         call()
     if error is SystemExit:

@@ -1,10 +1,11 @@
 """JobSpec content-key stability: golden hashes and cross-process checks.
 
-The content key names cache files shared between processes, machines,
-and the sweep service's many clients — a key that drifted between runs
-would silently turn every warm hit into a re-execution (or worse, a
-collision).  The golden fixture pins the exact hex digests; the
-subprocess test proves a fresh interpreter derives the same keys.
+The content key names cache files shared between processes, machines
+and CLI runs — a key that drifted between runs would silently turn
+every warm hit into a re-execution (or worse, a collision).  The golden
+fixture pins the exact hex digests; the subprocess test proves a fresh
+interpreter derives the same keys.  `spec_from_dict` is the strict
+decoder of the goldens' `spec` dicts.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.runner.jobs import JobSpec, spec_from_dict, spec_to_dict
 
 GOLDENS_PATH = pathlib.Path(__file__).parent / "goldens" / "jobspec_keys.json"
@@ -28,6 +30,28 @@ GOLDENS = json.loads(GOLDENS_PATH.read_text())
 def test_golden_key_is_stable(golden):
     spec = spec_from_dict(golden["spec"])
     assert spec.key() == golden["key"]
+
+
+BASE = {"app": "sort", "n_pes": 2, "npp": 8, "h": 1}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [BASE],
+        {**BASE, "bogus": 1},
+        {"app": "sort", "n_pes": 2, "npp": 8},
+        # JSON types are checked, never coerced.
+        {**BASE, "em4_mode": "false"},
+        {**BASE, "h": True},
+        {**BASE, "n_pes": 4.9},
+    ],
+    ids=["non-object", "unknown-field", "missing-field", "str-bool",
+         "bool-int", "float-int"],
+)
+def test_spec_from_dict_rejects_malformed_payloads(payload):
+    with pytest.raises(ConfigError):
+        spec_from_dict(payload)
 
 
 def test_goldens_cover_every_spec_field():
@@ -75,7 +99,7 @@ def test_seed_and_machine_flags_move_the_key():
 def test_keys_match_across_processes():
     """A fresh interpreter (fresh hash seed, fresh imports) derives the
     same key for every golden spec — the property that lets separate
-    service instances and CLI runs share one cache."""
+    processes and CLI runs share one cache."""
     script = (
         "import json, sys\n"
         "from repro.runner.jobs import spec_from_dict\n"

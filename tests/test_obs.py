@@ -5,10 +5,11 @@ import pathlib
 
 import pytest
 
-from repro import EMX, MachineConfig
+import repro
+from repro import EMX, ExecutionPlan, MachineConfig
 from repro.apps import run_bitonic, run_fft
 from repro.errors import ConfigError
-from repro.metrics.counters import SwitchKind
+from repro.metrics.counters import Bucket, SwitchKind
 from repro.obs import (
     BarrierEvent,
     BurstSpan,
@@ -180,17 +181,38 @@ def test_burst_timeline_feeds_trace_events():
             assert a.end <= b.start
 
 
-def test_burst_timeline_agrees_with_machine_trace():
-    # The obs-derived timeline must reproduce the config.trace spans.
-    cfg = MachineConfig(trace=True)
-    plain = run_bitonic(n_pes=2, n=16, h=2, seed=0, config=cfg)
-    _, rec = recorded_run(config=cfg)
-    derived = burst_timeline(rec.events)
-    for pe, expected in plain.report.traces.items():
-        got = derived[pe]
-        assert [(e.start, e.end, e.kind) for e in got] == [
-            (e.start, e.end, e.kind) for e in expected
-        ]
+@pytest.mark.parametrize(
+    "app,config,plan",
+    [
+        ("sort", None, None),
+        ("fft", None, None),
+        ("sort", MachineConfig(em4_mode=True), None),
+        ("emc-sort", None, ExecutionPlan(compiled=True)),
+    ],
+    ids=["sort", "fft", "sort-em4", "emc-sort-compiled"],
+)
+def test_burst_timeline_partitions_pe_counters(app, config, plan):
+    """The EXU spans account for every non-IDLE cycle of PECounters:
+    idle gaps are the COMMUNICATION bucket, bursts, spins and EM-4
+    services the other three."""
+    bus = EventBus()
+    spans = []
+    bus.subscribe(spans.append, [Category.BURST])
+    report = repro.run(app, n=64, n_pes=4, h=2, config=config, obs=bus, plan=plan)
+    timeline = burst_timeline(spans)
+    assert set(timeline) == {0, 1, 2, 3}
+    for counters in report.counters:
+        events = timeline[counters.pe]
+        gaps = [e.end - e.start for e in events if e.kind == "idle"]
+        busy = sum(e.end - e.start for e in events if e.kind != "idle")
+        assert sum(gaps) == counters.cycles[Bucket.COMMUNICATION]
+        assert len(gaps) == counters.comm_gap_count
+        assert max(gaps, default=0) == counters.comm_gap_max
+        assert busy == sum(
+            counters.cycles[b]
+            for b in (Bucket.COMPUTATION, Bucket.OVERHEAD, Bucket.SWITCHING)
+        )
+    assert sum(c.comm_gap_count for c in report.counters) > 0
 
 
 # ----------------------------------------------------------------------

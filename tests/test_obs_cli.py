@@ -33,12 +33,37 @@ def test_cli_trace_all_apps(capsys, tmp_path):
         assert validate_perfetto(json.loads(out_file.read_text())) == []
 
 
-def test_cli_app_timeline(capsys):
-    main(["sort", "--pes", "2", "--size", "8", "--threads", "2", "--timeline"])
+def timeline_rows(out):
+    return [line for line in out.splitlines() if line.startswith("PE")]
+
+
+def test_cli_app_timeline(capsys, tmp_path):
+    argv = ["sort", "--pes", "4", "--size", "8", "--threads", "2", "--timeline"]
+    main(argv)
     out = capsys.readouterr().out
-    assert "sort: n=16 P=2 h=2 -> OK" in out
-    assert "PE  0 |" in out
+    assert "sort: n=32 P=4 h=2 -> OK" in out
+    rows = timeline_rows(out)
+    assert [row[:7] for row in rows] == [f"PE{pe:>3} |" for pe in range(4)]
     assert "legend: # burst" in out
+
+    # --trace shares the run's event bus; the timeline is unchanged.
+    out_file = tmp_path / "sort.perfetto.json"
+    main(argv + ["--trace", str(out_file)])
+    captured = capsys.readouterr()
+    assert timeline_rows(captured.out) == rows
+    assert "legend: # burst" in captured.out
+    assert "wrote" in captured.err
+    assert validate_perfetto(json.loads(out_file.read_text())) == []
+
+
+@pytest.mark.parametrize("app", ["sort", "fft"])
+def test_cli_json_and_timeline_are_exclusive(app, capsys):
+    # The timeline is text: printed after --json it broke the document.
+    with pytest.raises(SystemExit) as excinfo:
+        main([app, "--pes", "2", "--size", "8", "--threads", "2",
+              "--json", "--timeline"])
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_cli_app_trace_flag(capsys, tmp_path):

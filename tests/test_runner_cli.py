@@ -67,8 +67,7 @@ def test_cli_cache_stats_json_schema(capsys, cache_dir):
 
     main(["cache", "stats", "--json", "--cache-dir", str(cache_dir)])
     payload = json.loads(capsys.readouterr().out)
-    # The shared stats schema: same keys the service /status endpoint
-    # returns under "cache" (which adds a live "dedup" counter).
+    # CacheStats.to_dict(), with ResultCache's lookup counters.
     assert {"root", "schema", "entries", "bytes", "timed_entries",
             "wall_seconds", "peak_rss_kb", "counters"} == set(payload)
     assert payload["entries"] > 0

@@ -1,14 +1,23 @@
-"""Tracing subsystem: event capture and timeline rendering."""
+"""Tracing subsystem: burst timelines from the event stream, rendering."""
 
 import pytest
 
 from repro import EMX, MachineConfig
 from repro.errors import SimulationError
+from repro.obs import Category, EventBus, burst_timeline
 from repro.trace import TraceEvent, render_timeline, utilization
 
 
+def recording_machine(**config):
+    """A two-PE machine and the list its BurstSpan events land in."""
+    bus = EventBus()
+    spans = []
+    bus.subscribe(spans.append, [Category.BURST])
+    return EMX(MachineConfig(n_pes=2, memory_words=1 << 12, **config), obs=bus), spans
+
+
 def traced_machine():
-    m = EMX(MachineConfig(n_pes=2, memory_words=1 << 12, trace=True))
+    m, spans = recording_machine()
 
     @m.thread
     def worker(ctx, mate):
@@ -21,24 +30,11 @@ def traced_machine():
     m.spawn(0, "worker", 1)
     m.spawn(1, "worker", 0)
     m.run()
-    return m
-
-
-def test_trace_disabled_by_default():
-    m = EMX(MachineConfig(n_pes=2, memory_words=1 << 12))
-
-    @m.thread
-    def worker(ctx):
-        yield ctx.compute(5)
-
-    m.spawn(0, "worker")
-    m.run()
-    assert m.traces() == {0: [], 1: []}
+    return burst_timeline(spans)
 
 
 def test_trace_records_bursts_and_idle():
-    m = traced_machine()
-    events = m.traces()[0]
+    events = traced_machine()[0]
     kinds = {e.kind for e in events}
     assert "burst" in kinds
     assert "idle" in kinds  # the read wait shows up
@@ -49,13 +45,13 @@ def test_trace_records_bursts_and_idle():
 
 
 def test_trace_spans_are_disjoint_and_ordered():
-    for pe, events in traced_machine().traces().items():
+    for pe, events in traced_machine().items():
         for a, b in zip(events, events[1:]):
             assert a.end <= b.start, (pe, a, b)
 
 
 def test_em4_service_traced():
-    m = EMX(MachineConfig(n_pes=2, memory_words=1 << 12, trace=True, em4_mode=True))
+    m, spans = recording_machine(em4_mode=True)
 
     @m.thread
     def reader(ctx):
@@ -63,7 +59,7 @@ def test_em4_service_traced():
 
     m.spawn(0, "reader")
     m.run()
-    assert any(e.kind == "service" for e in m.traces()[1])
+    assert any(e.kind == "service" for e in burst_timeline(spans)[1])
 
 
 def test_event_validation():
@@ -85,8 +81,7 @@ def test_utilization():
 
 
 def test_render_timeline_shape():
-    m = traced_machine()
-    out = render_timeline(m.traces(), width=40)
+    out = render_timeline(traced_machine(), width=40)
     lines = out.splitlines()
     assert lines[0].startswith("cycles 0..")
     assert lines[1].startswith("PE  0 |") and lines[1].endswith("|")
@@ -98,8 +93,7 @@ def test_render_timeline_shape():
 
 
 def test_render_timeline_window():
-    m = traced_machine()
-    out = render_timeline(m.traces(), width=16, start=0, end=30)
+    out = render_timeline(traced_machine(), width=16, start=0, end=30)
     assert "cycles 0..30" in out
 
 
