@@ -10,11 +10,11 @@ Usage::
     python -m repro sweep --jobs 8    # pre-run every figure in parallel
     python -m repro export --out csv  # all figures as CSV (cached)
     python -m repro cache stats       # inspect the on-disk result store
-    python -m repro apps              # list registered workloads + flags
+    python -m repro apps              # list registered workloads
     python -m repro sort --pes 8 --size 128 --threads 4
-    python -m repro fft  --pes 8 --size 128 --threads 4 --plan compiled
     python -m repro sort --timeline    # ASCII per-PE activity timeline
     python -m repro trace fft --out run.perfetto.json  # Perfetto trace
+    python -m repro trace emc-sort --plan compiled     # cohort compiler
 
 ``REPRO_SCALE`` (tiny | small | large) picks the figure size ladder.
 Figure-producing commands accept ``--jobs N`` (parallel simulation),
@@ -48,17 +48,26 @@ from .metrics.counters import SwitchKind
 from .metrics.report import format_table
 
 
-def _add_plan_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--plan", default=None, metavar="SPEC",
-        help='execution plan, e.g. "compiled" '
-             "(see repro.ExecutionPlan)")
+def _positive_int(text: str) -> int:
+    """argparse type for a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _positive_int_list(text: str) -> tuple[int, ...]:
+    """argparse type for ``H,H,...``: each entry a positive integer."""
+    return tuple(_positive_int(item) for item in text.split(","))
 
 
 def _add_runner_flags(parser: argparse.ArgumentParser, default_jobs: int | None = 1) -> None:
     """Attach the execution-engine flags shared by figure commands."""
     parser.add_argument(
-        "--jobs", type=int, default=default_jobs, metavar="N",
+        "--jobs", type=_positive_int, default=default_jobs, metavar="N",
         help="worker processes for simulations (default: %(default)s; "
              "omitted value means all cores)")
     parser.add_argument(
@@ -71,14 +80,6 @@ def _add_runner_flags(parser: argparse.ArgumentParser, default_jobs: int | None 
         "--trace-dir", default=None, metavar="DIR",
         help="write a Perfetto trace per executed job under DIR "
              "(cache hits produce no trace; off by default)")
-    _add_plan_flag(parser)
-
-
-def _cli_plan(args: argparse.Namespace):
-    """The ``--plan`` flag as an :class:`~repro.api.ExecutionPlan`."""
-    from .api import ExecutionPlan
-
-    return ExecutionPlan.parse(args.plan or "")
 
 
 def _progress_printer():
@@ -104,8 +105,7 @@ def _configure_runner(args: argparse.Namespace) -> None:
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         progress=_progress_printer(),
-        trace_dir=getattr(args, "trace_dir", None),
-        plan=_cli_plan(args),
+        trace_dir=args.trace_dir,
     )
 
 
@@ -176,9 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     _configure_runner(args)
     reset_stats()
     scale = default_scale()
-    threads = THREAD_SWEEP
-    if args.threads:
-        threads = tuple(int(h) for h in args.threads.split(","))
+    threads = args.threads or THREAD_SWEEP
     figures = tuple(args.figures) if args.figures else FIGURES
     print(f"sweep: scale '{scale.name}', figures {', '.join(figures)}, "
           f"threads {','.join(str(h) for h in threads)}, "
@@ -197,8 +195,6 @@ def _cmd_cache(args: argparse.Namespace) -> None:
     cache = ResultCache(args.cache_dir)
     if args.action == "stats":
         if args.json:
-            # CacheStats.to_dict(); the lookup counters are zeros here
-            # because this process did no lookups.
             print(json.dumps(cache.stats().to_dict(), indent=2, sort_keys=True))
         else:
             print(f"cache: {cache.stats().describe()}")
@@ -224,7 +220,7 @@ def _cmd_goldens(args: argparse.Namespace) -> None:
 
 
 def _cmd_apps(args: argparse.Namespace) -> None:
-    """List every registered workload: names, unified signature, flags."""
+    """List every registered workload: names and unified signature."""
     import inspect
 
     from .api import APPS, app_names
@@ -243,7 +239,6 @@ def _cmd_apps(args: argparse.Namespace) -> None:
             "name": canonical,
             "aliases": aliases,
             "signature": params,
-            "flags": ["--plan"],
         })
     if args.json:
         import json
@@ -254,8 +249,7 @@ def _cmd_apps(args: argparse.Namespace) -> None:
         alias = f"  (aliases: {', '.join(entry['aliases'])})" if entry["aliases"] else ""
         print(f"{entry['name']}{alias}")
         print(f"  signature: {', '.join(entry['signature'])}")
-    print("\nevery app runs through repro.run(...) and supports "
-          "--plan compiled")
+    print("\nevery app runs through repro.run(...)")
 
 
 def _cmd_app(args: argparse.Namespace) -> None:
@@ -275,9 +269,7 @@ def _cmd_app(args: argparse.Namespace) -> None:
             bus.subscribe(spans.append, [Category.BURST])
     kwargs.update(n_pes=args.pes, n=args.pes * args.size, h=args.threads,
                   seed=args.seed)
-    from .api import call_with_plan
-
-    result = call_with_plan(runner, kwargs, _cli_plan(args))
+    result = runner(**kwargs)
     ok = result_ok(result)
     report = result.report
     if args.json:
@@ -295,10 +287,6 @@ def _cmd_app(args: argparse.Namespace) -> None:
         print("switches/PE: " + ", ".join(
             f"{k.value} {report.switches(k):.0f}" for k in SwitchKind))
         print(f"network: {report.network.summary()}")
-        if report.cohort is not None:
-            from .metrics.report import format_cohort
-
-            print(format_cohort(report.cohort))
     if args.timeline:
         from .obs import burst_timeline
         from .trace import render_timeline
@@ -333,9 +321,10 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     kwargs = dict(
         n_pes=args.pes, n=args.pes * args.size, h=args.threads, seed=args.seed, obs=bus
     )
-    from .api import call_with_plan
+    from .api import ExecutionPlan, call_with_plan
 
-    result = call_with_plan(get_app(args.app), kwargs, _cli_plan(args))
+    plan = ExecutionPlan(compiled=args.plan == "compiled")
+    result = call_with_plan(get_app(args.app), kwargs, plan)
     ok = result_ok(result)
     report = result.report
     write_perfetto(args.out, recorder.events, n_pes=args.pes)
@@ -348,6 +337,10 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     print(f"recorded {len(recorder)} events{dropped}, "
           f"{len(spans)} packet lifecycles")
     print(f"network: {report.network.summary()}")
+    if report.cohort is not None:
+        from .metrics.report import format_cohort
+
+        print(format_cohort(report.cohort))
     print()
     print("context switches by kind (paper Tables 3/4):")
     print(format_switch_table(switch_table(recorder.events)))
@@ -384,7 +377,8 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--figures", nargs="+", metavar="FIG",
                    choices=["fig6", "fig7", "fig8", "fig9"],
                    help="restrict to these figures (default: all)")
-    p.add_argument("--threads", default=None, metavar="H,H,...",
+    p.add_argument("--threads", type=_positive_int_list, default=None,
+                   metavar="H,H,...",
                    help="comma-separated thread counts "
                         "(default: the paper's 1..16 sweep)")
     _add_runner_flags(p, default_jobs=None)
@@ -398,7 +392,7 @@ def main(argv: list[str] | None = None) -> None:
                    help="emit stats as JSON (CacheStats.to_dict())")
     p.set_defaults(func=_cmd_cache)
 
-    p = sub.add_parser("apps", help="list registered workloads and their flags")
+    p = sub.add_parser("apps", help="list registered workloads")
     p.add_argument("--json", action="store_true",
                    help="emit the registry as JSON")
     p.set_defaults(func=_cmd_apps)
@@ -422,7 +416,6 @@ def main(argv: list[str] | None = None) -> None:
                             help="render an ASCII per-PE activity timeline")
         p.add_argument("--trace", default=None, metavar="FILE",
                        help="record the run and write a Perfetto trace to FILE")
-        _add_plan_flag(p)
         p.set_defaults(func=_cmd_app, app=app)
 
     p = sub.add_parser(
@@ -437,9 +430,11 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--size", type=int, default=64, help="elements per PE")
     p.add_argument("--threads", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--buffer", type=int, default=1_000_000, metavar="N",
+    p.add_argument("--buffer", type=_positive_int, default=1_000_000, metavar="N",
                    help="ring-buffer capacity in events (default: %(default)s)")
-    _add_plan_flag(p)
+    p.add_argument("--plan", choices=["compiled"], default=None,
+                   help="run under repro.ExecutionPlan(compiled=True): EM-C "
+                        "threads go through the cohort compiler")
     p.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)

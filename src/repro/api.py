@@ -103,21 +103,18 @@ def result_ok(result: Any) -> bool:
 class ExecutionPlan:
     """How to execute a workload — the one bundle of engine-mode knobs.
 
-    Every entry point takes it the same way: :func:`run` takes
-    ``plan=``, :class:`~repro.runner.sweep.RunnerOptions` has a ``plan``
-    field, the CLI takes ``--plan``, and
-    :class:`~repro.runner.jobs.JobSpec` keeps it as a flat wire field
-    behind its ``execution_plan`` property::
+    It reaches a run two ways: :func:`run` takes ``plan=``, and the CLI's
+    ``repro trace --plan compiled`` builds one::
 
         report = repro.run("emc-sort", n=1024, n_pes=16, h=4,
                            plan=repro.ExecutionPlan(compiled=True))
 
     * ``compiled`` — route thread creation through the cohort compiler
-      (:mod:`repro.compile`).
+      (:mod:`repro.compile`).  Only EM-C threads compile; the native
+      apps run on the interpreter either way.
 
-    The class is frozen (hashable, safe as a cache-key ingredient).
-    :meth:`validate` checks the field's type; :meth:`parse` turns the
-    CLI's ``--plan compiled`` spelling into a plan.
+    The class is frozen (hashable); :meth:`validate` checks the field's
+    type.
     """
 
     compiled: bool = False
@@ -131,42 +128,11 @@ class ExecutionPlan:
             raise PlanError(f"compiled must be a bool, got {self.compiled!r}")
         return self
 
-    @classmethod
-    def parse(cls, text: str) -> "ExecutionPlan":
-        """Build a plan from the CLI spelling ``key=value[,key=value...]``.
-
-        Keys are the field names; ``compiled`` accepts a bare flag or a
-        boolean literal: ``"compiled"``, ``"compiled=false"``.  An empty
-        string is the default plan; a key given twice is an error.
-        """
-        values: dict[str, Any] = {}
-        for token in filter(None, (t.strip() for t in text.split(","))):
-            key, sep, raw = token.partition("=")
-            if not sep and key == "compiled":
-                key, raw = "compiled", "true"
-            elif not sep:
-                raise PlanError(f"malformed plan token {token!r}; expected key=value")
-            if key in values:
-                raise PlanError(f"plan key {key!r} given more than once")
-            if key == "compiled":
-                if raw.lower() not in ("true", "false", "1", "0"):
-                    raise PlanError(f"compiled must be a boolean, got {raw!r}")
-                values[key] = raw.lower() in ("true", "1")
-            else:
-                raise PlanError(f"unknown plan key {key!r}; expected compiled")
-        return cls(**values).validate()
-
-    def describe(self) -> str:
-        """The canonical compact spelling (parseable by :meth:`parse`)."""
-        return "compiled" if self.compiled else ""
-
 
 def call_with_plan(fn: Callable[..., Any], kwargs: dict, plan: ExecutionPlan) -> Any:
     """Run ``fn(**kwargs)`` under ``plan`` — the single dispatch funnel.
 
-    Every entry point (:func:`run`, the CLI, the runner's
-    :func:`~repro.runner.worker.execute_job`) resolves its knobs into an
-    :class:`ExecutionPlan` and lands here.  ``kwargs`` is the app's
+    :func:`run` and ``repro trace`` land here.  ``kwargs`` is the app's
     keyword dict (``config``/``obs`` included); ``compiled=False`` defers
     to any machine config already present, so a config built with
     ``compiled=True`` keeps meaning what it always did.

@@ -14,7 +14,8 @@ every instance:
 
 Native generator threads run on the interpreter.  Enable with
 ``MachineConfig(compiled=True)``, ``repro.run(...,
-plan=ExecutionPlan(compiled=True))``, or ``--plan compiled`` on the CLI.
+plan=ExecutionPlan(compiled=True))``, or ``repro trace --plan compiled``
+on the CLI.
 """
 
 from .cohort import CohortManager

@@ -40,9 +40,8 @@ class PlanError(ConfigError):
     """An invalid :class:`repro.api.ExecutionPlan`.
 
     Raised by ``ExecutionPlan.validate()`` (and the entry points that
-    funnel through it) and ``ExecutionPlan.parse()`` for malformed
-    plans — a non-bool ``compiled``, an unknown, repeated or malformed
-    plan key.
+    funnel through it, ``repro.run(plan=)`` among them) for a malformed
+    plan: a non-bool ``compiled``.
     """
 
 

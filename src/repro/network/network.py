@@ -116,11 +116,6 @@ class OmegaNetworkBase:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    def probe_latency(self, src: int, dst: int) -> int:
-        """Uncongested one-way latency in cycles (k hops → k+1)."""
-        return self.topology.latency_cycles(src, dst)
-
-    # ------------------------------------------------------------------
     def port_utilization(self, horizon: int | None = None) -> dict[tuple, float]:
         """Busy fraction of every port ever used, over ``horizon`` cycles.
 

@@ -58,11 +58,6 @@ class RingRecorder:
         """Events evicted by the ring bound."""
         return self.seen - len(self._ring)
 
-    def select(self, *categories: Category) -> list:
-        """Recorded events restricted to the given categories."""
-        wanted = frozenset(categories)
-        return [e for e in self._ring if e.category in wanted]
-
     def counts(self) -> Counter:
         """Recorded events per category."""
         return Counter(e.category for e in self._ring)

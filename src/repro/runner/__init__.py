@@ -2,15 +2,15 @@
 
 Every figure of the paper is a sweep over independent simulations, so
 regenerating them is a scheduling problem, not a sequencing one.  This
-package supplies the three pieces an experiment (or an inference stack)
-needs to exploit that:
+package supplies the three pieces the figure sweeps need to exploit
+that:
 
 * :mod:`~repro.runner.jobs` — content-hashable :class:`JobSpec` values
   and sweep-expansion helpers (the dedup layer),
 * :mod:`~repro.runner.cache` — an atomic, version-partitioned on-disk
   result store (the memoisation layer),
-* :mod:`~repro.runner.pool` — a process-pool scheduler with per-job
-  timeouts and crash retry (the batching layer),
+* :mod:`~repro.runner.pool` — a process-pool scheduler with crash retry
+  (the batching layer),
 
 glued together by :mod:`~repro.runner.sweep`, which the experiments
 package, the CLI (``python -m repro sweep``), and the benchmark harness
@@ -27,7 +27,6 @@ from .jobs import (
     expand_figures,
     expand_sweep,
     machine_fingerprint,
-    spec_from_dict,
     spec_to_dict,
 )
 from .pool import PoolStatus, run_jobs
@@ -37,7 +36,6 @@ from .sweep import (
     clear_memo,
     configure,
     get_options,
-    memo_size,
     reset_options,
     reset_stats,
     run_job,
@@ -47,7 +45,7 @@ from .sweep import (
     sweep_threads,
     using,
 )
-from .worker import JobTimeout, execute_job, run_job_worker, trace_artifact_path
+from .worker import execute_job, trace_artifact_path
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -56,7 +54,6 @@ __all__ = [
     "machine_fingerprint",
     "dedupe",
     "spec_to_dict",
-    "spec_from_dict",
     "expand_sweep",
     "expand_figures",
     "ENV_CACHE_DIR",
@@ -65,9 +62,7 @@ __all__ = [
     "default_cache_root",
     "PoolStatus",
     "run_jobs",
-    "JobTimeout",
     "execute_job",
-    "run_job_worker",
     "trace_artifact_path",
     "RunnerOptions",
     "RunStats",
@@ -78,7 +73,6 @@ __all__ = [
     "stats",
     "reset_stats",
     "clear_memo",
-    "memo_size",
     "run_job",
     "run_specs",
     "sweep_threads",

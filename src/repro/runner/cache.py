@@ -33,7 +33,7 @@ import os
 import pathlib
 import shutil
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..metrics.serialize import run_record_from_dict, run_record_to_dict
 from .jobs import SCHEMA_VERSION, JobSpec, spec_to_dict
@@ -68,11 +68,6 @@ class CacheStats:
     timed_entries: int = 0
     wall_seconds: float = 0.0
     peak_rss_kb: int = 0
-    #: Live lookup counters of the :class:`ResultCache` instance that
-    #: produced this snapshot (hits/misses/writes/discards).  A fresh
-    #: CLI process reports zeros; ``cache stats --json`` prints them
-    #: with the rest of :meth:`to_dict`.
-    counters: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """JSON-safe form, as ``cache stats --json`` prints it."""
@@ -84,7 +79,6 @@ class CacheStats:
             "timed_entries": self.timed_entries,
             "wall_seconds": self.wall_seconds,
             "peak_rss_kb": self.peak_rss_kb,
-            "counters": dict(self.counters),
         }
 
     def describe(self) -> str:
@@ -108,14 +102,6 @@ class ResultCache:
 
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = pathlib.Path(root).expanduser() if root else default_cache_root()
-        #: Live per-instance lookup accounting, surfaced by
-        #: :meth:`stats`.
-        self.counters: dict[str, int] = {
-            "hits": 0,
-            "misses": 0,
-            "writes": 0,
-            "discards": 0,
-        }
 
     # ------------------------------------------------------------------
     # Paths
@@ -142,11 +128,9 @@ class ResultCache:
         try:
             payload = json.loads(path.read_text())
         except FileNotFoundError:
-            self.counters["misses"] += 1
             return None
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             self._discard(path)
-            self.counters["misses"] += 1
             return None
         try:
             if payload["schema"] != SCHEMA_VERSION or payload["key"] != spec.key():
@@ -154,9 +138,7 @@ class ResultCache:
             record = run_record_from_dict(payload["record"])
         except (KeyError, TypeError, ValueError):
             self._discard(path)
-            self.counters["misses"] += 1
             return None
-        self.counters["hits"] += 1
         return record
 
     def put(self, spec: JobSpec, record) -> pathlib.Path:
@@ -192,7 +174,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        self.counters["writes"] += 1
         return path
 
     def __contains__(self, spec: JobSpec) -> bool:
@@ -243,7 +224,6 @@ class ResultCache:
             timed_entries=timed,
             wall_seconds=wall,
             peak_rss_kb=peak_rss,
-            counters=dict(self.counters),
         )
 
     def purge(self) -> int:
@@ -254,7 +234,6 @@ class ResultCache:
         return dropped
 
     def _discard(self, path: pathlib.Path) -> None:
-        self.counters["discards"] += 1
         try:
             path.unlink()
         except OSError:  # pragma: no cover - racing deletion

@@ -30,7 +30,6 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from ..api import ExecutionPlan
 from ..config import MachineConfig
 from ..errors import ConfigError
 
@@ -40,7 +39,6 @@ __all__ = [
     "machine_fingerprint",
     "dedupe",
     "spec_to_dict",
-    "spec_from_dict",
     "expand_sweep",
     "expand_figures",
     "FIGURES",
@@ -65,8 +63,8 @@ def machine_fingerprint(config: MachineConfig) -> str:
     remembering to bump the schema version.  ``compiled`` is excluded:
     the cohort compiler is differentially proven byte-identical to the
     interpreter (see :mod:`repro.compile.differential`), so it is an
-    execution strategy, not a semantics change — the :class:`JobSpec`
-    records it separately when a job explicitly requests it.
+    execution strategy, not a semantics change, and a :class:`JobSpec`
+    never sets it.  Leaving it out also keeps every historical key.
     """
     fields = asdict(config)
     fields.pop("compiled", None)
@@ -86,20 +84,9 @@ class JobSpec:
     network_model: str = "detailed"
     priority_replies: bool = False
     seed: int = 0
-    #: Route thread creation through the cohort compiler
-    #: (:mod:`repro.compile`).  Differentially proven byte-identical,
-    #: but compiled jobs still key distinctly so a cache entry records
-    #: how it was made.
-    compiled: bool = False
-
-    @property
-    def execution_plan(self) -> ExecutionPlan:
-        """This spec's execution strategy as one :class:`ExecutionPlan`."""
-        return ExecutionPlan(compiled=self.compiled)
 
     def validate(self) -> None:
-        """Raise on an unrunnable spec (unknown app, nonsense sizes, or
-        an invalid execution plan)."""
+        """Raise on an unrunnable spec (unknown app or nonsense sizes)."""
         from ..api import app_names
 
         if self.app not in app_names():
@@ -111,7 +98,6 @@ class JobSpec:
             )
         if self.n_pes < 1 or self.npp < 1 or self.h < 1:
             raise ConfigError(f"n_pes/npp/h must be >= 1, got {self}")
-        self.execution_plan.validate()
 
     def config(self) -> MachineConfig:
         """The machine this job runs on (same construction `run_app` used)."""
@@ -121,7 +107,6 @@ class JobSpec:
             network_model=self.network_model,
             priority_replies=self.priority_replies,
             seed=self.seed,
-            compiled=self.compiled,
         )
 
     def key(self) -> str:
@@ -135,11 +120,6 @@ class JobSpec:
             "seed": self.seed,
             "machine": machine_fingerprint(self.config()),
         }
-        if self.compiled:
-            # Byte-identical by the compile oracle, but a cache entry
-            # still records how it was produced; interpreted specs keep
-            # their historical keys.
-            payload["compiled"] = True
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -154,8 +134,6 @@ class JobSpec:
             extras.append("prio")
         if self.seed:
             extras.append(f"seed={self.seed}")
-        if self.compiled:
-            extras.append("compiled")
         suffix = f" [{','.join(extras)}]" if extras else ""
         return f"{self.app} P={self.n_pes} n/P={self.npp} h={self.h}{suffix}"
 
@@ -168,50 +146,6 @@ def dedupe(specs: Iterable[JobSpec]) -> list[JobSpec]:
 def spec_to_dict(spec: JobSpec) -> dict:
     """A :class:`JobSpec` as a JSON-safe dict (the cache entry's ``spec``)."""
     return asdict(spec)
-
-
-#: Wire fields whose absence means "take the JobSpec default".
-_SPEC_FIELDS = {
-    "app": str,
-    "n_pes": int,
-    "npp": int,
-    "h": int,
-    "em4_mode": bool,
-    "network_model": str,
-    "priority_replies": bool,
-    "seed": int,
-    "compiled": bool,
-}
-_SPEC_REQUIRED = ("app", "n_pes", "npp", "h")
-
-
-def spec_from_dict(payload: dict) -> JobSpec:
-    """Rebuild a :class:`JobSpec` from :func:`spec_to_dict` output.
-
-    Strict on shape (unknown fields, missing required ones and values
-    of the wrong JSON type raise :class:`~repro.errors.ConfigError`, so
-    a typo can never silently hash to a fresh key) but tolerant of
-    omitted optionals, which take the dataclass defaults.  Types are
-    checked, never coerced: ``"false"`` is not a bool, and neither
-    ``true`` nor ``4.9`` is an int.
-    """
-    if not isinstance(payload, dict):
-        raise ConfigError(f"job spec must be an object, got {type(payload).__name__}")
-    unknown = set(payload) - set(_SPEC_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown job-spec fields {sorted(unknown)}")
-    missing = [name for name in _SPEC_REQUIRED if name not in payload]
-    if missing:
-        raise ConfigError(f"job spec missing required fields {missing}")
-    for name, value in payload.items():
-        expected = _SPEC_FIELDS[name]
-        # Exact type: bool is an int subclass, and a JSON true is not a count.
-        if type(value) is not expected:
-            raise ConfigError(
-                f"bad job-spec field {name}={value!r}: expected "
-                f"{expected.__name__}, got {type(value).__name__}"
-            )
-    return JobSpec(**payload)
 
 
 def expand_sweep(

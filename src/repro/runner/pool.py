@@ -15,9 +15,6 @@ Failure policy, in order of severity:
   every in-flight future) get **one retry** in a fresh pool — the jobs
   themselves are deterministic, so a second crash means the job, not
   the machinery, is at fault and the run fails loudly.
-* **Timeouts** are enforced *inside* the worker via ``SIGALRM``
-  (:func:`~repro.runner.worker.deadline`), so an over-budget job fails
-  its own future without wedging or poisoning the pool.
 """
 
 from __future__ import annotations
@@ -25,12 +22,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import SimulationError
 from .jobs import JobSpec
-from .worker import run_job_worker
+from .worker import execute_job
 
 __all__ = ["PoolStatus", "run_jobs"]
 
@@ -50,8 +47,6 @@ class PoolStatus:
     completed: int = 0
     failed: int = 0
     retried: int = 0
-    #: Labels of jobs currently believed to be executing (best effort).
-    in_flight: set = field(default_factory=set)
 
     @property
     def outstanding(self) -> int:
@@ -80,14 +75,13 @@ def _notify(progress: ProgressCallback | None, status: PoolStatus) -> None:
 
 def _run_serial(
     specs: Sequence[JobSpec],
-    timeout: float | None,
     worker,
     progress: ProgressCallback | None,
     status: PoolStatus,
 ) -> dict[JobSpec, object]:
     results: dict[JobSpec, object] = {}
     for spec in specs:
-        results[spec] = worker(spec, timeout)
+        results[spec] = worker(spec)
         status.completed += 1
         _notify(progress, status)
     return results
@@ -96,7 +90,6 @@ def _run_serial(
 def _run_pass(
     specs: Sequence[JobSpec],
     jobs: int,
-    timeout: float | None,
     worker,
     progress: ProgressCallback | None,
     status: PoolStatus,
@@ -109,7 +102,7 @@ def _run_pass(
     results: dict[JobSpec, object] = {}
     crashed: list[JobSpec] = []
     with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
-        futures = {pool.submit(worker, spec, timeout): spec for spec in specs}
+        futures = {pool.submit(worker, spec): spec for spec in specs}
         for future in as_completed(futures):
             spec = futures[future]
             try:
@@ -131,8 +124,7 @@ def run_jobs(
     specs: Sequence[JobSpec],
     *,
     jobs: int | None = None,
-    timeout: float | None = None,
-    worker=run_job_worker,
+    worker=execute_job,
     progress: ProgressCallback | None = None,
     status: PoolStatus | None = None,
 ) -> dict[JobSpec, object]:
@@ -141,8 +133,7 @@ def run_jobs(
     ``jobs=1`` runs serially in-process (no pool, no pickling —
     byte-for-byte the classic sequential path).  ``jobs=None`` uses
     ``os.cpu_count()``.  ``worker`` is injectable for tests and
-    benchmarks; it must be a picklable top-level callable taking
-    ``(spec, timeout)``.
+    benchmarks; it must be a picklable callable taking ``(spec)``.
     """
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -156,18 +147,16 @@ def run_jobs(
         return {}
 
     if jobs == 1 or len(specs) == 1:
-        return _run_serial(specs, timeout, worker, progress, status)
+        return _run_serial(specs, worker, progress, status)
 
-    results, crashed = _run_pass(specs, jobs, timeout, worker, progress, status)
+    results, crashed = _run_pass(specs, jobs, worker, progress, status)
     if crashed:
         # A broken pool fails every in-flight future, including jobs
         # that never ran; give each exactly one more chance in a fresh
         # pool before declaring the run dead.
         status.retried += len(crashed)
         _notify(progress, status)
-        retried, crashed_again = _run_pass(
-            crashed, jobs, timeout, worker, progress, status
-        )
+        retried, crashed_again = _run_pass(crashed, jobs, worker, progress, status)
         if crashed_again:
             labels = ", ".join(spec.describe() for spec in crashed_again[:4])
             raise SimulationError(

@@ -26,12 +26,11 @@ import functools
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Sequence
 
-from ..api import ExecutionPlan
 from ..errors import ConfigError
 from .cache import ResultCache
 from .jobs import FIGURES, JobSpec, dedupe, expand_figures, expand_sweep
 from .pool import PoolStatus, run_jobs
-from .worker import execute_job, run_job_worker
+from .worker import execute_job
 
 __all__ = [
     "RunnerOptions",
@@ -43,7 +42,6 @@ __all__ = [
     "stats",
     "reset_stats",
     "clear_memo",
-    "memo_size",
     "run_job",
     "run_specs",
     "sweep_threads",
@@ -53,7 +51,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RunnerOptions:
-    """How sweeps execute: parallelism, cache location, budgets."""
+    """How sweeps execute: parallelism, cache location, progress, traces."""
 
     #: Worker processes; 1 = classic serial in-process execution.
     jobs: int = 1
@@ -61,8 +59,6 @@ class RunnerOptions:
     cache_dir: str | None = None
     #: Disk layer on/off (the memo is always on).
     use_cache: bool = True
-    #: Per-job wall-clock budget in seconds (None = unlimited).
-    timeout: float | None = None
     #: Called with a :class:`~repro.runner.pool.PoolStatus` after every
     #: completed/cached job.
     progress: Callable[[PoolStatus], None] | None = None
@@ -70,18 +66,10 @@ class RunnerOptions:
     #: under this directory (cache hits produce no artifact; the cache
     #: key is unaffected).
     trace_dir: str | None = None
-    #: Execution strategy for jobs whose specs don't pin their own.
-    #: ``plan.compiled`` routes thread creation through the cohort
-    #: compiler (byte-identical by the compile oracle; see
-    #: :mod:`repro.compile`).
-    plan: ExecutionPlan = ExecutionPlan()
 
     def validate(self) -> None:
         if self.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {self.jobs}")
-        self.plan.validate()
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigError(f"timeout must be positive, got {self.timeout}")
 
 
 _options = RunnerOptions()
@@ -163,10 +151,6 @@ def clear_memo() -> None:
     _memo.clear()
 
 
-def memo_size() -> int:
-    return len(_memo)
-
-
 def _cache_for(options: RunnerOptions) -> ResultCache | None:
     return ResultCache(options.cache_dir) if options.use_cache else None
 
@@ -182,37 +166,9 @@ def _write_back(cache: ResultCache | None, spec: JobSpec, record) -> None:
         cache.put(spec, record)
 
 
-def _exec_spec(spec: JobSpec, options: RunnerOptions) -> JobSpec:
-    """The spec actually executed: ``options.plan`` applied to whatever
-    the spec does not pin itself (memo and cache key off this one, so
-    compiled results never alias interpreted entries)."""
-    if options.plan.compiled and not spec.compiled:
-        spec = replace(spec, compiled=True)
-    return spec
-
-
 def run_job(spec: JobSpec, *, options: RunnerOptions | None = None):
     """Satisfy one job: memo, then disk, then execute in-process."""
-    options = options or _options
-    spec = _exec_spec(spec, options)
-    cache = _cache_for(options)
-    hit = _memo.get(spec)
-    if hit is not None:
-        _stats.memo_hits += 1
-        _write_back(cache, spec, hit)
-        return hit
-    if cache is not None:
-        record = cache.get(spec)
-        if record is not None:
-            _stats.disk_hits += 1
-            _memo[spec] = record
-            return record
-    record = execute_job(spec, trace_dir=options.trace_dir)
-    _stats.executed += 1
-    _memo[spec] = record
-    if cache is not None:
-        cache.put(spec, record)
-    return record
+    return run_specs([spec], options=options)[spec]
 
 
 def run_specs(
@@ -227,53 +183,44 @@ def run_specs(
     """
     options = options or _options
     ordered = dedupe(specs)
-    exec_of = {spec: _exec_spec(spec, options) for spec in ordered}
     results: dict[JobSpec, object] = {}
     misses: list[JobSpec] = []
 
     cache = _cache_for(options)
     for spec in ordered:
-        espec = exec_of[spec]
-        hit = _memo.get(espec)
+        hit = _memo.get(spec)
         if hit is not None:
             _stats.memo_hits += 1
-            _write_back(cache, espec, hit)
+            _write_back(cache, spec, hit)
             results[spec] = hit
             continue
         if cache is not None:
-            record = cache.get(espec)
+            record = cache.get(spec)
             if record is not None:
                 _stats.disk_hits += 1
-                _memo[espec] = record
+                _memo[spec] = record
                 results[spec] = record
                 continue
         misses.append(spec)
 
     if misses:
-        especs = dedupe(exec_of[spec] for spec in misses)
-        workers = options.jobs
-        status = PoolStatus(total=len(ordered), workers=workers, cached=len(results))
+        status = PoolStatus(total=len(ordered), workers=options.jobs, cached=len(results))
         if options.progress is not None:
             options.progress(status)
-        worker = run_job_worker
-        if options.trace_dir is not None:
-            worker = functools.partial(run_job_worker, trace_dir=options.trace_dir)
         executed = run_jobs(
-            especs,
-            jobs=workers,
-            timeout=options.timeout,
-            worker=worker,
+            misses,
+            jobs=options.jobs,
+            worker=functools.partial(execute_job, trace_dir=options.trace_dir),
             progress=options.progress,
             status=status,
         )
-        for espec in especs:
-            record = executed[espec]
-            _stats.executed += 1
-            _memo[espec] = record
-            if cache is not None:
-                cache.put(espec, record)
         for spec in misses:
-            results[spec] = _memo[exec_of[spec]]
+            record = executed[spec]
+            _stats.executed += 1
+            _memo[spec] = record
+            if cache is not None:
+                cache.put(spec, record)
+            results[spec] = record
     return {spec: results[spec] for spec in ordered}
 
 

@@ -49,8 +49,6 @@ def test_threads_racing_one_key_leave_one_clean_entry(tmp_path, record):
         assert all(pool.map(writer, range(n_threads)))
 
     assert len(cache) == 1
-    assert cache.counters["writes"] == n_threads * rounds_per_thread
-    assert cache.counters["discards"] == 0
     assert tmp_leftovers(tmp_path) == []
     final = cache.get(SPEC)
     assert final.runtime_seconds == record.runtime_seconds
@@ -131,7 +129,6 @@ def test_corrupt_entry_is_discarded_not_raised(tmp_path, record):
     path = cache.path_for(SPEC)
     path.write_text(path.read_text()[: len(path.read_text()) // 2])
     assert cache.get(SPEC) is None
-    assert cache.counters["discards"] == 1
     assert not path.exists()
     # The job simply reruns and repopulates.
     cache.put(SPEC, record)

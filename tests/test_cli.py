@@ -59,6 +59,26 @@ def test_cli_requires_command():
         main([])
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["fig6", "a", "--jobs", "0"], "--jobs"),
+        (["sweep", "--threads", "x"], "--threads"),
+        (["sweep", "--threads", "0", "--figures", "fig6", "--no-cache"], "--threads"),
+        (["trace", "sort", "--buffer", "0"], "--buffer"),
+    ],
+    ids=["jobs-zero", "threads-not-int", "threads-zero", "buffer-zero"],
+)
+def test_cli_rejects_non_positive_counts(argv, flag, capsys):
+    """A bad count is a usage error (exit 2), caught before any run."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"argument {flag}: expected a positive integer" in err
+
+
 def test_cli_json_output(capsys):
     main(["sort", "--pes", "4", "--size", "16", "--threads", "2", "--json"])
     import json

@@ -7,8 +7,7 @@ driven, never what the machine does.  These tests sweep the fig6/fig7
 shape grid (tiny scale) for the EM-C workload, which compiles, and the
 native apps, which ``compiled=True`` must leave on the interpreter
 untouched; exercise the harness's shrinking and path diff; and cover
-the integration seams: the runner's JobSpec keying, execute_job, and
-the CLI's ``--plan``.
+the CLI seams: ``trace --plan compiled`` and the ``apps`` listing.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from repro.compile.differential import (
     comparable_compile_report,
     diff_paths,
 )
-from repro.metrics.serialize import run_record_to_dict
-from repro.runner.jobs import JobSpec, machine_fingerprint, spec_from_dict, spec_to_dict
-from repro.runner.worker import execute_job
 
 #: The fig6/fig7 grid at test scale: every paper workload (native and
 #: EM-C) on small machines across the thread sweep's low end.
@@ -70,38 +66,14 @@ def test_diff_paths_names_leaf_differences():
     assert diff_paths({"x": 1}, {"y": 1}) == ["x", "y"]
 
 
-def test_run_records_identical_including_events():
-    """What figures and the cache consume is equal in full — the
-    compiled path may not even change the event count."""
-    base = JobSpec(app="sort", n_pes=4, npp=16, h=2)
-    compiled = JobSpec(app="sort", n_pes=4, npp=16, h=2, compiled=True)
-    rec_base = run_record_to_dict(execute_job(base))
-    rec_compiled = run_record_to_dict(execute_job(compiled))
-    assert rec_base == rec_compiled
-
-
-def test_jobspec_compiled_keys_distinctly():
-    base = JobSpec(app="sort", n_pes=4, npp=16, h=2)
-    compiled = JobSpec(app="sort", n_pes=4, npp=16, h=2, compiled=True)
-    assert base.key() != compiled.key()
-    assert "compiled" in compiled.describe()
-    assert "compiled" not in base.describe()
-    # The machine fingerprint ignores the flag (execution strategy, not
-    # semantics); the JobSpec key carries it instead.
-    assert machine_fingerprint(base.config()) == machine_fingerprint(
-        compiled.config()
-    )
-    # Wire round-trip preserves it.
-    assert spec_from_dict(spec_to_dict(compiled)) == compiled
-
-
-def test_cli_compiled_flag(capsys):
+def test_cli_compiled_flag(capsys, tmp_path):
     from repro.__main__ import main
 
-    main(["sort", "--pes", "4", "--size", "16", "--threads", "2",
-          "--plan", "compiled"])
+    main(["trace", "emc-sort", "--pes", "4", "--size", "16", "--threads", "1",
+          "--plan", "compiled", "--out", str(tmp_path / "emc.perfetto.json")])
     out = capsys.readouterr().out
     assert "OK" in out
+    assert "cohorts: occupancy 1.00" in out
 
 
 def test_cli_apps_lists_registry(capsys):
@@ -112,7 +84,6 @@ def test_cli_apps_lists_registry(capsys):
     for name in ("sort", "emc-sort", "fft", "transpose"):
         assert name in out
     assert "n_pes, n, h" in out  # the unified signature
-    assert "--plan" in out  # supported flags
 
 
 def test_cli_apps_json(capsys):
@@ -125,7 +96,7 @@ def test_cli_apps_json(capsys):
     by_name = {e["name"]: e for e in entries}
     assert "bitonic" in by_name["sort"]["aliases"]
     assert by_name["fft"]["signature"][:3] == ["n_pes", "n", "h"]
-    assert by_name["sort"]["flags"] == ["--plan"]
+    assert set(by_name["sort"]) == {"name", "aliases", "signature"}
 
 
 def test_comparable_report_drops_only_cohort():

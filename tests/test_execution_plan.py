@@ -1,8 +1,7 @@
 """ExecutionPlan: the one bundle of execution-strategy knobs.
 
-Covers the frozen dataclass itself (parse/describe/validate), the
-``plan=`` plumbing through ``repro.run``, the runner options and the
-CLI, and the errors Python, argparse and the plan parser raise for
+Covers the frozen dataclass itself (validate), the CLI's
+``trace --plan compiled``, and the errors Python and argparse raise for
 removed modes and spellings.
 """
 
@@ -12,11 +11,11 @@ import pytest
 
 import repro
 from repro import ExecutionPlan
-from repro.errors import ConfigError, PlanError
+from repro.errors import PlanError
 
 
 # ----------------------------------------------------------------------
-# The dataclass: parse, describe, validate
+# The dataclass: validate
 # ----------------------------------------------------------------------
 def test_default_plan_is_sequential_detailed_interpreted():
     plan = ExecutionPlan()
@@ -32,47 +31,6 @@ def test_plan_is_frozen_and_hashable():
     assert plan != ExecutionPlan()
 
 
-@pytest.mark.parametrize(
-    "text,expected",
-    [
-        ("", ExecutionPlan()),
-        ("compiled", ExecutionPlan(compiled=True)),
-        ("compiled=false", ExecutionPlan()),
-    ],
-)
-def test_parse_accepts_cli_spellings(text, expected):
-    assert ExecutionPlan.parse(text) == expected
-
-
-@pytest.mark.parametrize(
-    "text,match",
-    [
-        ("shards=4", "unknown plan key"),
-        ("turbo", "malformed plan token"),
-        ("speed=11", "unknown plan key"),
-        ("fidelity=hybrid", "unknown plan key"),
-        ("compiled=maybe", "compiled must be a boolean"),
-        ("compiled,compiled=false", "'compiled' given more than once"),
-    ],
-)
-def test_parse_rejects_malformed_plans(text, match):
-    with pytest.raises(PlanError, match=match):
-        ExecutionPlan.parse(text)
-
-
-# The ids keep the row numbers of the earlier four-plan table; its
-# shard rows (plan1, plan3) went with the shards field.
-@pytest.mark.parametrize(
-    "plan",
-    [
-        pytest.param(ExecutionPlan(), id="plan0"),
-        pytest.param(ExecutionPlan(compiled=True), id="plan2"),
-    ],
-)
-def test_describe_parse_round_trip(plan):
-    assert ExecutionPlan.parse(plan.describe()) == plan
-
-
 def test_validate_rejects_bad_field_types():
     with pytest.raises(PlanError, match="compiled must be a bool"):
         ExecutionPlan(compiled="yes").validate()  # type: ignore[arg-type]
@@ -81,15 +39,6 @@ def test_validate_rejects_bad_field_types():
 # ----------------------------------------------------------------------
 # Removed modes fail loudly, with the existing typed errors
 # ----------------------------------------------------------------------
-def test_removed_fidelity_is_an_unknown_job_spec_field():
-    from repro.runner.jobs import spec_from_dict
-
-    with pytest.raises(ConfigError, match="unknown job-spec fields"):
-        spec_from_dict(
-            {"app": "sort", "n_pes": 2, "npp": 8, "h": 1, "fidelity": "detailed"}
-        )
-
-
 def test_cli_rejects_removed_fidelity_flag():
     from repro.__main__ import main
 
@@ -120,16 +69,24 @@ def _jobspec_shards():
     return JobSpec(app="sort", n_pes=8, npp=16, h=2, shards=2)
 
 
-def _spec_from_dict_shards():
-    from repro.runner.jobs import spec_from_dict
+def _spec_dict_shards():
+    from repro.runner import JobSpec
 
-    return spec_from_dict({"app": "sort", "n_pes": 2, "npp": 8, "h": 1, "shards": 2})
+    # A spec dict (the goldens' and cache entries' ``spec``) loads as
+    # JobSpec keyword arguments, so a removed field is Python's TypeError.
+    return JobSpec(**{"app": "sort", "n_pes": 2, "npp": 8, "h": 1, "shards": 2})
 
 
-def _configure_shards():
+def _jobspec_compiled():
+    from repro.runner import JobSpec
+
+    return JobSpec(app="sort", n_pes=8, npp=16, h=2, compiled=True)
+
+
+def _configure(**overrides):
     from repro.runner import configure
 
-    return configure(shards=2)
+    return lambda: configure(**overrides)
 
 
 def _machine_config_trace():
@@ -153,30 +110,37 @@ def _cli(*argv):
         (lambda: _run_sort(compiled=True), TypeError),
         (_sort_app_positional, TypeError),
         (_jobspec_with_plan, TypeError),
-        (_configure_shards, TypeError),
+        (_configure(shards=2), TypeError),
         (lambda: ExecutionPlan(shards=2), TypeError),
         (_jobspec_shards, TypeError),
-        (_spec_from_dict_shards, ConfigError),
+        (_spec_dict_shards, TypeError),
         (_cli("sort", "--shards", "2"), SystemExit),
         (_cli("sort", "--compiled"), SystemExit),
         (_cli("export", "--outdir", "d"), SystemExit),
-        (_cli("sort", "--plan", "shards=2"), PlanError),
+        (_cli("trace", "sort", "--plan", "shards=2"), SystemExit),
         (_machine_config_trace, TypeError),
         (_connect, AttributeError),
         (_cli("serve"), SystemExit),
         (_cli("submit"), SystemExit),
         (_cli("svc-status"), SystemExit),
+        (_jobspec_compiled, TypeError),
+        (_configure(plan=ExecutionPlan(compiled=True)), TypeError),
+        (_configure(timeout=5), TypeError),
+        (_cli("sort", "--plan", "compiled"), SystemExit),
+        (_cli("fig6", "a", "--plan", "compiled"), SystemExit),
     ],
     ids=["run-shards", "run-compiled", "app-positional", "jobspec-plan",
          "configure-shards", "plan-shards", "jobspec-shards",
          "spec-dict-shards", "cli-sort-shards", "cli-sort-compiled",
          "cli-export-outdir", "cli-plan-shards", "config-trace",
-         "repro-connect", "cli-serve", "cli-submit", "cli-svc-status"],
+         "repro-connect", "cli-serve", "cli-submit", "cli-svc-status",
+         "jobspec-compiled", "configure-plan", "configure-timeout",
+         "cli-sort-plan", "cli-fig6-plan"],
 )
 def test_removed_spellings_fail_loudly(call, error):
-    """Each removed spelling gets the error Python, argparse, the job-spec
-    decoder or the plan parser raises for any unknown argument, field,
-    attribute or command — no shim, no warning."""
+    """Each removed spelling gets the error Python or argparse raises for
+    any unknown argument, field, attribute, command or choice — no shim,
+    no warning."""
     with pytest.raises(error) as excinfo:
         call()
     if error is SystemExit:
@@ -184,36 +148,22 @@ def test_removed_spellings_fail_loudly(call, error):
 
 
 # ----------------------------------------------------------------------
-# RunnerOptions.plan
+# CLI: trace --plan
 # ----------------------------------------------------------------------
-def test_runner_using_accepts_plan(tmp_path):
-    from repro.runner import configure, using
-    from repro.runner.sweep import get_options
-
-    with using(cache_dir=str(tmp_path), plan=ExecutionPlan(compiled=True)):
-        assert get_options().plan == ExecutionPlan(compiled=True)
-    assert get_options().plan == ExecutionPlan()
-    with pytest.raises(PlanError, match="compiled must be a bool"):
-        configure(plan=ExecutionPlan(compiled="yes"))  # type: ignore[arg-type]
-    assert get_options().plan == ExecutionPlan()
-
-
-# ----------------------------------------------------------------------
-# CLI: --plan
-# ----------------------------------------------------------------------
-def test_cli_compiled_plan_prints_cohort_diagnostics(capsys):
+def test_cli_compiled_plan_prints_cohort_diagnostics(capsys, tmp_path):
     from repro.__main__ import main
 
-    main(["sort", "--pes", "4", "--size", "16", "--threads", "2",
-          "--plan", "compiled"])
+    main(["trace", "sort", "--pes", "4", "--size", "16", "--threads", "2",
+          "--plan", "compiled", "--out", str(tmp_path / "sort.perfetto.json")])
     out = capsys.readouterr().out
     assert "OK" in out
     # Native apps run interpreted under the compiled plan.
     assert "cohorts: occupancy 0.00" in out
 
 
-def test_cli_help_advertises_plan():
+def test_cli_help_advertises_plan(capsys):
     from repro.__main__ import main
 
     with pytest.raises(SystemExit):
-        main(["sort", "--help"])
+        main(["trace", "--help"])
+    assert "--plan {compiled}" in capsys.readouterr().out

@@ -4,8 +4,8 @@ The content key names cache files shared between processes, machines
 and CLI runs — a key that drifted between runs would silently turn
 every warm hit into a re-execution (or worse, a collision).  The golden
 fixture pins the exact hex digests; the subprocess test proves a fresh
-interpreter derives the same keys.  `spec_from_dict` is the strict
-decoder of the goldens' `spec` dicts.
+interpreter derives the same keys.  Each golden's `spec` dict holds
+`JobSpec` keyword arguments.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ import sys
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.runner.jobs import JobSpec, spec_from_dict, spec_to_dict
+from repro.runner.jobs import JobSpec, spec_to_dict
 
 GOLDENS_PATH = pathlib.Path(__file__).parent / "goldens" / "jobspec_keys.json"
 GOLDENS = json.loads(GOLDENS_PATH.read_text())
@@ -28,30 +27,8 @@ GOLDENS = json.loads(GOLDENS_PATH.read_text())
     "golden", GOLDENS, ids=[g["key"][:8] for g in GOLDENS]
 )
 def test_golden_key_is_stable(golden):
-    spec = spec_from_dict(golden["spec"])
+    spec = JobSpec(**golden["spec"])
     assert spec.key() == golden["key"]
-
-
-BASE = {"app": "sort", "n_pes": 2, "npp": 8, "h": 1}
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        [BASE],
-        {**BASE, "bogus": 1},
-        {"app": "sort", "n_pes": 2, "npp": 8},
-        # JSON types are checked, never coerced.
-        {**BASE, "em4_mode": "false"},
-        {**BASE, "h": True},
-        {**BASE, "n_pes": 4.9},
-    ],
-    ids=["non-object", "unknown-field", "missing-field", "str-bool",
-         "bool-int", "float-int"],
-)
-def test_spec_from_dict_rejects_malformed_payloads(payload):
-    with pytest.raises(ConfigError):
-        spec_from_dict(payload)
 
 
 def test_goldens_cover_every_spec_field():
@@ -68,8 +45,8 @@ def test_goldens_cover_every_spec_field():
 
 def test_key_is_invariant_to_dict_round_trip():
     for golden in GOLDENS:
-        spec = spec_from_dict(golden["spec"])
-        again = spec_from_dict(spec_to_dict(spec))
+        spec = JobSpec(**golden["spec"])
+        again = JobSpec(**spec_to_dict(spec))
         assert again == spec
         assert again.key() == spec.key()
 
@@ -77,7 +54,7 @@ def test_key_is_invariant_to_dict_round_trip():
 def test_key_is_invariant_to_field_order():
     payload = dict(GOLDENS[0]["spec"])
     reordered = dict(reversed(list(payload.items())))
-    assert spec_from_dict(reordered).key() == GOLDENS[0]["key"]
+    assert JobSpec(**reordered).key() == GOLDENS[0]["key"]
 
 
 def test_distinct_specs_have_distinct_keys():
@@ -102,9 +79,9 @@ def test_keys_match_across_processes():
     processes and CLI runs share one cache."""
     script = (
         "import json, sys\n"
-        "from repro.runner.jobs import spec_from_dict\n"
+        "from repro.runner.jobs import JobSpec\n"
         "goldens = json.load(open(sys.argv[1]))\n"
-        "print(json.dumps([spec_from_dict(g['spec']).key() for g in goldens]))\n"
+        "print(json.dumps([JobSpec(**g['spec']).key() for g in goldens]))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", script, str(GOLDENS_PATH)],

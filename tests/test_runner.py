@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import time
 
 import pytest
 
@@ -213,6 +212,20 @@ def test_run_job_memo_then_disk(tmp_path):
     assert (st.executed, st.disk_hits, st.memo_hits) == (1, 1, 1)
 
 
+def test_memo_hit_writes_back_to_a_cache_that_lacks_it(tmp_path):
+    """A record memoised with the disk cache off is stored on disk the
+    next time the job is asked for under a cache root."""
+    clear_memo()
+    with using(use_cache=False):
+        first = run_job(SPEC)
+    reset_stats()
+    with using(cache_dir=str(tmp_path)):
+        assert run_job(SPEC) is first
+    st = stats()
+    assert (st.executed, st.disk_hits, st.memo_hits) == (0, 0, 1)
+    assert SPEC in ResultCache(tmp_path)
+
+
 def test_no_cache_option_writes_nothing(tmp_path):
     clear_memo()
     store = tmp_path / "store"
@@ -234,29 +247,9 @@ def test_clear_cache_disk_purges(tmp_path):
     assert stats().executed == 1
 
 
-def test_runner_compiled_option_maps_specs(tmp_path):
-    """``RunnerOptions.plan`` applies to specs that don't pin their own:
-    the result is keyed by the caller's spec, the cache by the spec
-    actually executed."""
-    from dataclasses import replace
-
-    from repro import ExecutionPlan
-
-    clear_memo()
-    spec = JobSpec(app="emc-sort", n_pes=2, npp=8, h=2)
-    with using(cache_dir=str(tmp_path), plan=ExecutionPlan(compiled=True)):
-        records = run_specs([spec])
-    cache = ResultCache(str(tmp_path))
-    assert list(records) == [spec]
-    assert replace(spec, compiled=True) in cache
-    assert spec not in cache
-
-
 def test_options_validation_and_reset():
     with pytest.raises(ConfigError):
         RunnerOptions(jobs=0).validate()
-    with pytest.raises(ConfigError):
-        RunnerOptions(timeout=-1).validate()
     with using(jobs=3):
         assert get_options().jobs == 3
     assert get_options().jobs == 1
@@ -303,7 +296,7 @@ def test_sweep_threads_shape(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Pool: progress, crash retry, timeout
+# Pool: progress, crash retry
 # ----------------------------------------------------------------------
 def test_pool_progress_counts(tmp_path):
     clear_memo()
@@ -334,7 +327,7 @@ def test_run_jobs_empty():
     assert run_jobs([], jobs=4) == {}
 
 
-def _flagged_crash_worker(spec, timeout):
+def _flagged_crash_worker(spec):
     """Crash the worker process hard iff this worker consumes the flag.
 
     The flag is consumed *before* dying, so the retry pass succeeds —
@@ -349,12 +342,10 @@ def _flagged_crash_worker(spec, timeout):
         pass
     else:
         os._exit(17)
-    from repro.runner.worker import run_job_worker
-
-    return run_job_worker(spec, timeout)
+    return execute_job(spec)
 
 
-def _always_crash_worker(spec, timeout):
+def _always_crash_worker(spec):
     os._exit(17)
 
 
@@ -379,25 +370,3 @@ def test_worker_crash_is_retried_once(tmp_path, monkeypatch):
 def test_worker_crash_twice_raises():
     with pytest.raises(SimulationError, match="crashed twice"):
         run_jobs(DETERMINISM_SPECS[:2], jobs=2, worker=_always_crash_worker)
-
-
-def _sleepy_worker(spec, timeout):
-    from repro.runner.worker import deadline
-
-    with deadline(timeout):
-        time.sleep(10)
-    return None  # pragma: no cover - the deadline fires first
-
-
-def test_per_job_timeout_fires():
-    from repro.runner.worker import JobTimeout
-
-    with pytest.raises(JobTimeout):
-        _sleepy_worker(SPEC, 1)
-
-
-def test_deadline_noop_without_budget():
-    from repro.runner.worker import deadline
-
-    with deadline(None):
-        pass  # must not arm an alarm
