@@ -29,6 +29,7 @@ import argparse
 import sys
 
 from .api import get_app, result_ok
+from .errors import ProgramError
 from .experiments import (
     default_scale,
     fig6_panel,
@@ -404,9 +405,9 @@ def main(argv: list[str] | None = None) -> None:
 
     for app in ("sort", "fft"):
         p = sub.add_parser(app, help=f"run one {app} configuration")
-        p.add_argument("--pes", type=int, default=8)
-        p.add_argument("--size", type=int, default=128, help="elements per PE")
-        p.add_argument("--threads", type=int, default=4)
+        p.add_argument("--pes", type=_positive_int, default=8)
+        p.add_argument("--size", type=_positive_int, default=128, help="elements per PE")
+        p.add_argument("--threads", type=_positive_int, default=4)
         p.add_argument("--seed", type=int, default=0)
         # The timeline is text, so it cannot follow a JSON document.
         output = p.add_mutually_exclusive_group()
@@ -426,9 +427,9 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("app", choices=app_names())
     p.add_argument("--out", default="run.perfetto.json", metavar="FILE",
                    help="output path (default: %(default)s)")
-    p.add_argument("--pes", type=int, default=8)
-    p.add_argument("--size", type=int, default=64, help="elements per PE")
-    p.add_argument("--threads", type=int, default=4)
+    p.add_argument("--pes", type=_positive_int, default=8)
+    p.add_argument("--size", type=_positive_int, default=64, help="elements per PE")
+    p.add_argument("--threads", type=_positive_int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--buffer", type=_positive_int, default=1_000_000, metavar="N",
                    help="ring-buffer capacity in events (default: %(default)s)")
@@ -438,7 +439,14 @@ def main(argv: list[str] | None = None) -> None:
     p.set_defaults(func=_cmd_trace)
 
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except ProgramError as exc:
+        # For a single app run, a ProgramError is a shape the app rejects:
+        # a usage error.  Behind the runner it would mean a wrong answer.
+        if args.func not in (_cmd_app, _cmd_trace):
+            raise
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

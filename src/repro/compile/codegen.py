@@ -279,7 +279,6 @@ class _CodeGen:
             self.w(f"{i} = {ix} if {ix}.__class__ is int else _idx({ix}, {expr.line})")
         self.w(f"if {i} < 0 or {i} >= _msz:")
         self.w(f'    raise MemoryFault("access [%d, %d) outside memory of %d words" % ({i}, {i} + 1, _msz))')
-        self.w("_mem.reads += 1")
         t = self.tmp()
         self.w(f"{t} = _mwg({i}, 0)")
         return t
@@ -563,7 +562,6 @@ class _CodeGen:
                 self.w(f"{i} = {ix} if {ix}.__class__ is int else _idx({ix}, {stmt.line})")
             self.w(f"if {i} < 0 or {i} >= _msz:")
             self.w(f'    raise MemoryFault("access [%d, %d) outside memory of %d words" % ({i}, {i} + 1, _msz))')
-            self.w("_mem.writes += 1")
             self.w(f"_mw[{i}] = {val}")
         elif kind is ast.ExprStmt:
             self.force(self.gen_expr(stmt.expr, declared))

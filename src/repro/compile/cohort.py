@@ -16,8 +16,7 @@ where its semantics could drift, and the thread then runs on the
 reference AST interpreter, so the fallback never changes observable
 behaviour.
 
-**Native generator threads** and threads carrying a call continuation
-run on the interpreter and count as interpreted.
+**Native generator threads** run as written and count as interpreted.
 """
 
 from __future__ import annotations
@@ -48,13 +47,8 @@ class CohortManager:
     # ------------------------------------------------------------------
     # Entry point (called by EMX.create_thread)
     # ------------------------------------------------------------------
-    def instantiate(self, func: Callable, ctx, args: tuple, cont):
+    def instantiate(self, func: Callable, ctx, args: tuple):
         """Build the generator for one new thread, compiled when possible."""
-        if cont is not None:
-            # Call-continuation threads are rare and reply-bearing;
-            # keep them on the interpreter.
-            self.gen_interpreted_threads += 1
-            return func(ctx, *args, cont)
         emc = getattr(func, "__emc_thread__", None)
         if emc is not None:
             return self._emc_instantiate(func, emc, ctx, args)

@@ -8,28 +8,28 @@ merge-order tokens.  A thread body is a Python generator; it yields
 and mutates machine state accordingly:
 
 * ``yield ctx.read(addr)`` — split-phase remote read: the thread's live
-  registers are saved to its activation frame, the read-request packet
-  departs, and the EXU pulls the next packet from the hardware FIFO.
-  The reply resumes the thread *in FIFO order*.
+  registers are saved (charged as ``TimingModel.reg_save`` cycles), the
+  read-request packet departs, and the EXU pulls the next packet from
+  the hardware FIFO.  The reply resumes the thread *in FIFO order*.
+  ``ctx.read_pair`` and ``ctx.read_block`` are the two-word matched and
+  the block forms.
 * ``yield ctx.write(addr, v)`` — remote write; never suspends.
 * ``yield ctx.spawn(pe, fn, args)`` — thread invocation by packet.
 * ``yield ctx.barrier_wait(bar)`` — iteration synchronisation.
 * ``yield ctx.token_wait(tok, seq)`` / ``token_advance`` — thread
   synchronisation (sorting's ordered merge).
+* ``yield ctx.switch()`` — explicit context switch to the FIFO tail.
 """
 
 from .continuation import ContinuationTable
 from .effects import (
     BarrierWait,
-    Call,
     Compute,
     Effect,
     RemoteRead,
     RemoteReadBlock,
     RemoteReadPair,
     RemoteWrite,
-    RemoteWriteBlock,
-    Reply,
     Spawn,
     SwitchNow,
     TokenAdvance,
@@ -47,10 +47,7 @@ __all__ = [
     "RemoteReadPair",
     "RemoteReadBlock",
     "RemoteWrite",
-    "RemoteWriteBlock",
     "Spawn",
-    "Call",
-    "Reply",
     "BarrierWait",
     "TokenWait",
     "TokenAdvance",

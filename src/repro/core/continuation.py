@@ -1,4 +1,4 @@
-"""Continuations: where a read reply (or call result) should land.
+"""Continuations: where a read reply should land.
 
 A remote-read packet's second word is "the return address which is often
 called continuation" (§2.3).  We model a continuation as a small integer
@@ -20,15 +20,13 @@ __all__ = ["ContinuationTable"]
 class ContinuationTable:
     """Per-processor map of continuation id → suspended thread."""
 
-    __slots__ = ("pe", "_slots", "_free", "_next", "registered", "resolved")
+    __slots__ = ("pe", "_slots", "_free", "_next")
 
     def __init__(self, pe: int) -> None:
         self.pe = pe
         self._slots: dict[int, tuple[EMThread, Any]] = {}
         self._free: list[int] = []
         self._next = 0
-        self.registered = 0
-        self.resolved = 0
 
     def register(self, thread: EMThread, tag: Any = None) -> int:
         """Park ``thread`` and return the continuation id for the packet."""
@@ -38,7 +36,6 @@ class ContinuationTable:
         if cid in self._slots:  # pragma: no cover - invariant
             raise SchedulerError(f"continuation id {cid} already live on PE {self.pe}")
         self._slots[cid] = (thread, tag)
-        self.registered += 1
         return cid
 
     def resolve(self, cid: int) -> tuple[EMThread, Any]:
@@ -48,15 +45,7 @@ class ContinuationTable:
         except KeyError:
             raise SchedulerError(f"unknown continuation {cid} on PE {self.pe}") from None
         self._free.append(cid)
-        self.resolved += 1
         return entry
-
-    def peek(self, cid: int) -> tuple[EMThread, Any]:
-        """Look at a continuation without consuming it (block reads)."""
-        try:
-            return self._slots[cid]
-        except KeyError:
-            raise SchedulerError(f"unknown continuation {cid} on PE {self.pe}") from None
 
     @property
     def outstanding(self) -> int:

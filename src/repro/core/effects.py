@@ -1,12 +1,11 @@
 """Effects a guest thread may yield to the Execution Unit.
 
 Each effect corresponds to a mechanism of the EM-X thread library.
-*Suspending* effects (:class:`RemoteRead`, :class:`RemoteReadBlock`,
-:class:`Call`, :class:`BarrierWait`, :class:`TokenWait`,
+*Suspending* effects (:class:`RemoteRead`, :class:`RemoteReadPair`,
+:class:`RemoteReadBlock`, :class:`BarrierWait`, :class:`TokenWait`,
 :class:`SwitchNow`) end the current run burst — the thread's registers
 are saved and the EXU turns to the hardware FIFO.  Non-suspending
-effects (:class:`Compute`, :class:`RemoteWrite`,
-:class:`RemoteWriteBlock`, :class:`Spawn`, :class:`Reply`,
+effects (:class:`Compute`, :class:`RemoteWrite`, :class:`Spawn`,
 :class:`TokenAdvance`) are consumed inline and the generator continues
 within the same burst, exactly as remote writes "do not suspend the
 issuing threads" on the hardware.
@@ -15,7 +14,7 @@ issuing threads" on the hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from ..errors import ThreadProtocolError
 from ..packet import GlobalAddress
@@ -29,10 +28,7 @@ __all__ = [
     "RemoteReadPair",
     "RemoteReadBlock",
     "RemoteWrite",
-    "RemoteWriteBlock",
     "Spawn",
-    "Call",
-    "Reply",
     "BarrierWait",
     "TokenWait",
     "TokenAdvance",
@@ -140,42 +136,12 @@ class RemoteWrite(Effect):
 
 
 @dataclass(slots=True)
-class RemoteWriteBlock(Effect):
-    """Block remote write; the thread continues immediately."""
-
-    addr: GlobalAddress
-    values: Sequence[Any]
-
-
-@dataclass(slots=True)
 class Spawn(Effect):
     """Fire-and-forget thread invocation on processor ``pe``."""
 
     pe: int
     func: str
     args: tuple[Any, ...] = ()
-
-
-@dataclass(slots=True)
-class Call(Effect):
-    """Invoke a thread on ``pe`` and suspend until it replies a result.
-
-    The callee receives the caller's continuation as its last argument
-    and must ``yield Reply(continuation, value)`` exactly once.
-    """
-
-    pe: int
-    func: str
-    args: tuple[Any, ...] = ()
-    suspends = True
-
-
-@dataclass(slots=True)
-class Reply(Effect):
-    """Send ``value`` to a caller's continuation (a conventional return)."""
-
-    continuation: tuple[int, int]  # (pe, continuation id)
-    value: Any
 
 
 @dataclass(slots=True)

@@ -1,11 +1,12 @@
-"""Thread objects: one generator, one activation frame, one state.
+"""Thread objects: one generator, one state.
 
 A thread "will run to completion unless it encounters any remote memory
 operations or explicit thread switching" (§2.3).  The state machine
 mirrors that: READY (sitting in the hardware FIFO as a packet), RUNNING
 (the EXU is inside its generator), or suspended awaiting a read reply /
 barrier release / token grant.  Threads never share registers; the
-register image lives in the activation frame across switches.
+generator's suspended frame plays the activation frame that holds them
+across switches, and the EXU charges the register save in cycles.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import enum
 from typing import Any, Generator
 
 from ..errors import ThreadProtocolError
-from ..memory import ActivationFrame
 
 __all__ = ["ThreadState", "EMThread"]
 
@@ -30,7 +30,6 @@ class ThreadState(enum.Enum):
     WAIT_READ = "wait_read"
     WAIT_BARRIER = "wait_barrier"
     WAIT_TOKEN = "wait_token"
-    WAIT_CALL = "wait_call"
     DONE = "done"
 
     # Identity hash (C slot): the legal-transition table is consulted
@@ -46,14 +45,12 @@ _LEGAL: dict[ThreadState, tuple[ThreadState, ...]] = {
         ThreadState.WAIT_READ,
         ThreadState.WAIT_BARRIER,
         ThreadState.WAIT_TOKEN,
-        ThreadState.WAIT_CALL,
         ThreadState.READY,  # explicit SwitchNow
         ThreadState.DONE,
     ),
     ThreadState.WAIT_READ: (ThreadState.RUNNING,),
     ThreadState.WAIT_BARRIER: (ThreadState.RUNNING,),
     ThreadState.WAIT_TOKEN: (ThreadState.RUNNING,),
-    ThreadState.WAIT_CALL: (ThreadState.RUNNING,),
     ThreadState.DONE: (),
 }
 
@@ -61,17 +58,14 @@ _LEGAL: dict[ThreadState, tuple[ThreadState, ...]] = {
 class EMThread:
     """One fine-grain thread bound to a processor."""
 
-    __slots__ = ("tid", "pe", "frame", "gen", "state", "name", "started", "bursts", "on_transition")
+    __slots__ = ("tid", "pe", "gen", "state", "name", "on_transition")
 
-    def __init__(self, tid: int, pe: int, frame: ActivationFrame, gen: GuestGen, name: str = "") -> None:
+    def __init__(self, tid: int, pe: int, gen: GuestGen, name: str = "") -> None:
         self.tid = tid
         self.pe = pe
-        self.frame = frame
         self.gen = gen
         self.state = ThreadState.READY
         self.name = name or f"t{tid}"
-        self.started = False
-        self.bursts = 0
         #: Optional observer ``(thread, new_state) -> None``, called after
         #: every legal transition (installed by the machine when
         #: observability is enabled; ``None`` costs one test per switch).
@@ -86,11 +80,6 @@ class EMThread:
         self.state = new
         if self.on_transition is not None:
             self.on_transition(self, new)
-
-    @property
-    def alive(self) -> bool:
-        """True until the generator has returned."""
-        return self.state is not ThreadState.DONE
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"EMThread({self.name}, pe={self.pe}, state={self.state.value})"

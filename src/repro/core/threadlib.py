@@ -18,21 +18,18 @@ local loads/stores are part of the instruction budgets charged with
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 from ..errors import ProgramError
 from ..memory import LocalMemory
 from ..packet import GlobalAddress
 from .effects import (
     BarrierWait,
-    Call,
     Compute,
     RemoteRead,
     RemoteReadBlock,
     RemoteReadPair,
     RemoteWrite,
-    RemoteWriteBlock,
-    Reply,
     Spawn,
     SwitchNow,
     TokenAdvance,
@@ -92,21 +89,9 @@ class ThreadCtx:
         """Remote write of one word (does not suspend)."""
         return RemoteWrite(addr, value)
 
-    def write_block(self, addr: GlobalAddress, values: Sequence[Any]) -> RemoteWriteBlock:
-        """Remote write of consecutive words (does not suspend)."""
-        return RemoteWriteBlock(addr, tuple(values))
-
     def spawn(self, pe: int, func: str, *args: Any) -> Spawn:
         """Invoke thread ``func`` on ``pe`` (fire and forget)."""
         return Spawn(pe, func, args)
-
-    def call(self, pe: int, func: str, *args: Any) -> Call:
-        """Invoke ``func`` on ``pe`` and suspend until it replies."""
-        return Call(pe, func, args)
-
-    def reply(self, continuation: tuple[int, int], value: Any) -> Reply:
-        """Return ``value`` to a caller's continuation."""
-        return Reply(continuation, value)
 
     def barrier_wait(self, barrier: GlobalBarrier) -> BarrierWait:
         """Arrive at an iteration barrier and wait for the release."""

@@ -15,7 +15,6 @@ __all__ = [
     "DeadlockError",
     "AddressError",
     "MemoryFault",
-    "SegmentError",
     "NetworkError",
     "RoutingError",
     "PacketError",
@@ -64,10 +63,6 @@ class AddressError(ReproError):
 
 class MemoryFault(ReproError):
     """An access outside a processor's local memory bounds."""
-
-
-class SegmentError(MemoryFault):
-    """Template / operand segment allocation failure."""
 
 
 class NetworkError(ReproError):

@@ -112,7 +112,7 @@ class EMX:
         self._barriers: dict[int, GlobalBarrier] = {}
         self.pes = [EMCYProcessor(pe, self) for pe in range(self.config.n_pes)]
         for proc in self.pes:
-            self.network.attach(proc.pe, proc.deliver)
+            self.network.attach(proc.pe, proc.ibu.receive)
         self.engine.quiescence_watcher = self._stuck_report
         #: Cohort compiler (``compiled=True`` only): intercepts thread
         #: creation to swap in compiled effect steppers.
@@ -151,23 +151,22 @@ class EMX:
             kind=PacketKind.INVOKE,
             src=pe,
             dst=pe,
-            data=(func_name, args, None),
+            data=(func_name, args),
             words=_invoke_words(len(args)),
         )
         self.engine.schedule_at(self.engine.now, self.pes[pe].ibu.enqueue, pkt)
 
-    def create_thread(self, pe: int, func_name: str, args: tuple, cont) -> EMThread:
+    def create_thread(self, pe: int, func_name: str, args: tuple) -> EMThread:
         """Instantiate a thread (EXU internal; called on INVOKE dispatch)."""
         proc = self.pes[pe]
         func = self.registry.get(func_name)
-        frame = proc.frames.create()
         tid = self._next_tid
         ctx = ThreadCtx(pe, self.config.n_pes, proc.memory, proc.guest_state, tid)
         if self.cohorts is not None:
-            gen = self.cohorts.instantiate(func, ctx, args, cont)
+            gen = self.cohorts.instantiate(func, ctx, args)
         else:
-            gen = func(ctx, *args) if cont is None else func(ctx, *args, cont)
-        thread = EMThread(tid, pe, frame, gen, name=f"{func_name}@{pe}")
+            gen = func(ctx, *args)
+        thread = EMThread(tid, pe, gen, name=f"{func_name}@{pe}")
         obs = self.obs
         if obs is not None:
             thread.on_transition = self._emit_thread_transition

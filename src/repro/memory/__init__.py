@@ -1,23 +1,15 @@
 """Per-processor memory system.
 
-Each EMC-Y has 4 MB of one-level static memory holding two storage
-resources: *template segments* (compiled thread code) and *operand
-segments* (activation frames).  This package models word-addressed local
-memory with bounds checking, a segment allocator, the activation-frame
-tree, and the matching memory used for two-token direct matching.
+Each EMC-Y has 4 MB of one-level static memory.  This package models it
+as word-addressed local memory with bounds checking, plus the matching
+memory used for two-token direct matching.  The hardware also keeps
+template segments (thread code) and operand segments (activation
+frames) in that memory; the model lays out neither, because thread code
+lives in the machine's program registry and a register save is charged
+as ``TimingModel.reg_save`` cycles at each switch.
 """
 
-from .frames import ActivationFrame, FrameTable
 from .matching import MatchingMemory
 from .memory import LocalMemory
-from .segments import Segment, SegmentAllocator, SegmentKind
 
-__all__ = [
-    "LocalMemory",
-    "Segment",
-    "SegmentAllocator",
-    "SegmentKind",
-    "ActivationFrame",
-    "FrameTable",
-    "MatchingMemory",
-]
+__all__ = ["LocalMemory", "MatchingMemory"]

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from ..errors import SchedulerError
-
 __all__ = ["MatchingMemory"]
 
 _MISSING = object()  # sentinel: one dict probe per offer instead of two
@@ -22,26 +20,24 @@ _MISSING = object()  # sentinel: one dict probe per offer instead of two
 class MatchingMemory:
     """Parked first operands, keyed by (frame_id, slot)."""
 
-    __slots__ = ("_parked", "matches", "parks", "_obs", "_pe", "_clock")
+    __slots__ = ("_parked", "_obs", "_pe", "_engine")
 
     def __init__(self) -> None:
         self._parked: dict[tuple[int, int], Any] = {}
-        self.matches = 0
-        self.parks = 0
         self._obs = None
         self._pe = 0
-        self._clock = None
+        self._engine = None
 
-    def attach_obs(self, obs, pe: int, clock) -> None:
+    def attach_obs(self, obs, pe: int, engine) -> None:
         """Install the observability sink (processor construction time).
 
-        ``clock`` is the machine clock, read at each park/match so the
-        emitted :class:`~repro.obs.events.MatchEvent` carries the cycle
-        the token actually moved.
+        ``engine.now`` is read at each park/match so the emitted
+        :class:`~repro.obs.events.MatchEvent` carries the cycle the
+        token actually moved.
         """
         self._obs = obs
         self._pe = pe
-        self._clock = clock
+        self._engine = engine
 
     def offer(self, frame_id: int, slot: int, value: Any) -> tuple[Any, Any] | None:
         """Offer one operand token.
@@ -53,12 +49,10 @@ class MatchingMemory:
         key = (frame_id, slot)
         first = parked.pop(key, _MISSING)
         if first is not _MISSING:
-            self.matches += 1
             if self._obs is not None:
                 self._emit(frame_id, slot, True)
             return (first, value)
         parked[key] = value
-        self.parks += 1
         if self._obs is not None:
             self._emit(frame_id, slot, False)
         return None
@@ -66,14 +60,7 @@ class MatchingMemory:
     def _emit(self, frame_id: int, slot: int, matched: bool) -> None:
         from ..obs.events import MatchEvent  # local: memory stays obs-free when off
 
-        self._obs.emit(MatchEvent(self._clock.now, self._pe, frame_id, slot, matched))
-
-    def cancel(self, frame_id: int, slot: int) -> Any:
-        """Discard a parked token (frame teardown); returns its value."""
-        try:
-            return self._parked.pop((frame_id, slot))
-        except KeyError:
-            raise SchedulerError(f"no parked token at frame={frame_id} slot={slot}") from None
+        self._obs.emit(MatchEvent(self._engine.now, self._pe, frame_id, slot, matched))
 
     @property
     def pending(self) -> int:

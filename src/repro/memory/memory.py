@@ -13,7 +13,7 @@ dict, so an 8M-point guest array costs only what it touches).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..errors import MemoryFault
 
@@ -23,15 +23,13 @@ __all__ = ["LocalMemory"]
 class LocalMemory:
     """Bounds-checked, sparsely backed word memory."""
 
-    __slots__ = ("size", "_words", "reads", "writes")
+    __slots__ = ("size", "_words")
 
     def __init__(self, size: int) -> None:
         if size < 1:
             raise MemoryFault(f"memory size must be >= 1 word, got {size}")
         self.size = size
         self._words: dict[int, float | int] = {}
-        self.reads = 0
-        self.writes = 0
 
     def _check(self, offset: int, span: int = 1) -> None:
         if offset < 0 or offset + span > self.size:
@@ -42,13 +40,11 @@ class LocalMemory:
     def read(self, offset: int) -> float | int:
         """Load one word."""
         self._check(offset)
-        self.reads += 1
         return self._words.get(offset, 0)
 
     def write(self, offset: int, value: float | int) -> None:
         """Store one word."""
         self._check(offset)
-        self.writes += 1
         self._words[offset] = value
 
     def read_block(self, offset: int, count: int) -> list[float | int]:
@@ -56,7 +52,6 @@ class LocalMemory:
         if count < 0:
             raise MemoryFault(f"negative block length {count}")
         self._check(offset, max(count, 1) if count else 0)
-        self.reads += count
         get = self._words.get
         return [get(i, 0) for i in range(offset, offset + count)]
 
@@ -65,14 +60,9 @@ class LocalMemory:
         vals = list(values)
         if vals:
             self._check(offset, len(vals))
-        self.writes += len(vals)
         for i, v in enumerate(vals):
             self._words[offset + i] = v
         return len(vals)
-
-    def touched(self) -> Iterator[int]:
-        """Offsets that have ever been written (unordered)."""
-        return iter(self._words)
 
     def __len__(self) -> int:
         return self.size

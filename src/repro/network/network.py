@@ -1,17 +1,22 @@
 """Packet transport over the circular Omega fabric.
 
-Both network models compute a packet's delivery time *at injection* by
-walking its route and reserving output-port time slots (one 2-word
-packet per two cycles per port), then schedule a single delivery event.
-This reproduces virtual cut-through timing — k hops arrive k+1 cycles
-after injection when uncontended — without per-hop events, and the
-monotonic port reservations enforce the switch unit's message
-non-overtaking rule.
+Both network models reserve output-port time slots (one 2-word packet
+per two cycles per port) and reproduce virtual cut-through timing: k
+hops arrive k+1 cycles after injection when uncontended.  Monotonic
+port reservations enforce the switch unit's message non-overtaking
+rule.
 
-:class:`DetailedOmegaNetwork` reserves every switch output port on the
-route; :class:`AnalyticOmegaNetwork` reserves only the endpoint
-injection/ejection ports, modelling an uncongested fabric.  Experiment
-A3 quantifies how little they differ at the paper's traffic levels.
+:class:`DetailedOmegaNetwork` moves a packet hop by hop as events,
+reserving every switch output port on the route when the packet
+reaches it, so each port serves packets in arrival order.
+:class:`AnalyticOmegaNetwork` reserves only the endpoint
+injection/ejection ports, modelling an uncongested fabric: it computes
+the delivery time *at injection* and schedules a single delivery event,
+without per-hop events.  Experiment A3 quantifies how little they
+differ at the paper's traffic levels.
+
+Each PE's packet sink, registered with :meth:`OmegaNetworkBase.attach`,
+is its IBU's :meth:`~repro.processor.ibu.InputBufferUnit.receive`.
 """
 
 from __future__ import annotations

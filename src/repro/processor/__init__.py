@@ -3,8 +3,9 @@
 A single-chip pipelined RISC processor combining register-based
 execution with packet-based dataflow synchronisation.  The units:
 
-* **SU** (switching unit) — the network attachment point; modelled as
-  the :meth:`~repro.processor.emcy.EMCYProcessor.deliver` entry.
+* **SU** (switching unit) — the network attachment point; the network
+  hands each arriving packet straight to
+  :meth:`~repro.processor.ibu.InputBufferUnit.receive`.
 * **IBU** (input buffer unit) — two priority FIFOs of 8 packets with
   overflow to memory; services remote reads through the **by-passing
   DMA** path without consuming EXU cycles (EM-X's key feature).

@@ -1,18 +1,17 @@
 """The EMC-Y processing element: units, memory, and bookkeeping.
 
-One :class:`EMCYProcessor` aggregates the local memory system (memory,
-segment allocator, frame table, matching memory), the pipeline units
-(IBU, EXU, OBU), the continuation table, and the per-PE counters.  The
-machine attaches :meth:`deliver` (the Switching Unit's role) to the
-network as this PE's packet sink.
+One :class:`EMCYProcessor` aggregates the local memory system (memory
+and matching memory), the pipeline units (IBU, EXU, OBU), the
+continuation table, and the per-PE counters.  The machine attaches the
+IBU's :meth:`~repro.processor.ibu.InputBufferUnit.receive` to the
+network as this PE's packet sink (the Switching Unit's role).
 """
 
 from __future__ import annotations
 
 from ..core.continuation import ContinuationTable
-from ..memory import FrameTable, LocalMemory, MatchingMemory, SegmentAllocator
+from ..memory import LocalMemory, MatchingMemory
 from ..metrics.counters import PECounters
-from ..packet import Packet
 from .exu import ExecutionUnit
 from .ibu import InputBufferUnit
 from .obu import OutputBufferUnit
@@ -30,11 +29,9 @@ class EMCYProcessor:
 
         # Memory system (MCU-owned resources).
         self.memory = LocalMemory(config.memory_words)
-        self.allocator = SegmentAllocator(config.memory_words)
-        self.frames = FrameTable(self.allocator, pe)
         self.matching = MatchingMemory()
         if machine.obs is not None:
-            self.matching.attach_obs(machine.obs, pe, machine.engine.clock)
+            self.matching.attach_obs(machine.obs, pe, machine.engine)
 
         # Runtime bookkeeping.
         self.continuations = ContinuationTable(pe)
@@ -50,16 +47,6 @@ class EMCYProcessor:
         self.exu = ExecutionUnit(self)
 
     # ------------------------------------------------------------------
-    def deliver(self, pkt: Packet) -> None:
-        """Switching Unit entry: a packet arrived for this PE."""
-        self.counters.packets_handled += 1
-        self.ibu.receive(pkt)
-
-    # ------------------------------------------------------------------
-    def idle(self) -> bool:
-        """True when this PE has no queued packets and no live threads."""
-        return self.ibu.queued == 0 and self.live_threads == 0
-
     def stuck_report(self) -> str | None:
         """Describe live-but-unreachable work for deadlock diagnosis."""
         if self.live_threads == 0 and self.continuations.outstanding == 0:

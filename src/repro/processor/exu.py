@@ -23,7 +23,6 @@ import math
 
 from ..core.effects import (
     BarrierWait,
-    Call,
     Compute,
     FusedRead,
     FusedReadPair,
@@ -31,8 +30,6 @@ from ..core.effects import (
     RemoteReadBlock,
     RemoteReadPair,
     RemoteWrite,
-    RemoteWriteBlock,
-    Reply,
     Spawn,
     SwitchNow,
     TokenAdvance,
@@ -133,8 +130,8 @@ class ExecutionUnit:
         kind = pkt.kind
         timing = self._timing
         if kind is PacketKind.INVOKE:
-            func_name, args, cont = pkt.data
-            thread = self._proc.machine.create_thread(self._proc.pe, func_name, args, cont)
+            func_name, args = pkt.data
+            thread = self._proc.machine.create_thread(self._proc.pe, func_name, args)
             self._run_burst(thread, None, timing.match_invoke + extra)
         elif kind in (PacketKind.READ_REPLY, PacketKind.BLOCK_READ_REPLY):
             thread, _tag = self._proc.continuations.resolve(pkt.address)
@@ -186,39 +183,10 @@ class ExecutionUnit:
         proc = self._proc
         timing = self._timing
         engine = self._engine
-        offset = pkt.address & 0xFFFFFFFF
-        if pkt.kind is PacketKind.READ_REQ:
-            cost = timing.em4_read_service + extra
-            cont = pkt.data
-            if isinstance(cont, tuple) and cont[0] == "pair":
-                _, cid, slot = cont
-                reply = Packet(
-                    kind=PacketKind.READ_REPLY_PAIR,
-                    src=proc.pe,
-                    dst=pkt.src,
-                    address=cid,
-                    data=(slot, proc.memory.read(offset)),
-                )
-            else:
-                reply = Packet(
-                    kind=PacketKind.READ_REPLY,
-                    src=proc.pe,
-                    dst=pkt.src,
-                    address=cont,
-                    data=proc.memory.read(offset),
-                )
-        else:
-            cont, count = pkt.data
-            cost = timing.em4_read_service + count + extra
-            reply = Packet(
-                kind=PacketKind.BLOCK_READ_REPLY,
-                src=proc.pe,
-                dst=pkt.src,
-                address=cont,
-                data=proc.memory.read_block(offset, count),
-                words=2 * count,
-            )
-        proc.counters.reads_serviced += 1
+        cost = timing.em4_read_service + extra
+        if pkt.kind is PacketKind.BLOCK_READ_REQ:
+            cost += pkt.data[1]  # one cycle per word: data = (cont, count)
+        reply = proc.ibu.read_reply(pkt)
         proc.counters.add_cycles(Bucket.OVERHEAD, cost)
         t0 = engine.now
         self.busy_until = t0 + cost
@@ -251,7 +219,6 @@ class ExecutionUnit:
         mid_resumes: list[tuple[int, Packet]] = []  # token wakes, at offset
 
         thread.transition(ThreadState.RUNNING)
-        thread.bursts += 1
         gen = thread.gen
         finished = False
 
@@ -395,26 +362,6 @@ class ExecutionUnit:
                 )
                 counters.writes_issued += 1
 
-            elif et is RemoteWriteBlock:
-                n = len(eff.values)
-                over += pkt_gen * max(1, n)
-                base = eff.addr
-                # One logical write packet per word, as the hardware does.
-                for i, value in enumerate(eff.values):
-                    emits.append(
-                        (
-                            comp + over + sw,
-                            Packet(
-                                kind=PacketKind.WRITE,
-                                src=pe,
-                                dst=base.pe,
-                                address=(base + i).packed(),
-                                data=value,
-                            ),
-                        )
-                    )
-                counters.writes_issued += n
-
             elif et is Spawn:
                 words = _invoke_words(len(eff.args))
                 over += pkt_gen * (words // 2)
@@ -425,50 +372,12 @@ class ExecutionUnit:
                             kind=PacketKind.INVOKE,
                             src=pe,
                             dst=eff.pe,
-                            data=(eff.func, eff.args, None),
+                            data=(eff.func, eff.args),
                             words=words,
                         ),
                     )
                 )
                 counters.spawns_issued += 1
-
-            elif et is Reply:
-                over += pkt_gen
-                cont_pe, cid = eff.continuation
-                emits.append(
-                    (
-                        comp + over + sw,
-                        Packet(
-                            kind=PacketKind.READ_REPLY,
-                            src=pe,
-                            dst=cont_pe,
-                            address=cid,
-                            data=eff.value,
-                        ),
-                    )
-                )
-
-            elif et is Call:
-                words = _invoke_words(len(eff.args) + 1)
-                over += pkt_gen * (words // 2)
-                sw += reg_save
-                cid = proc.continuations.register(thread)
-                emits.append(
-                    (
-                        comp + over + sw,
-                        Packet(
-                            kind=PacketKind.INVOKE,
-                            src=pe,
-                            dst=eff.pe,
-                            data=(eff.func, eff.args, (pe, cid)),
-                            words=words,
-                        ),
-                    )
-                )
-                counters.spawns_issued += 1
-                self._switch(SwitchKind.EXPLICIT, thread)
-                thread.transition(ThreadState.WAIT_CALL)
-                break
 
             elif et is TokenWait:
                 if eff.token.holds(eff.seq):
@@ -569,4 +478,3 @@ class ExecutionUnit:
         proc.live_threads -= 1
         proc.machine.live_threads -= 1
         proc.counters.threads_finished += 1
-        proc.frames.release(thread.frame.frame_id)

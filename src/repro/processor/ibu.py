@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..errors import PacketError
 from ..obs.events import BurstSpan
 from ..packet import Packet, PacketKind, Priority
 
@@ -40,20 +39,21 @@ class InputBufferUnit:
         self._timing = machine.config.timing
         self._em4 = machine.config.em4_mode
         self._depth = machine.config.ibu_fifo_depth
+        self._reply_priority = (
+            Priority.HIGH if machine.config.priority_replies else Priority.NORMAL
+        )
         # One deque per priority level, highest first (enum-keyed dict
         # lookups were measurable on the receive path).
         self._q_high: deque = deque()
         self._q_normal: deque = deque()
         self._dma_free = 0
-        self.received = 0
-        self.dma_serviced = 0
 
     # ------------------------------------------------------------------
     # Network-facing entry (the Switching Unit hands packets here).
     # ------------------------------------------------------------------
     def receive(self, pkt: Packet) -> None:
         """A packet arrived from the network at ``engine.now``."""
-        self.received += 1
+        self._proc.counters.packets_handled += 1
         kind = pkt.kind
         if kind in (PacketKind.READ_REQ, PacketKind.BLOCK_READ_REQ):
             if self._em4:
@@ -144,45 +144,44 @@ class InputBufferUnit:
         engine.schedule_at(done, self._dma_complete, pkt)
 
     def _dma_complete(self, pkt: Packet) -> None:
+        self._proc.obu.inject(self.read_reply(pkt))
+
+    def read_reply(self, pkt: Packet) -> Packet:
+        """Service read request ``pkt`` from local memory; return its reply.
+
+        The one place replies are built, for the by-passing DMA and for
+        the EM-4 mode's EXU service alike.
+        """
         proc = self._proc
         proc.counters.reads_serviced += 1
-        self.dma_serviced += 1
         offset = pkt.address & 0xFFFFFFFF
-        reply_priority = (
-            Priority.HIGH if self._machine.config.priority_replies else Priority.NORMAL
-        )
-        if pkt.kind is PacketKind.READ_REQ:
-            cont = pkt.data
-            if isinstance(cont, tuple) and cont[0] == "pair":
-                _, cid, slot = cont
-                reply = Packet(
-                    kind=PacketKind.READ_REPLY_PAIR,
-                    src=proc.pe,
-                    dst=pkt.src,
-                    address=cid,
-                    data=(slot, proc.memory.read(offset)),
-                    priority=reply_priority,
-                )
-            else:
-                reply = Packet(
-                    kind=PacketKind.READ_REPLY,
-                    src=proc.pe,
-                    dst=pkt.src,
-                    address=cont,
-                    data=proc.memory.read(offset),
-                    priority=reply_priority,
-                )
-        elif pkt.kind is PacketKind.BLOCK_READ_REQ:
+        if pkt.kind is PacketKind.BLOCK_READ_REQ:
             cont, count = pkt.data
-            reply = Packet(
+            return Packet(
                 kind=PacketKind.BLOCK_READ_REPLY,
                 src=proc.pe,
                 dst=pkt.src,
                 address=cont,
                 data=proc.memory.read_block(offset, count),
                 words=2 * count,
-                priority=reply_priority,
+                priority=self._reply_priority,
             )
-        else:  # pragma: no cover - receive() filters kinds
-            raise PacketError(f"DMA cannot service {pkt.kind}")
-        proc.obu.inject(reply)
+        cont = pkt.data
+        if isinstance(cont, tuple):  # ("pair", cid, slot): one half of a read pair
+            _, cid, slot = cont
+            return Packet(
+                kind=PacketKind.READ_REPLY_PAIR,
+                src=proc.pe,
+                dst=pkt.src,
+                address=cid,
+                data=(slot, proc.memory.read(offset)),
+                priority=self._reply_priority,
+            )
+        return Packet(
+            kind=PacketKind.READ_REPLY,
+            src=proc.pe,
+            dst=pkt.src,
+            address=cont,
+            data=proc.memory.read(offset),
+            priority=self._reply_priority,
+        )

@@ -1,8 +1,9 @@
 """The discrete-event engine driving one simulated EM-X machine.
 
-The engine owns the clock and the event queue.  Model components
-schedule callbacks (`schedule`/`schedule_at`); :meth:`Engine.run` pops
-events in time order until the queue drains or a cycle limit is hit.
+The engine owns the simulated time and the event queue.  Model
+components schedule callbacks (`schedule`/`schedule_at`);
+:meth:`Engine.run` pops events in time order until the queue drains or
+a cycle limit is hit.
 
 **Hot path.**  :meth:`Engine.run` drains the calendar queue (see
 :mod:`repro.sim.queue`) one *cycle batch* at a time: the clock advance,
@@ -17,9 +18,10 @@ bucket holds its cycle's events in ``seq`` order, folded far entries
 included, so the firing sequence is exactly what the reference heapq
 engine produces.
 
-``Engine.now`` is a plain attribute (mirrored into :class:`Clock`),
-updated only here; model code reads it millions of times per run, so it
-must never become a property again.
+``Engine.now`` is the one clock: a plain integer cycle count, written
+only by the run loop, which raises :class:`~repro.errors.SimulationError`
+if it would ever move backwards.  Model code reads it millions of times
+per run, so it must never become a property again.
 
 A *quiescence watcher* may be installed: when the queue drains, the
 engine asks it whether the model is genuinely finished; if the watcher
@@ -35,14 +37,13 @@ import heapq
 from typing import Any, Callable
 
 from ..errors import DeadlockError, SimulationError
-from .clock import Clock
 from .queue import EventQueue
 
 __all__ = ["Engine"]
 
 
 class Engine:
-    """Event loop: a clock plus a stable event queue.
+    """Event loop: the current cycle plus a stable event queue.
 
     ``queue`` defaults to the calendar :class:`EventQueue`; any object
     with the same contract (``push``/``cancel``/``pop``/``peek_time``/
@@ -54,9 +55,8 @@ class Engine:
     def __init__(self, max_cycles: int = 4_000_000_000, queue: Any | None = None) -> None:
         if max_cycles < 1:
             raise SimulationError(f"max_cycles must be positive, got {max_cycles}")
-        self.clock = Clock()
-        #: Current simulated cycle (plain attribute, kept equal to
-        #: ``clock.now``; only the engine writes it).
+        #: Current simulated cycle (plain attribute; only the run loop
+        #: writes it).
         self.now = 0
         self.queue = EventQueue() if queue is None else queue
         self.max_cycles = max_cycles
@@ -169,7 +169,8 @@ class Engine:
         """Handle the next event lying beyond the horizon; True = pause."""
         if until is not None and when <= self.max_cycles:
             # Paused by the caller's horizon, not a failure.
-            self.clock.advance_to(until)
+            if until < self.now:
+                raise SimulationError(f"clock moved backwards: {self.now} -> {until}")
             self.now = until
             return True
         raise SimulationError(
@@ -180,13 +181,13 @@ class Engine:
     def _drain_calendar(self, queue: EventQueue, until: int | None) -> None:
         """Batch-drain loop over the calendar queue's cycle buckets."""
         limit = self._limit(until)
-        clock = self.clock
         while queue._live:
             t, bucket = queue.next_cycle(limit)
             if t > limit:
                 if self._pause_or_raise(t, until):
                     return
-            clock.advance_to(t)
+            if t < self.now:
+                raise SimulationError(f"clock moved backwards: {self.now} -> {t}")
             self.now = t
             # Fire the whole bucket in place.  Same-cycle pushes append
             # to `bucket` while we iterate, so the index runs until it
@@ -218,7 +219,6 @@ class Engine:
     def _drain_generic(self, queue: Any, until: int | None) -> None:
         """Reference loop: one peek/pop per event, any queue object."""
         limit = self._limit(until)
-        clock = self.clock
         while queue:
             when = queue.peek_time()
             assert when is not None  # queue is non-empty
@@ -226,21 +226,11 @@ class Engine:
                 if self._pause_or_raise(when, until):
                     return
             ev = queue.pop()
-            clock.advance_to(ev.time)
+            if ev.time < self.now:
+                raise SimulationError(f"clock moved backwards: {self.now} -> {ev.time}")
             self.now = ev.time
             self.events_fired += 1
             ev.fn(*ev.args)
-
-    def step(self) -> bool:
-        """Fire exactly one event.  Returns False when the queue is empty."""
-        if not self.queue:
-            return False
-        ev = self.queue.pop()
-        self.clock.advance_to(ev.time)
-        self.now = ev.time
-        self.events_fired += 1
-        ev.fn(*ev.args)
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Engine(now={self.now}, pending={len(self.queue)}, fired={self.events_fired})"

@@ -66,8 +66,12 @@ def test_cli_requires_command():
         (["sweep", "--threads", "x"], "--threads"),
         (["sweep", "--threads", "0", "--figures", "fig6", "--no-cache"], "--threads"),
         (["trace", "sort", "--buffer", "0"], "--buffer"),
+        (["sort", "--pes", "0"], "--pes"),
+        (["fft", "--size", "0"], "--size"),
+        (["trace", "sort", "--threads", "0"], "--threads"),
     ],
-    ids=["jobs-zero", "threads-not-int", "threads-zero", "buffer-zero"],
+    ids=["jobs-zero", "threads-not-int", "threads-zero", "buffer-zero",
+         "sort-pes-zero", "fft-size-zero", "trace-threads-zero"],
 )
 def test_cli_rejects_non_positive_counts(argv, flag, capsys):
     """A bad count is a usage error (exit 2), caught before any run."""
@@ -77,6 +81,28 @@ def test_cli_rejects_non_positive_counts(argv, flag, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage:")
     assert f"argument {flag}: expected a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sort", "--pes", "3"],
+        ["sort", "--pes", "4", "--size", "16", "--threads", "32"],
+        ["fft", "--size", "24"],
+        ["trace", "fft", "--pes", "6"],
+    ],
+    ids=["sort-pes-3", "sort-threads-over-size", "fft-size-24", "trace-fft-pes-6"],
+)
+def test_cli_rejects_shapes_the_app_rejects(argv, tmp_path, capsys):
+    """An app's ProgramError on a single run is a usage error, not a traceback."""
+    if argv[0] == "trace":
+        argv = [*argv, "--out", str(tmp_path / "run.perfetto.json")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ")
+    assert "Traceback" not in err
 
 
 def test_cli_json_output(capsys):

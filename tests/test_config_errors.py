@@ -50,7 +50,6 @@ def test_error_hierarchy_roots_at_repro_error():
         E.DeadlockError,
         E.AddressError,
         E.MemoryFault,
-        E.SegmentError,
         E.NetworkError,
         E.RoutingError,
         E.PacketError,
@@ -62,7 +61,6 @@ def test_error_hierarchy_roots_at_repro_error():
     for cls in leaves:
         assert issubclass(cls, E.ReproError)
     assert issubclass(E.DeadlockError, E.SimulationError)
-    assert issubclass(E.SegmentError, E.MemoryFault)
     assert issubclass(E.RoutingError, E.NetworkError)
 
 

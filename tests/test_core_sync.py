@@ -5,16 +5,13 @@ import pytest
 from repro.core.sync import GlobalBarrier, OrderToken
 from repro.core.thread import EMThread, ThreadState
 from repro.errors import BarrierError
-from repro.memory import FrameTable, SegmentAllocator
 
 
 def mk_thread(tid=0):
-    frames = FrameTable(SegmentAllocator(1024), pe=0)
-
     def body():
         yield
 
-    return EMThread(tid, 0, frames.create(), body())
+    return EMThread(tid, 0, body())
 
 
 # ----------------------------------------------------------------------

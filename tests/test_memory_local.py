@@ -72,25 +72,9 @@ def test_empty_block_ops():
     assert m.write_block(0, []) == 0
 
 
-def test_access_counters():
-    m = LocalMemory(8)
-    m.write_block(0, [1, 2])
-    m.read(0)
-    m.read_block(0, 2)
-    assert m.writes == 2
-    assert m.reads == 3
-
-
 def test_zero_size_rejected():
     with pytest.raises(MemoryFault):
         LocalMemory(0)
-
-
-def test_touched_tracks_writes():
-    m = LocalMemory(8)
-    m.write(2, 1)
-    m.write(5, 1)
-    assert sorted(m.touched()) == [2, 5]
 
 
 @given(st.data())

@@ -1,8 +1,5 @@
 """Matching memory: two-token direct matching semantics."""
 
-import pytest
-
-from repro.errors import SchedulerError
 from repro.memory import MatchingMemory
 
 
@@ -39,24 +36,3 @@ def test_slot_reusable_after_match():
     mm.offer(5, 3, 2)
     assert mm.offer(5, 3, 3) is None  # a fresh generation parks again
     assert mm.offer(5, 3, 4) == (3, 4)
-
-
-def test_cancel_returns_parked_value():
-    mm = MatchingMemory()
-    mm.offer(1, 0, "x")
-    assert mm.cancel(1, 0) == "x"
-    assert mm.pending == 0
-
-
-def test_cancel_empty_slot_rejected():
-    with pytest.raises(SchedulerError):
-        MatchingMemory().cancel(1, 0)
-
-
-def test_statistics():
-    mm = MatchingMemory()
-    mm.offer(1, 0, "a")
-    mm.offer(1, 0, "b")
-    mm.offer(2, 0, "c")
-    assert mm.parks == 2
-    assert mm.matches == 1

@@ -151,7 +151,7 @@ def test_build_network_selects_model():
 def test_in_flight_tracking():
     engine, net, _ = rig()
     engine.schedule(0, net.send, pkt(0, 5))
-    engine.step()  # the send itself
+    engine.run(until=0)  # the send itself; the first hop is later
     assert net.in_flight == 1
     engine.run()
     assert net.in_flight == 0

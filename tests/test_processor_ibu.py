@@ -1,5 +1,7 @@
 """Input Buffer Unit: DMA service, priorities, overflow, write path."""
 
+from collections import Counter
+
 import pytest
 
 from repro import EMX, MachineConfig
@@ -38,7 +40,6 @@ def test_dma_read_service_consumes_no_exu_cycles():
     report = m.run()
     assert report.counters[1].total_cycles == 0
     assert report.counters[1].reads_serviced == 1
-    assert m.pes[1].ibu.dma_serviced == 1
 
 
 def test_em4_mode_read_service_steals_exu_cycles():
@@ -68,9 +69,9 @@ def test_dma_serialises_back_to_back_requests():
 
     m.spawn(0, "reader", "a")
     m.spawn(1, "reader", "b")
-    m.run()
+    report = m.run()
     assert finish == {"a": True, "b": True}
-    assert m.pes[2].ibu.dma_serviced == 2
+    assert report.counters[2].reads_serviced == 2
 
 
 def test_priority_replies_use_high_fifo():
@@ -83,6 +84,36 @@ def test_priority_replies_use_high_fifo():
     proc.ibu.enqueue(reply)
     popped, _ = proc.ibu.pop()
     assert popped.kind is PacketKind.READ_REPLY  # high priority first
+
+
+@pytest.mark.parametrize("em4_mode", [False, True], ids=["dma", "em4"])
+def test_priority_replies_leave_high_whoever_serves_the_read(em4_mode):
+    """``priority_replies`` marks every read reply HIGH, DMA- or EXU-served."""
+    m = mk_machine(priority_replies=True, em4_mode=em4_mode)
+    sent = []
+    send = m.network.send
+
+    def spy(pkt):
+        sent.append(pkt)
+        send(pkt)
+
+    m.network.send = spy
+
+    @m.thread
+    def reader(ctx):
+        yield ctx.read(ctx.ga(1, 0))
+        yield ctx.read_pair(ctx.ga(1, 1), ctx.ga(1, 2))
+        yield ctx.read_block(ctx.ga(1, 3), 2)
+
+    m.spawn(0, "reader")
+    m.run()
+    replies = [pkt for pkt in sent if pkt.src == 1]
+    assert Counter(pkt.kind for pkt in replies) == {
+        PacketKind.READ_REPLY: 1,
+        PacketKind.READ_REPLY_PAIR: 2,
+        PacketKind.BLOCK_READ_REPLY: 1,
+    }
+    assert all(pkt.priority is Priority.HIGH for pkt in replies)
 
 
 def test_overflow_counts_and_extra_cost():

@@ -80,9 +80,11 @@ def test_random_programs_terminate_and_account(program):
     assert sum(c.threads_finished for c in report.counters) == spawned
     assert machine.live_threads == 0
     assert machine.network.in_flight == 0
+    # Every packet the network carries is handled once at its IBU.
+    assert sum(c.packets_handled for c in report.counters) == report.network.packets
     for proc in machine.pes:
         assert proc.continuations.outstanding == 0
-        assert proc.frames.live_count == 0
+        assert proc.live_threads == 0
         assert proc.ibu.queued == 0
 
     # Remote writes land with last-writer-wins per (pe, offset) in

@@ -1,50 +1,37 @@
-"""Clock and time-conversion unit tests."""
+"""Simulated time: ``Engine.now`` is the one clock."""
 
 import pytest
 
-from repro.config import CLOCK_HZ
+from repro.config import CLOCK_HZ, CYCLE_SECONDS
 from repro.errors import SimulationError
-from repro.sim import Clock, cycles_to_seconds, seconds_to_cycles
+from repro.sim import Engine
 
 
 def test_clock_starts_at_zero():
-    assert Clock().now == 0
-
-
-def test_clock_custom_start():
-    assert Clock(10).now == 10
-
-
-def test_clock_rejects_negative_start():
-    with pytest.raises(SimulationError):
-        Clock(-1)
+    assert Engine().now == 0
 
 
 def test_clock_advances_forward():
-    c = Clock()
-    c.advance_to(5)
-    c.advance_to(5)  # same-time advance is legal
-    c.advance_to(9)
-    assert c.now == 9
-
-
-def test_clock_rejects_backwards():
-    c = Clock(7)
-    with pytest.raises(SimulationError):
-        c.advance_to(6)
+    e = Engine()
+    seen = []
+    for when in (5, 5, 9):  # same-time events are legal
+        e.schedule_at(when, lambda: seen.append(e.now))
+    assert e.run() == 9
+    assert seen == [5, 5, 9]
 
 
 def test_cycle_seconds_is_50ns():
-    assert cycles_to_seconds(1) == pytest.approx(50e-9)
+    assert CYCLE_SECONDS == pytest.approx(50e-9)
     assert CLOCK_HZ == 20_000_000
+    e = Engine()
+    e.schedule(CLOCK_HZ, lambda: None)  # one simulated second at 20 MHz
+    assert e.run() * CYCLE_SECONDS == pytest.approx(1.0)
 
 
-def test_seconds_cycles_roundtrip():
-    for cycles in (0, 1, 17, 12345, 10**9):
-        assert seconds_to_cycles(cycles_to_seconds(cycles)) == cycles
-
-
-def test_now_seconds_tracks_now():
-    c = Clock()
-    c.advance_to(20_000_000)  # one simulated second at 20 MHz
-    assert c.now_seconds == pytest.approx(1.0)
+def test_clock_rejects_backwards():
+    e = Engine()
+    e.schedule(7, lambda: None)
+    e.schedule(20, lambda: None)
+    e.run(until=7)
+    with pytest.raises(SimulationError, match="backwards"):
+        e.run(until=6)  # a horizon behind now would rewind the clock

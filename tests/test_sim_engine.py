@@ -94,16 +94,6 @@ def test_cancel_scheduled_event():
     assert fired == ["y"]
 
 
-def test_step_fires_one_event():
-    e = Engine()
-    log = []
-    e.schedule(1, log.append, 1)
-    e.schedule(2, log.append, 2)
-    assert e.step() and log == [1]
-    assert e.step() and log == [1, 2]
-    assert not e.step()
-
-
 def test_events_fired_counter():
     e = Engine()
     for i in range(7):
