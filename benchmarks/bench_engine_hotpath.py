@@ -17,7 +17,9 @@ Usage::
 
 ``--check`` exits non-zero when the measured speedup falls more than
 ``--threshold`` (default 25 %) below the recorded baseline for the same
-shape.
+shape.  ``--write`` records each shape with the host it ran on (CPU
+count, Python version, platform), since absolute events/sec are only
+comparable on one host.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
+import platform
 import sys
 import time
 
@@ -64,9 +68,18 @@ def _sweep(app: str, shape: str) -> tuple[int, float]:
     return events, time.perf_counter() - t0
 
 
+def host() -> dict:
+    """The host a measurement ran on."""
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+
+
 def measure(shape: str, repeats: int = 1) -> dict:
     """Measure both apps on both queues; best of ``repeats`` runs each."""
-    out: dict = {"shape": shape, "apps": {}}
+    out: dict = {"shape": shape, "host": host(), "apps": {}}
     for app in ("sort", "fft"):
         best = best_ref = 0.0
         events = 0

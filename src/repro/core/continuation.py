@@ -9,8 +9,6 @@ long run does not grow the table without bound.
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..errors import SchedulerError
 from .thread import EMThread
 
@@ -24,28 +22,28 @@ class ContinuationTable:
 
     def __init__(self, pe: int) -> None:
         self.pe = pe
-        self._slots: dict[int, tuple[EMThread, Any]] = {}
+        self._slots: dict[int, EMThread] = {}
         self._free: list[int] = []
         self._next = 0
 
-    def register(self, thread: EMThread, tag: Any = None) -> int:
+    def register(self, thread: EMThread) -> int:
         """Park ``thread`` and return the continuation id for the packet."""
         cid = self._free.pop() if self._free else self._next
         if cid == self._next:
             self._next += 1
         if cid in self._slots:  # pragma: no cover - invariant
             raise SchedulerError(f"continuation id {cid} already live on PE {self.pe}")
-        self._slots[cid] = (thread, tag)
+        self._slots[cid] = thread
         return cid
 
-    def resolve(self, cid: int) -> tuple[EMThread, Any]:
-        """Consume a continuation id, returning (thread, tag)."""
+    def resolve(self, cid: int) -> EMThread:
+        """Consume a continuation id, returning the thread it parked."""
         try:
-            entry = self._slots.pop(cid)
+            thread = self._slots.pop(cid)
         except KeyError:
             raise SchedulerError(f"unknown continuation {cid} on PE {self.pe}") from None
         self._free.append(cid)
-        return entry
+        return thread
 
     @property
     def outstanding(self) -> int:

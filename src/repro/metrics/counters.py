@@ -58,6 +58,12 @@ class SwitchKind(enum.Enum):
     __hash__ = object.__hash__  # identity hash; see Bucket
 
 
+# The three buckets an EXU span charges, bound once: on Python 3.11
+# reading an enum member through its class is a slow attribute lookup,
+# and ``charge_span`` runs once per burst.
+_COMPUTATION, _OVERHEAD, _SWITCHING = Bucket.COMPUTATION, Bucket.OVERHEAD, Bucket.SWITCHING
+
+
 @dataclass
 class PECounters:
     """All instrumentation for one processor."""
@@ -96,6 +102,29 @@ class PECounters:
         if cycles < 0:
             raise SimulationError(f"negative cycle charge {cycles} to {bucket}")
         self.cycles[bucket] += cycles
+
+    def charge_span(self, start: int, computation: int, overhead: int, switching: int) -> int:
+        """Charge one EXU span beginning at ``start``; returns its end.
+
+        The span's cycles go to the COMPUTATION, OVERHEAD and SWITCHING
+        buckets and the span is noted active: the work of three
+        :meth:`add_cycles` calls and one :meth:`note_active`, in the one
+        call the EXU makes per burst, spin or EM-4 service.
+        """
+        if computation < 0 or overhead < 0 or switching < 0:
+            charges = ((_COMPUTATION, computation), (_OVERHEAD, overhead), (_SWITCHING, switching))
+            bucket, cycles = next(charge for charge in charges if charge[1] < 0)
+            raise SimulationError(f"negative cycle charge {cycles} to {bucket}")
+        buckets = self.cycles
+        buckets[_COMPUTATION] += computation
+        buckets[_OVERHEAD] += overhead
+        buckets[_SWITCHING] += switching
+        end = start + computation + overhead + switching
+        if self.first_active is None:
+            self.first_active = start
+        if end > self.last_active:
+            self.last_active = end
+        return end
 
     def add_switch(self, kind: SwitchKind, count: int = 1) -> None:
         """Count ``count`` context switches of ``kind``."""

@@ -16,7 +16,15 @@ without per-hop events.  Experiment A3 quantifies how little they
 differ at the paper's traffic levels.
 
 Each PE's packet sink, registered with :meth:`OmegaNetworkBase.attach`,
-is its IBU's :meth:`~repro.processor.ibu.InputBufferUnit.receive`.
+is its IBU's :meth:`~repro.processor.ibu.InputBufferUnit.receive`; the
+network holds the sinks in a per-PE list.
+
+**Hot path.**  A hop is the most frequent event of a run, so the
+detailed model keeps it to one call: a route plan, built once per
+``(src, dst)`` pair, holds every port's ``[next_free, busy]`` record
+beside its key, so a hop reserves its port with no dictionary lookup and
+no tuple hashing, and the hop and delivery handlers are bound once per
+network rather than once per scheduled event.
 """
 
 from __future__ import annotations
@@ -57,23 +65,36 @@ class OmegaNetworkBase:
         self.timing = timing
         self.obs = obs
         self.stats = NetworkStats()
-        self._sinks: dict[int, DeliverFn] = {}
-        #: Per-port ``[next_free_cycle, busy_cycles]`` record — one dict
-        #: lookup per reservation (this runs once per hop per packet).
+        #: Packet sink per PE (``None`` until attached).
+        self._sinks: list[DeliverFn | None] = [None] * topology.n_pes
+        #: Per-port ``[next_free_cycle, busy_cycles]`` record.  The
+        #: detailed model creates a route's records with its plan, before
+        #: any packet reaches them; every reservation books at least one
+        #: cycle, so ``busy_cycles == 0`` marks a port nothing has used.
         self._ports: dict[tuple, list[int]] = {}
         self.in_flight = 0
+        # Bound once: every packet schedules a delivery event, and
+        # ``self._deliver`` looked up on the class would allocate a new
+        # bound method for each one.
+        self._deliver = self._deliver
 
     # ------------------------------------------------------------------
     def attach(self, pe: int, deliver: DeliverFn) -> None:
         """Register the packet sink (the PE's switching unit) for ``pe``."""
-        if pe in self._sinks:
+        if not 0 <= pe < len(self._sinks):
+            raise NetworkError(f"PE {pe} outside a network of {len(self._sinks)} PEs")
+        if self._sinks[pe] is not None:
             raise NetworkError(f"PE {pe} already attached")
         self._sinks[pe] = deliver
 
+    def _check_attached(self, pkt: Packet) -> None:
+        dst = pkt.dst
+        if dst >= len(self._sinks) or self._sinks[dst] is None:
+            raise NetworkError(f"packet to unattached PE {dst}: {pkt!r}")
+
     def send(self, pkt: Packet) -> None:
         """Inject ``pkt`` now; schedules its delivery event."""
-        if pkt.dst not in self._sinks:
-            raise NetworkError(f"packet to unattached PE {pkt.dst}: {pkt!r}")
+        self._check_attached(pkt)
         pkt.born = self.engine.now
         arrival, hops = self._transit(pkt)
         self.stats.record(pkt, hops, arrival - pkt.born)
@@ -133,7 +154,7 @@ class OmegaNetworkBase:
         span = horizon if horizon is not None else self.engine.now
         if span <= 0:
             return {}
-        return {port: rec[1] / span for port, rec in self._ports.items()}
+        return {port: rec[1] / span for port, rec in self._ports.items() if rec[1]}
 
     def hottest_ports(self, top: int = 8, horizon: int | None = None) -> list[tuple[tuple, float]]:
         """The ``top`` busiest ports, hottest first."""
@@ -156,38 +177,52 @@ class DetailedOmegaNetwork(OmegaNetworkBase):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: ``(src, dst)`` → precomputed port sequence: the injection
-        #: port, one ``("sw", node, bit)`` per switch hop, then the
-        #: ejection port.  Routes are pure functions of the endpoints,
-        #: so every packet of a pair reuses one tuple — no per-hop port
-        #: key allocation on the hot path.
+        #: ``(src, dst)`` → route plan: one ``(port, record)`` pair per
+        #: port on the route — the injection port, one
+        #: ``("sw", node, bit)`` per switch hop, then the ejection port —
+        #: where ``record`` is that port's shared ``_ports`` entry.
+        #: Routes are pure functions of the endpoints, so every packet of
+        #: a pair reuses one plan, and a hop reaches its port's record by
+        #: index alone.
         self._plans: dict[tuple[int, int], tuple] = {}
         self._eject = self.timing.eject
         self._cpp = self.timing.port_cycles_per_packet
+        self._hop = self._hop  # bound once, like _deliver: one per hop event
+
+    def _plan(self, pkt: Packet) -> tuple:
+        """Build (and keep) the route plan of ``pkt``'s endpoints.
+
+        Checks that the destination is attached.  Sinks never detach, so
+        a pair that has a plan needs no check on later sends.
+        """
+        self._check_attached(pkt)
+        src, dst = pkt.src, pkt.dst
+        ports = self._ports
+        keys = (
+            ("inj", src),
+            *(("sw", h.node, h.bit) for h in self.topology.route(src, dst)),
+            ("ej", dst),
+        )
+        plan = self._plans[(src, dst)] = tuple(
+            (key, ports.setdefault(key, [0, 0])) for key in keys
+        )
+        return plan
 
     def send(self, pkt: Packet) -> None:
         """Inject ``pkt`` now; it advances through per-hop events."""
-        dst = pkt.dst
-        if dst not in self._sinks:
-            raise NetworkError(f"packet to unattached PE {dst}: {pkt!r}")
+        plan = self._plans.get((pkt.src, pkt.dst))
+        if plan is None:
+            plan = self._plan(pkt)
         pkt.born = self.engine.now
         self.in_flight += 1
         if self.in_flight > self.stats.max_in_flight:
             self.stats.max_in_flight = self.in_flight
-        plan = self._plans.get((pkt.src, dst))
-        if plan is None:
-            route = self.topology.route(pkt.src, dst)
-            plan = self._plans[(pkt.src, dst)] = (
-                ("inj", pkt.src),
-                *(("sw", h.node, h.bit) for h in route),
-                ("ej", dst),
-            )
         # Port occupancy depends only on packet size — compute it once
         # here and thread it through the per-hop events.
         self._hop(pkt, plan, 0, pkt.slots(self._cpp))
 
     def _hop(self, pkt: Packet, plan: tuple, idx: int, slots: int) -> None:
-        """Arrive at ``plan[idx]`` (0 = injection port, last = ejection).
+        """Arrive at port ``plan[idx]`` (0 = injection port, last = ejection).
 
         Loops while the packet advances within the current cycle (only
         the injection→first-switch step can) and schedules one event per
@@ -197,17 +232,13 @@ class DetailedOmegaNetwork(OmegaNetworkBase):
         engine = self.engine
         now = engine.now
         last = len(plan) - 1
-        ports = self._ports
         obs = self.obs
         while True:
-            port = plan[idx]
+            port, rec = plan[idx]
             if obs is not None and 0 < idx < last:
-                self.obs.emit(PacketHop(now, pkt.seq, port[1], port[2]))
+                obs.emit(PacketHop(now, pkt.seq, port[1], port[2]))
             # Port reservation, inlined from _reserve: one hop per packet
             # per stage makes the call overhead itself measurable.
-            rec = ports.get(port)
-            if rec is None:
-                rec = ports[port] = [0, 0]
             depart = rec[0]
             if depart > now:  # contended: track the queue-occupancy ceiling
                 wait = depart - now

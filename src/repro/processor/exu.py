@@ -8,6 +8,14 @@ it dequeues one (FIFO within priority level) and either
   ``BLOCK_READ_REPLY``) or a local resume (``RESUME``), or
 * in EM-4 compatibility mode, services a remote read by itself.
 
+The IBU's ``enqueue`` calls :meth:`ExecutionUnit.notify`, which
+schedules one *kick* event for when the EXU is free.  The kick runs once
+per packet, so it is kept short: it charges an idle gap only when there
+is one, resumes a read reply's thread itself (the other kinds go through
+``_dispatch``), and re-kicks while either IBU FIFO holds work.  A burst,
+a barrier spin and an EM-4 service each charge their cycles in one
+:meth:`~repro.metrics.counters.PECounters.charge_span` call.
+
 A *burst* drives the thread's generator from (re)entry to the next
 suspension point, accumulating cycles into the four accounting buckets.
 Packets generated mid-burst are injected at the exact cycle offset where
@@ -43,6 +51,24 @@ from ..packet import Packet, PacketKind
 
 __all__ = ["ExecutionUnit"]
 
+# Enum members the EXU tests and stores, bound once.  On Python 3.11
+# reading a member through its class (``PacketKind.READ_REQ``) is a slow
+# attribute lookup, because the enum metaclass defines ``__getattr__``;
+# the kick and burst paths read several per packet.
+_INVOKE, _RESUME, _WRITE, _SYNC_ARRIVE = (
+    PacketKind.INVOKE, PacketKind.RESUME, PacketKind.WRITE, PacketKind.SYNC_ARRIVE
+)
+_READ_REQ, _BLOCK_READ_REQ = PacketKind.READ_REQ, PacketKind.BLOCK_READ_REQ
+_READ_REPLY, _BLOCK_READ_REPLY = PacketKind.READ_REPLY, PacketKind.BLOCK_READ_REPLY
+_REMOTE_READ, _ITER_SYNC, _THREAD_SYNC, _EXPLICIT = (
+    SwitchKind.REMOTE_READ, SwitchKind.ITER_SYNC, SwitchKind.THREAD_SYNC, SwitchKind.EXPLICIT
+)
+_READY, _RUNNING, _DONE = ThreadState.READY, ThreadState.RUNNING, ThreadState.DONE
+_WAIT_READ, _WAIT_BARRIER, _WAIT_TOKEN = (
+    ThreadState.WAIT_READ, ThreadState.WAIT_BARRIER, ThreadState.WAIT_TOKEN
+)
+_COMMUNICATION, _IDLE = Bucket.COMMUNICATION, Bucket.IDLE
+
 
 def _invoke_words(n_args: int) -> int:
     """Logical width of an INVOKE packet: template + frame + args words."""
@@ -62,9 +88,18 @@ class ExecutionUnit:
         self._engine = machine.engine
         self._timing = machine.config.timing
         self._obs = machine.obs
+        self._ibu = proc.ibu
+        # The IBU's two FIFOs: after each burst the kick tests them
+        # directly for more work.
+        self._q_high = proc.ibu._q_high
+        self._q_normal = proc.ibu._q_normal
+        self._continuations = proc.continuations
         self.busy_until = 0
         self._kick_scheduled = False
         self._last_end: int | None = None
+        # Bound once: every kick event carries it, and ``self._kick``
+        # looked up on the class would allocate a bound method per event.
+        self._kick = self._kick
 
     # ------------------------------------------------------------------
     # Wake-up protocol
@@ -73,40 +108,53 @@ class ExecutionUnit:
         """The IBU queued a packet; make sure a kick is pending."""
         if self._kick_scheduled:
             return
-        engine = self._engine
         self._kick_scheduled = True
-        engine.schedule_at(max(engine.now, self.busy_until), self._kick)
+        engine = self._engine
+        now = engine.now
+        busy_until = self.busy_until
+        engine.schedule_at(busy_until if busy_until > now else now, self._kick)
 
     def _kick(self) -> None:
+        """Run the next queued packet, if the EXU is free.
+
+        A read reply, the commonest packet, resumes its thread right
+        here; every other kind goes through :meth:`_dispatch`.
+        """
         self._kick_scheduled = False
-        engine = self._engine
-        if engine.now < self.busy_until:
+        now = self._engine.now
+        if now < self.busy_until:
             self.notify()
             return
-        item = self._proc.ibu.pop()
+        item = self._ibu.pop()
         if item is None:
             return  # idle; the gap is charged when the next burst starts
         pkt, extra = item
-        self._account_gap(engine.now)
-        self._dispatch(pkt, extra)
-        if self._proc.ibu.queued:
+        last_end = self._last_end
+        if last_end is not None and now > last_end:
+            self._account_gap(last_end, now)
+        kind = pkt.kind
+        if kind is _READ_REPLY or kind is _BLOCK_READ_REPLY:
+            thread = self._continuations.resolve(pkt.address)
+            self._run_burst(thread, pkt.data, self._timing.match_invoke + extra)
+        else:
+            self._dispatch(pkt, extra)
+        if self._q_high or self._q_normal:
             self.notify()
 
-    def _account_gap(self, now: int) -> None:
-        if self._last_end is None or now <= self._last_end:
-            return
-        gap = now - self._last_end
+    def _account_gap(self, last_end: int, now: int) -> None:
+        """Charge the EXU's idle gap from ``last_end`` to ``now``."""
+        gap = now - last_end
         counters = self._proc.counters
         if self._proc.live_threads > 0:
-            counters.add_cycles(Bucket.COMMUNICATION, gap)
+            counters.add_cycles(_COMMUNICATION, gap)
             counters.comm_gap_count += 1
             if gap > counters.comm_gap_max:
                 counters.comm_gap_max = gap
             obs = self._obs
             if obs is not None:
-                obs.emit(BurstSpan(self._last_end, self._proc.pe, now, "idle"))
+                obs.emit(BurstSpan(last_end, self._proc.pe, now, "idle"))
         else:
-            counters.add_cycles(Bucket.IDLE, gap)
+            counters.add_cycles(_IDLE, gap)
 
     def _switch(self, kind: SwitchKind, thread: EMThread | None = None) -> None:
         """Count one context switch and mirror it onto the event bus."""
@@ -127,18 +175,16 @@ class ExecutionUnit:
     # Packet dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, pkt: Packet, extra: int) -> None:
+        """Run a packet other than a read reply (see :meth:`_kick`)."""
         kind = pkt.kind
         timing = self._timing
-        if kind is PacketKind.INVOKE:
+        if kind is _INVOKE:
             func_name, args = pkt.data
             thread = self._proc.machine.create_thread(self._proc.pe, func_name, args)
             self._run_burst(thread, None, timing.match_invoke + extra)
-        elif kind in (PacketKind.READ_REPLY, PacketKind.BLOCK_READ_REPLY):
-            thread, _tag = self._proc.continuations.resolve(pkt.address)
-            self._run_burst(thread, pkt.data, timing.match_invoke + extra)
-        elif kind is PacketKind.RESUME:
+        elif kind is _RESUME:
             self._dispatch_resume(pkt, extra)
-        elif kind in (PacketKind.READ_REQ, PacketKind.BLOCK_READ_REQ):
+        elif kind is _READ_REQ or kind is _BLOCK_READ_REQ:
             self._em4_service(pkt, extra)
         else:
             raise SchedulerError(f"EXU cannot handle packet kind {kind}")
@@ -150,19 +196,16 @@ class ExecutionUnit:
         if reason == "barrier":
             _, thread, barrier, gen = pkt.data
             if barrier.is_open(self._proc.pe, gen):
-                self._switch(SwitchKind.ITER_SYNC, thread)
+                self._switch(_ITER_SYNC, thread)
                 self._run_burst(thread, None, timing.match_invoke + extra)
             else:
                 # Spin re-check: a full switch through the FIFO.
                 engine = self._engine
                 cost = timing.match_invoke + timing.barrier_check + extra
-                self._switch(SwitchKind.ITER_SYNC, thread)
-                counters.add_cycles(Bucket.SWITCHING, cost)
+                self._switch(_ITER_SYNC, thread)
                 counters.sync_stall_cycles += cost
                 t0 = engine.now
-                self.busy_until = t0 + cost
-                self._last_end = self.busy_until
-                counters.note_active(t0, self.busy_until)
+                self.busy_until = self._last_end = counters.charge_span(t0, 0, 0, cost)
                 obs = self._obs
                 if obs is not None:
                     obs.emit(
@@ -184,14 +227,11 @@ class ExecutionUnit:
         timing = self._timing
         engine = self._engine
         cost = timing.em4_read_service + extra
-        if pkt.kind is PacketKind.BLOCK_READ_REQ:
+        if pkt.kind is _BLOCK_READ_REQ:
             cost += pkt.data[1]  # one cycle per word: data = (cont, count)
         reply = proc.ibu.read_reply(pkt)
-        proc.counters.add_cycles(Bucket.OVERHEAD, cost)
         t0 = engine.now
-        self.busy_until = t0 + cost
-        self._last_end = self.busy_until
-        proc.counters.note_active(t0, self.busy_until)
+        self.busy_until = self._last_end = proc.counters.charge_span(t0, 0, cost, 0)
         if self._obs is not None:
             self._obs.emit(BurstSpan(t0, proc.pe, self.busy_until, "service"))
         proc.obu.inject_at(self.busy_until, reply)
@@ -218,7 +258,7 @@ class ExecutionUnit:
         local_resumes: list[Packet] = []  # enqueued at burst end (FIFO tail)
         mid_resumes: list[tuple[int, Packet]] = []  # token wakes, at offset
 
-        thread.transition(ThreadState.RUNNING)
+        thread.transition(_RUNNING)
         gen = thread.gen
         finished = False
 
@@ -242,7 +282,7 @@ class ExecutionUnit:
                     (
                         comp + over + sw,
                         Packet(
-                            kind=PacketKind.READ_REQ,
+                            kind=_READ_REQ,
                             src=pe,
                             dst=eff.addr.pe,
                             address=eff.addr.packed(),
@@ -251,20 +291,20 @@ class ExecutionUnit:
                     )
                 )
                 counters.reads_issued += 1
-                self._switch(SwitchKind.REMOTE_READ, thread)
-                thread.transition(ThreadState.WAIT_READ)
+                self._switch(_REMOTE_READ, thread)
+                thread.transition(_WAIT_READ)
                 break
 
             elif et is RemoteReadPair:
                 over += 2 * pkt_gen
                 sw += reg_save
-                cid = proc.continuations.register(thread, tag="pair")
+                cid = proc.continuations.register(thread)
                 for slot, addr in ((0, eff.addr_a), (1, eff.addr_b)):
                     emits.append(
                         (
                             comp + over + sw,
                             Packet(
-                                kind=PacketKind.READ_REQ,
+                                kind=_READ_REQ,
                                 src=pe,
                                 dst=addr.pe,
                                 address=addr.packed(),
@@ -273,8 +313,8 @@ class ExecutionUnit:
                         )
                     )
                 counters.reads_issued += 2
-                self._switch(SwitchKind.REMOTE_READ, thread)
-                thread.transition(ThreadState.WAIT_READ)
+                self._switch(_REMOTE_READ, thread)
+                thread.transition(_WAIT_READ)
                 break
 
             elif et is FusedRead:
@@ -288,7 +328,7 @@ class ExecutionUnit:
                     (
                         comp + over + sw,
                         Packet(
-                            kind=PacketKind.READ_REQ,
+                            kind=_READ_REQ,
                             src=pe,
                             dst=eff.addr.pe,
                             address=eff.addr.packed(),
@@ -297,21 +337,21 @@ class ExecutionUnit:
                     )
                 )
                 counters.reads_issued += 1
-                self._switch(SwitchKind.REMOTE_READ, thread)
-                thread.transition(ThreadState.WAIT_READ)
+                self._switch(_REMOTE_READ, thread)
+                thread.transition(_WAIT_READ)
                 break
 
             elif et is FusedReadPair:
                 comp += eff.cycles
                 over += 2 * pkt_gen
                 sw += reg_save
-                cid = proc.continuations.register(thread, tag="pair")
+                cid = proc.continuations.register(thread)
                 for slot, addr in ((0, eff.addr_a), (1, eff.addr_b)):
                     emits.append(
                         (
                             comp + over + sw,
                             Packet(
-                                kind=PacketKind.READ_REQ,
+                                kind=_READ_REQ,
                                 src=pe,
                                 dst=addr.pe,
                                 address=addr.packed(),
@@ -320,8 +360,8 @@ class ExecutionUnit:
                         )
                     )
                 counters.reads_issued += 2
-                self._switch(SwitchKind.REMOTE_READ, thread)
-                thread.transition(ThreadState.WAIT_READ)
+                self._switch(_REMOTE_READ, thread)
+                thread.transition(_WAIT_READ)
                 break
 
             elif et is RemoteReadBlock:
@@ -332,7 +372,7 @@ class ExecutionUnit:
                     (
                         comp + over + sw,
                         Packet(
-                            kind=PacketKind.BLOCK_READ_REQ,
+                            kind=_BLOCK_READ_REQ,
                             src=pe,
                             dst=eff.addr.pe,
                             address=eff.addr.packed(),
@@ -342,8 +382,8 @@ class ExecutionUnit:
                 )
                 counters.block_reads_issued += 1
                 counters.block_words_requested += eff.count
-                self._switch(SwitchKind.REMOTE_READ, thread)
-                thread.transition(ThreadState.WAIT_READ)
+                self._switch(_REMOTE_READ, thread)
+                thread.transition(_WAIT_READ)
                 break
 
             elif et is RemoteWrite:
@@ -352,7 +392,7 @@ class ExecutionUnit:
                     (
                         comp + over + sw,
                         Packet(
-                            kind=PacketKind.WRITE,
+                            kind=_WRITE,
                             src=pe,
                             dst=eff.addr.pe,
                             address=eff.addr.packed(),
@@ -369,7 +409,7 @@ class ExecutionUnit:
                     (
                         comp + over + sw,
                         Packet(
-                            kind=PacketKind.INVOKE,
+                            kind=_INVOKE,
                             src=pe,
                             dst=eff.pe,
                             data=(eff.func, eff.args),
@@ -384,9 +424,9 @@ class ExecutionUnit:
                     comp += timing.int_op  # the successful inline check
                     continue
                 sw += reg_save
-                self._switch(SwitchKind.THREAD_SYNC, thread)
+                self._switch(_THREAD_SYNC, thread)
                 eff.token.park(eff.seq, thread)
-                thread.transition(ThreadState.WAIT_TOKEN)
+                thread.transition(_WAIT_TOKEN)
                 break
 
             elif et is TokenAdvance:
@@ -397,7 +437,7 @@ class ExecutionUnit:
                         (
                             comp + over + sw,
                             Packet(
-                                kind=PacketKind.RESUME,
+                                kind=_RESUME,
                                 src=pe,
                                 dst=pe,
                                 data=("token", waiter),
@@ -408,7 +448,7 @@ class ExecutionUnit:
             elif et is BarrierWait:
                 bar = eff.barrier
                 sw += timing.barrier_check
-                self._switch(SwitchKind.ITER_SYNC, thread)
+                self._switch(_ITER_SYNC, thread)
                 gen_no, last_local = bar.arrive(pe)
                 if obs is not None:
                     obs.emit(BarrierEvent(engine.now, pe, bar.barrier_id, gen_no, "arrive"))
@@ -418,17 +458,17 @@ class ExecutionUnit:
                         (
                             comp + over + sw,
                             Packet(
-                                kind=PacketKind.SYNC_ARRIVE,
+                                kind=_SYNC_ARRIVE,
                                 src=pe,
                                 dst=bar.hub,
                                 data=(bar.barrier_id, gen_no),
                             ),
                         )
                     )
-                thread.transition(ThreadState.WAIT_BARRIER)
+                thread.transition(_WAIT_BARRIER)
                 local_resumes.append(
                     Packet(
-                        kind=PacketKind.RESUME,
+                        kind=_RESUME,
                         src=pe,
                         dst=pe,
                         data=("barrier", thread, bar, gen_no),
@@ -438,10 +478,10 @@ class ExecutionUnit:
 
             elif et is SwitchNow:
                 sw += reg_save
-                self._switch(SwitchKind.EXPLICIT, thread)
-                thread.transition(ThreadState.READY)
+                self._switch(_EXPLICIT, thread)
+                thread.transition(_READY)
                 local_resumes.append(
-                    Packet(kind=PacketKind.RESUME, src=pe, dst=pe, data=("explicit", thread))
+                    Packet(kind=_RESUME, src=pe, dst=pe, data=("explicit", thread))
                 )
                 break
 
@@ -453,13 +493,7 @@ class ExecutionUnit:
         if finished:
             self._finish_thread(thread)
 
-        total = comp + over + sw
-        self.busy_until = t0 + total
-        self._last_end = self.busy_until
-        counters.add_cycles(Bucket.COMPUTATION, comp)
-        counters.add_cycles(Bucket.OVERHEAD, over)
-        counters.add_cycles(Bucket.SWITCHING, sw)
-        counters.note_active(t0, self.busy_until)
+        self.busy_until = self._last_end = counters.charge_span(t0, comp, over, sw)
         if obs is not None:
             obs.emit(BurstSpan(t0, pe, self.busy_until, "burst", thread.name))
         if emits:
@@ -474,7 +508,7 @@ class ExecutionUnit:
 
     def _finish_thread(self, thread: EMThread) -> None:
         proc = self._proc
-        thread.transition(ThreadState.DONE)
+        thread.transition(_DONE)
         proc.live_threads -= 1
         proc.machine.live_threads -= 1
         proc.counters.threads_finished += 1

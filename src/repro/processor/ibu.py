@@ -25,6 +25,18 @@ from ..packet import Packet, PacketKind, Priority
 
 __all__ = ["InputBufferUnit"]
 
+# Enum members the receive path tests and stores, bound once: on Python
+# 3.11 reading a member through its class is a slow attribute lookup (see
+# :mod:`repro.processor.exu`), and ``receive`` tests several per packet.
+_READ_REQ, _BLOCK_READ_REQ = PacketKind.READ_REQ, PacketKind.BLOCK_READ_REQ
+_READ_REPLY, _READ_REPLY_PAIR, _BLOCK_READ_REPLY = (
+    PacketKind.READ_REPLY, PacketKind.READ_REPLY_PAIR, PacketKind.BLOCK_READ_REPLY
+)
+_WRITE, _SYNC_ARRIVE, _SYNC_RELEASE = (
+    PacketKind.WRITE, PacketKind.SYNC_ARRIVE, PacketKind.SYNC_RELEASE
+)
+_HIGH = Priority.HIGH
+
 
 class InputBufferUnit:
     """Receive path of one EMC-Y."""
@@ -47,6 +59,10 @@ class InputBufferUnit:
         self._q_high: deque = deque()
         self._q_normal: deque = deque()
         self._dma_free = 0
+        # Bound once: every serviced read schedules a completion event,
+        # and ``self._dma_complete`` looked up on the class would
+        # allocate a bound method per event.
+        self._dma_complete = self._dma_complete
 
     # ------------------------------------------------------------------
     # Network-facing entry (the Switching Unit hands packets here).
@@ -55,13 +71,13 @@ class InputBufferUnit:
         """A packet arrived from the network at ``engine.now``."""
         self._proc.counters.packets_handled += 1
         kind = pkt.kind
-        if kind in (PacketKind.READ_REQ, PacketKind.BLOCK_READ_REQ):
+        if kind is _READ_REQ or kind is _BLOCK_READ_REQ:
             if self._em4:
                 self.enqueue(pkt)  # EXU will service it, EM-4 style
             else:
                 self._dma_service(pkt)
             return
-        if kind is PacketKind.READ_REPLY_PAIR:
+        if kind is _READ_REPLY_PAIR:
             # Two-token direct matching: the Matching Unit parks the
             # first operand without waking the EXU; the second arrival
             # fires the thread with both operands in slot order.
@@ -72,7 +88,7 @@ class InputBufferUnit:
             (sa, va), (sb, vb) = mate
             values = (va, vb) if sa < sb else (vb, va)
             fire = Packet(
-                kind=PacketKind.READ_REPLY,
+                kind=_READ_REPLY,
                 src=pkt.src,
                 dst=pkt.dst,
                 address=cid,
@@ -81,13 +97,13 @@ class InputBufferUnit:
             )
             self.enqueue(fire)
             return
-        if kind is PacketKind.SYNC_ARRIVE:
+        if kind is _SYNC_ARRIVE:
             self._machine.barrier_hub_arrive(pkt)
             return
-        if kind is PacketKind.SYNC_RELEASE:
+        if kind is _SYNC_RELEASE:
             self._machine.barrier_release(self._proc.pe, pkt)
             return
-        if kind in (PacketKind.WRITE,):
+        if kind is _WRITE:
             # Remote writes complete in the IBU/MCU path, EXU untouched.
             addr = pkt.address & 0xFFFFFFFF
             self._proc.memory.write(addr, pkt.data)
@@ -99,7 +115,7 @@ class InputBufferUnit:
     # ------------------------------------------------------------------
     def enqueue(self, pkt: Packet) -> None:
         """Queue a packet for the EXU (hardware FIFO scheduling)."""
-        q = self._q_high if pkt.priority is Priority.HIGH else self._q_normal
+        q = self._q_high if pkt.priority is _HIGH else self._q_normal
         overflowed = len(q) >= self._depth
         if overflowed:
             self._proc.counters.ibu_overflows += 1
@@ -130,7 +146,7 @@ class InputBufferUnit:
     def _dma_service(self, pkt: Packet) -> None:
         timing = self._timing
         engine = self._engine
-        if pkt.kind is PacketKind.READ_REQ:
+        if pkt.kind is _READ_REQ:
             words = 2
         else:
             words = 2 * pkt.data[1]  # block read: data = (cont, count)
@@ -155,10 +171,10 @@ class InputBufferUnit:
         proc = self._proc
         proc.counters.reads_serviced += 1
         offset = pkt.address & 0xFFFFFFFF
-        if pkt.kind is PacketKind.BLOCK_READ_REQ:
+        if pkt.kind is _BLOCK_READ_REQ:
             cont, count = pkt.data
             return Packet(
-                kind=PacketKind.BLOCK_READ_REPLY,
+                kind=_BLOCK_READ_REPLY,
                 src=proc.pe,
                 dst=pkt.src,
                 address=cont,
@@ -170,7 +186,7 @@ class InputBufferUnit:
         if isinstance(cont, tuple):  # ("pair", cid, slot): one half of a read pair
             _, cid, slot = cont
             return Packet(
-                kind=PacketKind.READ_REPLY_PAIR,
+                kind=_READ_REPLY_PAIR,
                 src=proc.pe,
                 dst=pkt.src,
                 address=cid,
@@ -178,7 +194,7 @@ class InputBufferUnit:
                 priority=self._reply_priority,
             )
         return Packet(
-            kind=PacketKind.READ_REPLY,
+            kind=_READ_REPLY,
             src=proc.pe,
             dst=pkt.src,
             address=cont,

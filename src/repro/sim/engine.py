@@ -166,8 +166,14 @@ class Engine:
         return self.max_cycles if until is None else min(until, self.max_cycles)
 
     def _pause_or_raise(self, when: int, until: int | None) -> bool:
-        """Handle the next event lying beyond the horizon; True = pause."""
-        if until is not None and when <= self.max_cycles:
+        """Handle the next event lying beyond the horizon; True = pause.
+
+        The horizon is the caller's ``until`` when it lies within
+        ``max_cycles``: stopping there is a pause, wherever the next
+        event lies.  Past a horizon of ``max_cycles`` itself, the run is
+        a runaway.
+        """
+        if until is not None and until <= self.max_cycles:
             # Paused by the caller's horizon, not a failure.
             if until < self.now:
                 raise SimulationError(f"clock moved backwards: {self.now} -> {until}")
@@ -213,8 +219,12 @@ class Engine:
             finally:
                 self.events_fired += fired
                 queue._live -= fired
+            # Drop the drained entries; the cursor stays at `t`, so a
+            # push at this clock (from a later run()) still lands in the
+            # ring rather than behind the cursor.
             bucket.clear()
-            queue.finish_cycle(t, i)
+            queue._near_n -= i
+            queue._base = t
 
     def _drain_generic(self, queue: Any, until: int | None) -> None:
         """Reference loop: one peek/pop per event, any queue object."""

@@ -14,10 +14,11 @@ Two implementations share one contract:
     virtually every push is a single ``list.append`` and every pop is an
     index bump.  Events beyond the window spill to a binary-heap far
     tier.  The engine drains one whole cycle per :meth:`EventQueue.
-    next_cycle` call: when the earliest cycle lives (partly) in the far
-    tier, its far entries are folded into the front of that cycle's
-    bucket and the drain cursor re-anchors there, so every cycle — even
-    one after an idle gap longer than the window — drains as a bucket.
+    next_cycle` call, the only queue call a drained cycle makes: when
+    the earliest cycle lives (partly) in the far tier, its far entries
+    are folded into the front of that cycle's bucket and the drain
+    cursor re-anchors there, so every cycle — even one after an idle
+    gap longer than the window — drains as a bucket.
 
 :class:`ReferenceEventQueue`
     The original heapq implementation, kept as the obviously-correct
@@ -208,7 +209,10 @@ class EventQueue:
         """Earliest live cycle and the near bucket holding all its events.
 
         Returns ``(time, bucket)``; the caller fires *bucket* in list
-        order, then calls :meth:`finish_cycle`.  When the earliest cycle
+        order, then empties it, takes the fired and consumed entries off
+        ``_live`` and ``_near_n``, and leaves the cursor ``_base`` at
+        ``time``, so a push at the caller's clock still lands in the
+        ring (see ``Engine._drain_calendar``).  When the earliest cycle
         has far-tier entries, they leave the heap in ``(time, seq)``
         order for the front of its bucket (which keeps ``seq`` order;
         see the module docstring) and the cursor re-anchors there, so an
@@ -216,11 +220,31 @@ class EventQueue:
         ``limit`` comes back as ``(time, None)`` with the queue
         untouched: a caller that pauses there may still push at its own
         clock, which must not fall behind the cursor.
+
+        This runs once per drained cycle, so it repeats the ring scan of
+        :meth:`_near_head` and the far-head check of :meth:`_far_head`
+        in its own body rather than calling them.
         """
-        nb = self._near_head()
-        fh = self._far_head()
-        if fh is None or (nb is not None and nb[0] < fh[_TIME]):
-            return nb
+        far = self._far
+        while far and far[0][_FN] is None:
+            heapq.heappop(far)
+        if self._near_n:
+            near, mask = self._near, self._mask
+            base = self._base
+            for t in range(base, base + self._window):
+                bucket = near[t & mask]
+                if not bucket:
+                    continue
+                while bucket and bucket[0][_FN] is None:
+                    del bucket[0]
+                    self._near_n -= 1
+                if bucket:
+                    if not far or t < far[0][_TIME]:
+                        return t, bucket
+                    break
+                if not self._near_n:
+                    break
+        fh = far[0]
         t = fh[_TIME]
         if t < self._base:
             raise SimulationError(
@@ -229,7 +253,6 @@ class EventQueue:
         if t > limit:
             return t, None
         self._base = t
-        far = self._far
         folded = []
         while far and far[0][_TIME] == t:
             entry = heapq.heappop(far)
@@ -239,12 +262,6 @@ class EventQueue:
         bucket[:0] = folded
         self._near_n += len(folded)
         return t, bucket
-
-    def finish_cycle(self, time: int, consumed: int) -> None:
-        """Drop a drained bucket's ``consumed`` entries; the cursor stays
-        at ``time`` so a push at the caller's clock still lands in the ring."""
-        self._near_n -= consumed
-        self._base = time
 
 
 class ReferenceEventQueue:

@@ -57,10 +57,9 @@ def test_explicit_switch_back_to_ready():
 def test_register_resolve_roundtrip():
     ct = ContinuationTable(0)
     th = mk_thread()
-    cid = ct.register(th, tag="pair")
+    cid = ct.register(th)
     assert ct.outstanding == 1
-    resolved, tag = ct.resolve(cid)
-    assert resolved is th and tag == "pair"
+    assert ct.resolve(cid) is th
     assert ct.outstanding == 0
 
 

@@ -35,6 +35,18 @@ def test_negative_charge_rejected():
         PECounters(0).add_cycles(Bucket.IDLE, -1)
 
 
+def test_charge_span_fills_three_buckets_and_notes_the_span():
+    c = PECounters(0)
+    assert c.charge_span(10, 5, 1, 4) == 20
+    assert c.charge_span(30, 0, 0, 10) == 40
+    assert [c.cycles[b] for b in (Bucket.COMPUTATION, Bucket.OVERHEAD, Bucket.SWITCHING)] == [
+        5, 1, 14,
+    ]
+    assert (c.first_active, c.last_active) == (10, 40)
+    with pytest.raises(SimulationError, match="negative cycle charge -1 to Bucket.OVERHEAD"):
+        c.charge_span(40, 1, -1, 0)
+
+
 def test_switch_counting():
     c = PECounters(0)
     c.add_switch(SwitchKind.REMOTE_READ, 3)

@@ -136,6 +136,14 @@ def test_double_attach_rejected():
         net.attach(0, lambda p: None)
 
 
+def test_attach_outside_network_rejected():
+    """Sinks live in a per-PE list: a negative PE must not wrap around."""
+    net = DetailedOmegaNetwork(Engine(), CircularOmegaTopology(4), TimingModel())
+    for pe in (-1, 4):
+        with pytest.raises(NetworkError):
+            net.attach(pe, lambda p: None)
+
+
 def test_build_network_selects_model():
     engine = Engine()
     assert isinstance(
@@ -153,6 +161,11 @@ def test_in_flight_tracking():
     engine.schedule(0, net.send, pkt(0, 5))
     engine.run(until=0)  # the send itself; the first hop is later
     assert net.in_flight == 1
+    # Stopped mid-route, only the ports the packet has reached are used;
+    # the rest of its route, ejection port included, is absent.
+    engine.run(until=1)
+    sw = [("sw", h.node, h.bit) for h in net.topology.route(0, 5)]
+    assert net.port_utilization(horizon=10) == {("inj", 0): 0.2, sw[0]: 0.2, sw[1]: 0.2}
     engine.run()
     assert net.in_flight == 0
 

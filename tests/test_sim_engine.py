@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import Engine
-from repro.sim.queue import EventQueue
+from repro.sim.queue import EventQueue, ReferenceEventQueue
 
 
 def test_schedule_and_run_in_order():
@@ -56,6 +56,20 @@ def test_run_until_pauses_without_error():
     assert end == 10
     e.run()
     assert fired == [1, 2]
+
+
+@pytest.mark.parametrize("queue_cls", [EventQueue, ReferenceEventQueue])
+def test_run_until_pauses_before_an_event_past_max_cycles(queue_cls):
+    """The horizon is ``until``, not the next event: an event beyond
+    ``max_cycles`` stays queued when the run pauses earlier."""
+    e = Engine(max_cycles=100, queue=queue_cls())
+    e.schedule_at(200, lambda: None)
+    assert e.run(until=10) == 10
+    assert len(e.queue) == 1 and e.events_fired == 0
+    with pytest.raises(SimulationError, match="max_cycles"):
+        e.run(until=150)  # a horizon past the limit still raises
+    with pytest.raises(SimulationError, match="max_cycles"):
+        e.run()
 
 
 def test_max_cycles_exceeded_raises():
