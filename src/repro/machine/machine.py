@@ -178,9 +178,13 @@ class EMX:
         return thread
 
     def _emit_thread_transition(self, thread: EMThread, new) -> None:
-        """Thread-state hook (installed only when observability is on)."""
+        """Thread-state hook (installed only when observability is on).
+
+        Reads the state's value as ``_value_``: ``.value`` is an enum
+        property, two Python frames on every transition.
+        """
         self.obs.emit(
-            ThreadLife(self.engine.now, thread.pe, thread.tid, thread.name, new.value)
+            ThreadLife(self.engine.now, thread.pe, thread.tid, thread.name, new._value_)
         )
 
     # ------------------------------------------------------------------

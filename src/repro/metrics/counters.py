@@ -107,9 +107,9 @@ class PECounters:
         """Charge one EXU span beginning at ``start``; returns its end.
 
         The span's cycles go to the COMPUTATION, OVERHEAD and SWITCHING
-        buckets and the span is noted active: the work of three
-        :meth:`add_cycles` calls and one :meth:`note_active`, in the one
-        call the EXU makes per burst, spin or EM-4 service.
+        buckets, and the span widens the busy window that
+        :meth:`check_accounting` checks them against: one call per
+        burst, spin or EM-4 service.
         """
         if computation < 0 or overhead < 0 or switching < 0:
             charges = ((_COMPUTATION, computation), (_OVERHEAD, overhead), (_SWITCHING, switching))
@@ -129,13 +129,6 @@ class PECounters:
     def add_switch(self, kind: SwitchKind, count: int = 1) -> None:
         """Count ``count`` context switches of ``kind``."""
         self.switches[kind] += count
-
-    def note_active(self, start: int, end: int) -> None:
-        """Record an activity span for busy-window bookkeeping."""
-        if self.first_active is None:
-            self.first_active = start
-        if end > self.last_active:
-            self.last_active = end
 
     # ------------------------------------------------------------------
     @property

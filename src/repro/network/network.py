@@ -29,6 +29,7 @@ network rather than once per scheduled event.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from ..config import MachineConfig, TimingModel
@@ -77,6 +78,10 @@ class OmegaNetworkBase:
         # ``self._deliver`` looked up on the class would allocate a new
         # bound method for each one.
         self._deliver = self._deliver
+        if obs is not None:
+            # PacketDeliver's ``hops``, memoised per (src, dst) pair: a
+            # hit is one C-level lookup, not three Python calls.
+            self._hop_count = lru_cache(maxsize=None)(topology.hop_count)
 
     # ------------------------------------------------------------------
     def attach(self, pe: int, deliver: DeliverFn) -> None:
@@ -115,7 +120,7 @@ class OmegaNetworkBase:
                     pkt.src,
                     pkt.dst,
                     now - pkt.born,
-                    self.topology.hop_count(pkt.src, pkt.dst),
+                    self._hop_count(pkt.src, pkt.dst),
                 )
             )
         self._sinks[pkt.dst](pkt)

@@ -6,7 +6,8 @@ machine-wide handle (``EMX.obs``) is simply ``None`` when observability
 is disabled, and every producer guards with one attribute-is-None test
 before constructing an event.  When a bus *is* installed, :meth:`emit`
 is a dict lookup plus a loop over the (usually one) subscribers that
-asked for the event's category.
+asked for the event's category.  :class:`~repro.obs.events.Category`
+hashes by identity, so that lookup runs no Python-level ``__hash__``.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class EventBus:
     def wants(self, category: Category) -> bool:
         """True if any subscriber listens to ``category``.
 
-        Producers with *expensive* event construction (per-hop packet
-        events) may pre-check this to skip the work entirely.
+        No emit site consults it: each builds its event whenever a bus is
+        installed, and :meth:`emit` drops an event no subscriber wants.
         """
         return bool(self._by_category[category])
 

@@ -1,7 +1,7 @@
 """The observability event vocabulary.
 
-Every interesting thing the simulated machine does maps onto one typed,
-immutable event record: a context switch with its paper classification,
+Every interesting thing the simulated machine does maps onto one typed
+event record: a context switch with its paper classification,
 a packet moving through the fabric, a matching-store park/match, a
 barrier generation advancing, a thread changing state, or a span of
 EXU/IBU activity.  Events carry the simulated cycle (``t``) and enough
@@ -12,6 +12,11 @@ lifecycles without touching live simulator objects.
 Events are grouped into :class:`Category` buckets so recorders can
 subscribe to a subset — a full-length run with only ``SWITCH`` events
 enabled stays tiny even when the packet stream would not.
+
+The records are slotted but not frozen: a traced run builds one per
+event, and a frozen dataclass's ``__init__`` sets every field through
+``object.__setattr__``, about four times the cost of a plain slotted
+one.  Nothing hashes or mutates a record once it is emitted.
 """
 
 from __future__ import annotations
@@ -48,8 +53,12 @@ class Category(enum.Enum):
     THREAD = "thread"
     COHORT = "cohort"
 
+    # Identity hash (C slot): the bus looks up every event's route by
+    # its category, and Enum.__hash__ is a Python-level call.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(slots=True)
 class ThreadSwitch:
     """One context switch, classified as the paper classifies them."""
 
@@ -61,7 +70,7 @@ class ThreadSwitch:
     thread: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BurstSpan:
     """A span of unit activity on one PE.
 
@@ -83,7 +92,7 @@ class BurstSpan:
     unit: str = "exu"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PacketSend:
     """A packet handed to the network at cycle ``t``."""
 
@@ -97,7 +106,7 @@ class PacketSend:
     words: int = 2
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PacketHop:
     """A packet reaching one switch output port (detailed model only)."""
 
@@ -109,7 +118,7 @@ class PacketHop:
     bit: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PacketDeliver:
     """A packet ejected into its destination PE's switching unit."""
 
@@ -124,7 +133,7 @@ class PacketDeliver:
     hops: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class MatchEvent:
     """A two-token direct-matching step in matching memory.
 
@@ -141,7 +150,7 @@ class MatchEvent:
     matched: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class BarrierEvent:
     """Barrier protocol progress: ``arrive``, ``hub``, or ``release``."""
 
@@ -154,7 +163,7 @@ class BarrierEvent:
     action: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CohortEvent:
     """Cohort-compiler progress on a ``compiled=True`` machine.
 
@@ -174,7 +183,7 @@ class CohortEvent:
     n: int = 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ThreadLife:
     """A thread entering a lifecycle state (``created`` on spawn, then
     the :class:`~repro.core.thread.ThreadState` values)."""

@@ -19,16 +19,21 @@ Serialises a recorded event stream to the JSON trace-event format that
   ``compiled=True`` runs).
 
 Timestamps are microseconds (the trace-event unit) at the EM-X's
-20 MHz clock: one cycle = 0.05 µs.  :func:`validate_perfetto` is the
-schema check the tests and the CI smoke step share.
+20 MHz clock: a cycle count ``t`` exports as ``t / CYCLES_PER_US``.
+Every entry is built with its keys already in sorted order, so the
+``json.dumps(sort_keys=True)`` of :func:`write_perfetto` sorts lists
+that are sorted already.  :func:`validate_perfetto` is the schema check
+the tests and the CI smoke step share.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 
 from ..config import CYCLE_SECONDS
+from ..errors import ConfigError
 from .events import (
     BarrierEvent,
     BurstSpan,
@@ -43,32 +48,32 @@ from .events import (
 
 __all__ = ["to_perfetto", "write_perfetto", "validate_perfetto"]
 
-#: Microseconds per simulated cycle (50 ns at 20 MHz).
-CYCLE_US = CYCLE_SECONDS * 1e6
+#: Simulated cycles per trace-event microsecond (20 at 20 MHz).  A whole
+#: number, so a timestamp is one exact division: at 20 every timestamp
+#: has at most two decimals and equals ``round(t * 0.05, 4)``.
+CYCLES_PER_US = round(1e-6 / CYCLE_SECONDS)
+if CYCLES_PER_US < 1 or not math.isclose(CYCLES_PER_US * CYCLE_SECONDS, 1e-6, rel_tol=1e-9):
+    raise ConfigError(
+        f"the trace export needs a whole number of cycles per microsecond; "
+        f"one cycle is {CYCLE_SECONDS!r} s"
+    )
 
 #: Thread (track) ids within a PE process.
 EXU_TID = 0
 IBU_TID = 1
 
-_UNIT_TID = {"exu": EXU_TID, "ibu": IBU_TID}
-
-
-def _us(t: int) -> float:
-    """Cycle count -> trace-event microseconds (stable rounding)."""
-    return round(t * CYCLE_US, 4)
-
 
 def _metadata(pids: list[int], net_pid: int) -> list[dict]:
     out = []
     for pid in pids:
-        out.append({"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-                    "args": {"name": f"PE {pid}"}})
-        out.append({"ph": "M", "name": "thread_name", "pid": pid, "tid": EXU_TID,
-                    "args": {"name": "EXU"}})
-        out.append({"ph": "M", "name": "thread_name", "pid": pid, "tid": IBU_TID,
-                    "args": {"name": "IBU DMA"}})
-    out.append({"ph": "M", "name": "process_name", "pid": net_pid, "tid": 0,
-                "args": {"name": "network"}})
+        out.append({"args": {"name": f"PE {pid}"}, "name": "process_name", "ph": "M",
+                    "pid": pid, "tid": 0})
+        out.append({"args": {"name": "EXU"}, "name": "thread_name", "ph": "M",
+                    "pid": pid, "tid": EXU_TID})
+        out.append({"args": {"name": "IBU DMA"}, "name": "thread_name", "ph": "M",
+                    "pid": pid, "tid": IBU_TID})
+    out.append({"args": {"name": "network"}, "name": "process_name", "ph": "M",
+                "pid": net_pid, "tid": 0})
     return out
 
 
@@ -91,145 +96,132 @@ def to_perfetto(events, *, n_pes: int | None = None) -> dict:
     paired = {ev.seq for ev in events if type(ev) is PacketDeliver and ev.seq in sent_seqs}
     norm: dict[int, int] = {}
     bar_norm: dict[int, int] = {}
-
-    def _id(seq: int) -> int:
-        return norm.setdefault(seq, len(norm))
-
-    def _bar_id(barrier_id: int) -> int:
-        return bar_norm.setdefault(barrier_id, len(bar_norm))
     pes: set[int] = set(range(n_pes)) if n_pes is not None else set()
-    trace: list[dict] = []
+    add_pe = pes.add
+    out: list[dict] = []
+    append = out.append
+    # Entries on the network process: its pid is known only once the PE
+    # set is, so they hold None until the loop ends.
+    on_net: list[dict] = []
+    net_append = on_net.append
+    per_us = CYCLES_PER_US
+    # Enum values are read as ``_value_``: ``.value`` is a Python-level
+    # property, two calls per packet or switch.
     for ev in events:
         et = type(ev)
-        if et is BurstSpan:
-            pes.add(ev.pe)
+        if et is PacketHop:
             entry = {
-                "name": ev.thread or ev.kind,
-                "cat": f"burst:{ev.kind}",
-                "ph": "X",
-                "ts": _us(ev.t),
-                "dur": _us(ev.end) - _us(ev.t),
-                "pid": ev.pe,
-                "tid": _UNIT_TID.get(ev.unit, EXU_TID),
-                "args": {"kind": ev.kind, "cycles": ev.end - ev.t},
+                "args": {"seq": norm.setdefault(ev.seq, len(norm))},
+                "cat": "hop", "name": f"sw{ev.node}.{ev.bit}", "ph": "i",
+                "pid": None, "s": "t", "tid": 0, "ts": ev.t / per_us,
             }
-            trace.append(entry)
-        elif et is ThreadSwitch:
-            pes.add(ev.pe)
-            trace.append({
-                "name": f"switch:{ev.kind.value}",
-                "cat": "switch",
-                "ph": "i",
-                "s": "t",
-                "ts": _us(ev.t),
-                "pid": ev.pe,
-                "tid": EXU_TID,
-                "args": {"thread": ev.thread},
+            append(entry)
+            net_append(entry)
+        elif et is BurstSpan:
+            pe = ev.pe
+            add_pe(pe)
+            kind = ev.kind
+            ts = ev.t / per_us
+            append({
+                "args": {"cycles": ev.end - ev.t, "kind": kind},
+                "cat": f"burst:{kind}",
+                "dur": ev.end / per_us - ts,
+                "name": ev.thread or kind,
+                "ph": "X",
+                "pid": pe,
+                "tid": IBU_TID if ev.unit == "ibu" else EXU_TID,
+                "ts": ts,
+            })
+        elif et is ThreadLife:
+            pe = ev.pe
+            add_pe(pe)
+            append({
+                "args": {"tid": ev.tid}, "cat": "thread", "name": f"{ev.name}:{ev.state}",
+                "ph": "i", "pid": pe, "s": "t", "tid": EXU_TID, "ts": ev.t / per_us,
             })
         elif et is PacketSend:
-            pes.add(ev.src)
-            pes.add(ev.dst)
+            add_pe(ev.src)
+            add_pe(ev.dst)
             if ev.seq in paired:
-                # Materialised below once the PE set (net pid) is known.
-                trace.append(ev)
+                name = ev.kind._value_
+                pkt_id = norm.setdefault(ev.seq, len(norm))
+                ts = ev.t / per_us
+                entry = {
+                    "args": {"dst": ev.dst, "src": ev.src, "words": ev.words},
+                    "cat": "packet", "id": pkt_id, "name": name, "ph": "b",
+                    "pid": None, "tid": 0, "ts": ts,
+                }
+                append(entry)
+                net_append(entry)
+                append({
+                    "cat": "flow", "id": pkt_id, "name": name, "ph": "s",
+                    "pid": ev.src, "tid": EXU_TID, "ts": ts,
+                })
         elif et is PacketDeliver:
-            pes.add(ev.src)
-            pes.add(ev.dst)
+            add_pe(ev.src)
+            add_pe(ev.dst)
             if ev.seq in paired:
-                trace.append(ev)
-        elif et is PacketHop:
-            trace.append(ev)
+                name = ev.kind._value_
+                pkt_id = norm.setdefault(ev.seq, len(norm))
+                ts = ev.t / per_us
+                entry = {
+                    "args": {"hops": ev.hops, "latency_cycles": ev.latency},
+                    "cat": "packet", "id": pkt_id, "name": name, "ph": "e",
+                    "pid": None, "tid": 0, "ts": ts,
+                }
+                append(entry)
+                net_append(entry)
+                append({
+                    "bp": "e", "cat": "flow", "id": pkt_id, "name": name, "ph": "f",
+                    "pid": ev.dst, "tid": EXU_TID, "ts": ts,
+                })
+        elif et is ThreadSwitch:
+            pe = ev.pe
+            add_pe(pe)
+            append({
+                "args": {"thread": ev.thread}, "cat": "switch",
+                "name": f"switch:{ev.kind._value_}", "ph": "i", "pid": pe, "s": "t",
+                "tid": EXU_TID, "ts": ev.t / per_us,
+            })
+        elif et is BarrierEvent:
+            pe = ev.pe
+            add_pe(pe)
+            append({
+                "args": {"barrier": bar_norm.setdefault(ev.barrier_id, len(bar_norm)),
+                         "gen": ev.gen},
+                "cat": "barrier", "name": f"barrier:{ev.action}", "ph": "i", "pid": pe,
+                "s": "t", "tid": EXU_TID, "ts": ev.t / per_us,
+            })
+        elif et is MatchEvent:
+            pe = ev.pe
+            add_pe(pe)
+            append({
+                "args": {"frame": ev.frame_id, "slot": ev.slot}, "cat": "match",
+                "name": "match" if ev.matched else "defer", "ph": "i", "pid": pe,
+                "s": "t", "tid": EXU_TID, "ts": ev.t / per_us,
+            })
         elif et is CohortEvent:
             # Compiler progress markers (one per EM-C tier decision) on
             # the PE track — present only on compiled runs, so default
             # interpreted exports are untouched.
-            pes.add(ev.pe)
-            trace.append({
-                "name": f"cohort:{ev.kind}",
-                "cat": "cohort",
-                "ph": "i",
-                "s": "t",
-                "ts": _us(ev.t),
-                "pid": ev.pe,
-                "tid": EXU_TID,
-                "args": {"thread": ev.name, "n": ev.n},
-            })
-        elif et is MatchEvent:
-            pes.add(ev.pe)
-            trace.append({
-                "name": "match" if ev.matched else "defer",
-                "cat": "match",
-                "ph": "i",
-                "s": "t",
-                "ts": _us(ev.t),
-                "pid": ev.pe,
-                "tid": EXU_TID,
-                "args": {"frame": ev.frame_id, "slot": ev.slot},
-            })
-        elif et is BarrierEvent:
-            pes.add(ev.pe)
-            trace.append({
-                "name": f"barrier:{ev.action}",
-                "cat": "barrier",
-                "ph": "i",
-                "s": "t",
-                "ts": _us(ev.t),
-                "pid": ev.pe,
-                "tid": EXU_TID,
-                "args": {"barrier": _bar_id(ev.barrier_id), "gen": ev.gen},
-            })
-        elif et is ThreadLife:
-            pes.add(ev.pe)
-            trace.append({
-                "name": f"{ev.name}:{ev.state}",
-                "cat": "thread",
-                "ph": "i",
-                "s": "t",
-                "ts": _us(ev.t),
-                "pid": ev.pe,
-                "tid": EXU_TID,
-                "args": {"tid": ev.tid},
+            pe = ev.pe
+            add_pe(pe)
+            append({
+                "args": {"n": ev.n, "thread": ev.name}, "cat": "cohort",
+                "name": f"cohort:{ev.kind}", "ph": "i", "pid": pe, "s": "t",
+                "tid": EXU_TID, "ts": ev.t / per_us,
             })
 
     pids = sorted(pes)
     net_pid = (max(pids) + 1) if pids else 0
-    out: list[dict] = _metadata(pids, net_pid)
-    for item in trace:
-        et = type(item)
-        if et is dict:
-            out.append(item)
-        elif et is PacketSend:
-            name = item.kind.value
-            out.append({
-                "name": name, "cat": "packet", "ph": "b", "id": _id(item.seq),
-                "ts": _us(item.t), "pid": net_pid, "tid": 0,
-                "args": {"src": item.src, "dst": item.dst, "words": item.words},
-            })
-            out.append({
-                "name": name, "cat": "flow", "ph": "s", "id": _id(item.seq),
-                "ts": _us(item.t), "pid": item.src, "tid": EXU_TID,
-            })
-        elif et is PacketDeliver:
-            name = item.kind.value
-            out.append({
-                "name": name, "cat": "packet", "ph": "e", "id": _id(item.seq),
-                "ts": _us(item.t), "pid": net_pid, "tid": 0,
-                "args": {"latency_cycles": item.latency, "hops": item.hops},
-            })
-            out.append({
-                "name": name, "cat": "flow", "ph": "f", "bp": "e", "id": _id(item.seq),
-                "ts": _us(item.t), "pid": item.dst, "tid": EXU_TID,
-            })
-        elif et is PacketHop:
-            out.append({
-                "name": f"sw{item.node}.{item.bit}", "cat": "hop", "ph": "i",
-                "s": "t", "ts": _us(item.t), "pid": net_pid, "tid": 0,
-                "args": {"seq": _id(item.seq)},
-            })
+    for entry in on_net:
+        entry["pid"] = net_pid
+    trace = _metadata(pids, net_pid)
+    trace += out
     return {
-        "traceEvents": out,
         "displayTimeUnit": "ns",
         "otherData": {"clock_hz": int(round(1.0 / CYCLE_SECONDS)), "source": "repro.obs"},
+        "traceEvents": trace,
     }
 
 

@@ -168,7 +168,9 @@ def switch_table(events) -> dict[int, dict[SwitchKind, int]]:
     table: dict[int, dict[SwitchKind, int]] = {}
     for ev in events:
         if type(ev) is ThreadSwitch:
-            row = table.setdefault(ev.pe, {k: 0 for k in SwitchKind})
+            row = table.get(ev.pe)
+            if row is None:  # a fresh row per PE, not per event
+                row = table[ev.pe] = {k: 0 for k in SwitchKind}
             row[ev.kind] += 1
     return table
 

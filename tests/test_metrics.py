@@ -57,10 +57,9 @@ def test_switch_counting():
 
 def test_busy_span_and_accounting_check():
     c = PECounters(0)
-    c.note_active(10, 25)
-    c.note_active(30, 40)
+    c.charge_span(10, 15, 0, 0)  # active 10..25
+    c.charge_span(30, 10, 0, 0)  # active 30..40: 25 computation cycles in all
     assert c.busy_span == 30  # 40 - 10
-    c.add_cycles(Bucket.COMPUTATION, 25)
     with pytest.raises(SimulationError, match="accounting mismatch"):
         c.check_accounting()
     c.add_cycles(Bucket.COMMUNICATION, 5)

@@ -1,12 +1,23 @@
-"""Observability subsystem: event bus, recorder, views, Perfetto export."""
+"""Observability subsystem: event bus, recorder, views, Perfetto export.
 
+``goldens/perfetto_text.json`` pins the sha256 of the exported Perfetto
+text of the four runs in :data:`FOUR_CONFIGS`, which between them emit
+every event class.  Regenerate deliberately, after a change meant to
+move the export::
+
+    PYTHONPATH=src python tests/test_obs.py > tests/goldens/perfetto_text.json
+"""
+
+import functools
+import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
 import repro
-from repro import EMX, ExecutionPlan, MachineConfig
+from repro import CYCLE_SECONDS, EMX, ExecutionPlan, MachineConfig
 from repro.apps import run_bitonic, run_fft
 from repro.errors import ConfigError
 from repro.metrics.counters import Bucket, SwitchKind
@@ -32,9 +43,30 @@ from repro.obs import (
     validate_perfetto,
     write_perfetto,
 )
+from repro.obs import events as obs_events
 from repro.packet import PacketKind
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
+PERFETTO_TEXT_GOLDEN = GOLDEN_DIR / "perfetto_text.json"
+
+#: name -> (app, machine config, plan); every run is P=4, n=64, h=2.
+#: Native sort, FFT (read pairs through matching memory), EM-4-mode sort
+#: (read service on the EXU) and compiled EM-C sort (cohort events).
+FOUR_CONFIGS = {
+    "sort": ("sort", None, None),
+    "fft": ("fft", None, None),
+    "sort-em4": ("sort", MachineConfig(em4_mode=True), None),
+    "emc-sort-compiled": ("emc-sort", None, ExecutionPlan(compiled=True)),
+}
+
+#: Every event class of the vocabulary.
+EVENT_CLASSES = tuple(
+    getattr(obs_events, name) for name in obs_events.__all__ if name != "Category"
+)
+
+four_configs = pytest.mark.parametrize(
+    "app,config,plan", list(FOUR_CONFIGS.values()), ids=list(FOUR_CONFIGS)
+)
 
 
 def recorded_run(app="sort", n_pes=2, n=16, h=2, **kwargs):
@@ -98,9 +130,18 @@ def test_recorder_rejects_bad_capacity():
 # ----------------------------------------------------------------------
 # Disabled path: tracing off must not perturb the simulation
 # ----------------------------------------------------------------------
-def test_disabled_obs_is_none_and_emits_nothing():
+def test_disabled_obs_is_none_and_emits_nothing(monkeypatch):
+    """With ``obs=None`` no emit site builds an event: every event
+    class's constructor raises, and the four configs, which between them
+    reach every emit site, still run to completion."""
     m = EMX(MachineConfig(n_pes=2, memory_words=1 << 12))
     assert m.obs is None
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built with observability off")
+
+    for cls in EVENT_CLASSES:
+        monkeypatch.setattr(cls, "__init__", refuse)
 
     @m.thread
     def worker(ctx):
@@ -108,6 +149,9 @@ def test_disabled_obs_is_none_and_emits_nothing():
 
     m.spawn(0, "worker")
     m.run()
+    for app, config, plan in FOUR_CONFIGS.values():
+        report = repro.run(app, n=64, n_pes=4, h=2, seed=0, config=config, plan=plan)
+        assert report.runtime_cycles > 0
 
 
 def test_observed_run_matches_unobserved_run():
@@ -181,16 +225,7 @@ def test_burst_timeline_feeds_trace_events():
             assert a.end <= b.start
 
 
-@pytest.mark.parametrize(
-    "app,config,plan",
-    [
-        ("sort", None, None),
-        ("fft", None, None),
-        ("sort", MachineConfig(em4_mode=True), None),
-        ("emc-sort", None, ExecutionPlan(compiled=True)),
-    ],
-    ids=["sort", "fft", "sort-em4", "emc-sort-compiled"],
-)
+@four_configs
 def test_burst_timeline_partitions_pe_counters(app, config, plan):
     """The EXU spans account for every non-IDLE cycle of PECounters:
     idle gaps are the COMMUNICATION bucket, bursts, spins and EM-4
@@ -223,6 +258,68 @@ def test_perfetto_export_matches_golden():
     fresh = to_perfetto(rec.events, n_pes=2)
     golden = json.loads((GOLDEN_DIR / "sort_p2_n16_h2.perfetto.json").read_text())
     assert fresh == golden
+
+
+@functools.lru_cache(maxsize=None)
+def four_config_events(name: str) -> tuple:
+    """Every event one run of :data:`FOUR_CONFIGS` emits, in order."""
+    app, config, plan = FOUR_CONFIGS[name]
+    bus = EventBus()
+    rec = RingRecorder(bus)
+    repro.run(app, n=64, n_pes=4, h=2, seed=0, config=config, obs=bus, plan=plan)
+    assert rec.dropped == 0
+    return tuple(rec.events)
+
+
+def perfetto_text_sha256(name: str) -> str:
+    """sha256 of the Perfetto text ``write_perfetto`` would write for one
+    run of :data:`FOUR_CONFIGS`, without its trailing newline."""
+    doc = to_perfetto(four_config_events(name), n_pes=4)
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(FOUR_CONFIGS))
+def test_perfetto_text_matches_golden(name):
+    assert perfetto_text_sha256(name) == json.loads(PERFETTO_TEXT_GOLDEN.read_text())[name]
+
+
+def test_four_configs_emit_every_event_class():
+    emitted = {type(ev) for name in FOUR_CONFIGS for ev in four_config_events(name)}
+    assert emitted == set(EVENT_CLASSES)
+    assert len(EVENT_CLASSES) == 9
+
+
+def test_perfetto_entries_are_built_in_key_order():
+    """Every dict of the export has its keys in sorted order already, so
+    the ``sort_keys`` pass of ``json.dumps`` sorts presorted lists."""
+    def check(node):
+        if isinstance(node, dict):
+            assert list(node) == sorted(node), list(node)
+            for value in node.values():
+                check(value)
+        elif isinstance(node, list):
+            for value in node:
+                check(value)
+
+    for name in FOUR_CONFIGS:
+        check(to_perfetto(four_config_events(name), n_pes=4))
+
+
+def test_perfetto_timestamps_are_rounded_microseconds():
+    """Every cycle below 10**6, and the last cycles before ``max_cycles``,
+    export at ``round(t * cycle_us, 4)`` microseconds; a span's duration
+    is the difference of its rounded ends."""
+    cycle_us = CYCLE_SECONDS * 1e6
+    max_cycles = MachineConfig().max_cycles
+    chunks = [range(lo, lo + 50_000) for lo in range(0, 10**6, 50_000)]
+    chunks.append(range(max_cycles - 64, max_cycles + 1))
+    for cycles in chunks:
+        spans = [BurstSpan(t, 0, t + 1, "burst") for t in cycles]
+        slices = [e for e in to_perfetto(spans, n_pes=1)["traceEvents"] if e["ph"] == "X"]
+        want = [round(t * cycle_us, 4) for t in range(cycles.start, cycles.stop + 1)]
+        assert [e["ts"] for e in slices] == want[:-1]
+        assert [e["dur"] for e in slices] == [b - a for a, b in zip(want, want[1:])]
 
 
 def test_perfetto_export_validates(tmp_path):
@@ -271,3 +368,9 @@ def test_validate_perfetto_flags_problems():
     assert any("bad ts" in p for p in problems)
     assert any("without begin" in p for p in problems)
     assert any("never ended" in p for p in problems)
+
+
+if __name__ == "__main__":
+    json.dump({name: perfetto_text_sha256(name) for name in FOUR_CONFIGS}, sys.stdout,
+              indent=2, sort_keys=True)
+    sys.stdout.write("\n")
