@@ -7,8 +7,7 @@ Usage::
     python -m repro fig8 b            # execution-time breakdown panel
     python -m repro fig9 d            # switch-count panel
     python -m repro micro             # µ1 latency + µ2 overhead probes
-    python -m repro sweep --jobs 8    # pre-run every figure in parallel
-    python -m repro export --out csv  # all figures as CSV (cached)
+    python -m repro export --jobs 8   # the whole evaluation, judged
     python -m repro cache stats       # inspect the on-disk result store
     python -m repro apps              # list registered workloads
     python -m repro sort --pes 8 --size 128 --threads 4
@@ -17,6 +16,9 @@ Usage::
     python -m repro trace emc-sort --plan compiled     # cohort compiler
 
 ``REPRO_SCALE`` (tiny | small | large) picks the figure size ladder.
+``export`` writes every figure as CSV plus ``RESULTS_<scale>.json``:
+the series, the probe and ablation tables, and one verdict per paper
+claim, each also printed as a ``PASS``/``FAIL`` line.
 Figure-producing commands accept ``--jobs N`` (parallel simulation),
 ``--cache-dir DIR`` and ``--no-cache``; results persist under
 ``$REPRO_CACHE_DIR`` (default ``~/.cache/repro``), so warm re-runs
@@ -60,17 +62,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_int_list(text: str) -> tuple[int, ...]:
-    """argparse type for ``H,H,...``: each entry a positive integer."""
-    return tuple(_positive_int(item) for item in text.split(","))
-
-
-def _add_runner_flags(parser: argparse.ArgumentParser, default_jobs: int | None = 1) -> None:
+def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     """Attach the execution-engine flags shared by figure commands."""
     parser.add_argument(
-        "--jobs", type=_positive_int, default=default_jobs, metavar="N",
-        help="worker processes for simulations (default: %(default)s; "
-             "omitted value means all cores)")
+        "--jobs", type=_positive_int, default=1, metavar="N",
+        help="worker processes for simulations (default: %(default)s)")
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result-cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)")
@@ -96,13 +92,10 @@ def _progress_printer():
 
 def _configure_runner(args: argparse.Namespace) -> None:
     """Apply --jobs/--cache-dir/--no-cache to the process-global runner."""
-    import os
-
     from .runner import configure
 
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     configure(
-        jobs=jobs,
+        jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         progress=_progress_printer(),
@@ -160,32 +153,17 @@ def _cmd_micro(_args: argparse.Namespace) -> None:
 
 
 def _cmd_export(args: argparse.Namespace) -> None:
-    from .experiments import export_all
+    from .experiments.results import export_results
     from .runner import reset_stats
 
     _configure_runner(args)
     reset_stats()
-    for path in export_all(args.out):
+    written, verdicts = export_results(args.out, default_scale())
+    for path in written:
         print(f"wrote {path}")
+    for vid, problems in verdicts.items():
+        print(f"FAIL {vid} {'; '.join(problems)}" if problems else f"PASS {vid}")
     print(_runner_summary())
-
-
-def _cmd_sweep(args: argparse.Namespace) -> None:
-    from .runner import FIGURES, ResultCache, get_options, reset_stats, sweep_figures
-    from .experiments.common import THREAD_SWEEP
-
-    _configure_runner(args)
-    reset_stats()
-    scale = default_scale()
-    threads = args.threads or THREAD_SWEEP
-    figures = tuple(args.figures) if args.figures else FIGURES
-    print(f"sweep: scale '{scale.name}', figures {', '.join(figures)}, "
-          f"threads {','.join(str(h) for h in threads)}, "
-          f"jobs {get_options().jobs}")
-    records = sweep_figures(scale, threads, figures)
-    print(f"{len(records)} distinct jobs; {_runner_summary()}")
-    if get_options().use_cache:
-        print(f"cache: {ResultCache(get_options().cache_dir).stats().describe()}")
 
 
 def _cmd_cache(args: argparse.Namespace) -> None:
@@ -366,24 +344,14 @@ def main(argv: list[str] | None = None) -> None:
     p = sub.add_parser("micro", help="run the point-measurement probes")
     p.set_defaults(func=_cmd_micro)
 
-    p = sub.add_parser("export", help="regenerate all figures as CSV")
+    p = sub.add_parser(
+        "export",
+        help="regenerate all figures as CSV and judge every paper claim "
+             "into RESULTS_<scale>.json")
     p.add_argument("--out", default="figures_csv", metavar="DIR",
                    help="output directory (default: %(default)s)")
     _add_runner_flags(p)
     p.set_defaults(func=_cmd_export)
-
-    p = sub.add_parser(
-        "sweep",
-        help="pre-run every figure's simulations (parallel, cached, resumable)")
-    p.add_argument("--figures", nargs="+", metavar="FIG",
-                   choices=["fig6", "fig7", "fig8", "fig9"],
-                   help="restrict to these figures (default: all)")
-    p.add_argument("--threads", type=_positive_int_list, default=None,
-                   metavar="H,H,...",
-                   help="comma-separated thread counts "
-                        "(default: the paper's 1..16 sweep)")
-    _add_runner_flags(p, default_jobs=None)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("cache", help="inspect or purge the on-disk result cache")
     p.add_argument("action", choices=["stats", "purge"])

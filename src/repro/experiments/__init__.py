@@ -8,6 +8,10 @@
   (remote-read latency ≈ 1 µs, packet-generation overhead).
 * :mod:`~repro.experiments.shapes` — the qualitative shape checks that
   define reproduction success.
+* :mod:`~repro.experiments.ablations` — ablations A1–A7.
+* :mod:`~repro.experiments.results` — every verdict and the
+  ``RESULTS_<scale>.json`` file ``python -m repro export`` writes
+  (imported on demand, not from this package).
 
 All drivers execute through the :mod:`repro.runner` engine (memoised
 per process, persisted to an on-disk result cache, parallel across a

@@ -11,7 +11,7 @@ ladder that keeps the *per-processor* workload sweep shape (five sizes,
 scale      per-PE sizes             intended use
 =========  =======================  =========================
 ``tiny``   8, 16, 32                unit tests / smoke runs
-``small``  16 … 256 (default)       the benchmark harness
+``small``  16 … 256 (default)       ``RESULTS_small.json``
 ``large``  64 … 1024                overnight fidelity runs
 =========  =======================  =========================
 

@@ -4,7 +4,8 @@ The reproduction targets the paper's *shapes* — who wins, where the
 minimum falls, which curve overtakes which — not its absolute seconds
 (the substrate is a simulator, not the 1995 prototype).  Each checker
 returns a list of human-readable violations (empty = shape holds), so
-tests can assert emptiness and benchmarks can print the verdicts.
+tests can assert emptiness and :mod:`~repro.experiments.results` can
+record each as a verdict.
 """
 
 from __future__ import annotations

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from ..obs.events import MatchEvent
+
 __all__ = ["MatchingMemory"]
 
 _MISSING = object()  # sentinel: one dict probe per offer instead of two
@@ -58,8 +60,6 @@ class MatchingMemory:
         return None
 
     def _emit(self, frame_id: int, slot: int, matched: bool) -> None:
-        from ..obs.events import MatchEvent  # local: memory stays obs-free when off
-
         self._obs.emit(MatchEvent(self._engine.now, self._pe, frame_id, slot, matched))
 
     @property

@@ -13,9 +13,9 @@ that:
   (the batching layer),
 
 glued together by :mod:`~repro.runner.sweep`, which the experiments
-package, the CLI (``python -m repro sweep``), and the benchmark harness
-all call.  A warm cache makes re-exports near-instant; a cold one
-scales with core count.
+package and the CLI (``python -m repro export``) call.  A warm cache
+serves every figure and runner-backed ablation of a re-export; a cold
+one scales with core count.
 """
 
 from .cache import ENV_CACHE_DIR, CacheStats, ResultCache, default_cache_root

@@ -13,8 +13,8 @@ job in a sweep is satisfied, cheapest source first:
 Behaviour is controlled by a process-global :class:`RunnerOptions`
 (set from CLI flags via :func:`configure`, or scoped with the
 :func:`using` context manager), so existing call sites —
-``fig6_panel(...)``, ``export_all(...)``, the benchmark harness — gain
-parallelism and persistent caching without signature churn.
+``fig6_panel(...)``, ``export_all(...)`` — gain parallelism and
+persistent caching without signature churn.
 :func:`stats` reports how many jobs each source satisfied; the CLI
 prints it so a warm re-export visibly executes **zero** simulations.
 """
@@ -257,10 +257,9 @@ def sweep_figures(
 ) -> dict[JobSpec, object]:
     """Pre-run every simulation the requested figures need.
 
-    The workhorse behind ``python -m repro sweep`` and the export
-    prefetch: expands the figures into a deduplicated job list and
-    satisfies it through :func:`run_specs`, so the figure drivers that
-    run afterwards find everything memoised.
+    The export prefetch: expands the figures into a deduplicated job
+    list and satisfies it through :func:`run_specs`, so the figure
+    drivers that run afterwards find everything memoised.
     """
     if scale is None or threads is None:
         from ..experiments.common import THREAD_SWEEP, default_scale

@@ -63,14 +63,12 @@ def test_cli_requires_command():
     "argv,flag",
     [
         (["fig6", "a", "--jobs", "0"], "--jobs"),
-        (["sweep", "--threads", "x"], "--threads"),
-        (["sweep", "--threads", "0", "--figures", "fig6", "--no-cache"], "--threads"),
         (["trace", "sort", "--buffer", "0"], "--buffer"),
         (["sort", "--pes", "0"], "--pes"),
         (["fft", "--size", "0"], "--size"),
         (["trace", "sort", "--threads", "0"], "--threads"),
     ],
-    ids=["jobs-zero", "threads-not-int", "threads-zero", "buffer-zero",
+    ids=["jobs-zero", "buffer-zero",
          "sort-pes-zero", "fft-size-zero", "trace-threads-zero"],
 )
 def test_cli_rejects_non_positive_counts(argv, flag, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import time
 
 import pytest
 
@@ -279,13 +280,18 @@ def test_parallel_matches_serial(tmp_path):
 def test_warm_cache_executes_nothing(tmp_path):
     clear_memo()
     opts = RunnerOptions(jobs=4, cache_dir=str(tmp_path))
+    start = time.perf_counter()
     cold = run_specs(DETERMINISM_SPECS, options=opts)
+    cold_s = time.perf_counter() - start
     clear_memo()
     reset_stats()
+    start = time.perf_counter()
     warm = run_specs(DETERMINISM_SPECS, options=opts)
+    warm_s = time.perf_counter() - start
     assert warm == cold
     st = stats()
     assert st.executed == 0 and st.disk_hits == len(cold)
+    assert warm_s < cold_s, f"warm pass {warm_s:.3f} s not faster than cold {cold_s:.3f} s"
 
 
 def test_sweep_threads_shape(tmp_path):

@@ -1,4 +1,4 @@
-"""CLI surface of the execution engine: sweep, cache, export flags."""
+"""CLI surface of the execution engine: cache, export and runner flags."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 from repro.__main__ import main
+from repro.experiments.results import CHECKS
 from repro.runner import clear_memo
 
 
@@ -16,36 +17,9 @@ def cache_dir(tmp_path):
     return tmp_path / "cache"
 
 
-def test_cli_sweep_cold_then_warm(capsys, cache_dir):
-    argv = ["sweep", "--jobs", "2", "--figures", "fig6",
-            "--threads", "1,2", "--cache-dir", str(cache_dir)]
-    clear_memo()
-    main(argv)
-    cold = capsys.readouterr().out
-    assert "sweep: scale 'tiny'" in cold
-    assert "0 executed" not in cold and "executed" in cold
-    assert "cache:" in cold
-
-    clear_memo()  # force the disk layer to prove itself
-    main(argv)
-    warm = capsys.readouterr().out
-    assert "0 executed" in warm
-    assert "disk hits" in warm
-
-
-def test_cli_sweep_no_cache(capsys, cache_dir):
-    clear_memo()
-    main(["sweep", "--jobs", "1", "--figures", "fig8", "--threads", "1",
-          "--cache-dir", str(cache_dir), "--no-cache"])
-    out = capsys.readouterr().out
-    assert "disk cache off" in out
-    assert not cache_dir.exists()
-
-
 def test_cli_cache_stats_and_purge(capsys, cache_dir):
     clear_memo()
-    main(["sweep", "--jobs", "1", "--figures", "fig8", "--threads", "1",
-          "--cache-dir", str(cache_dir)])
+    main(["fig8", "a", "--cache-dir", str(cache_dir)])
     capsys.readouterr()
 
     main(["cache", "stats", "--cache-dir", str(cache_dir)])
@@ -61,8 +35,7 @@ def test_cli_cache_stats_and_purge(capsys, cache_dir):
 
 def test_cli_cache_stats_json_schema(capsys, cache_dir):
     clear_memo()
-    main(["sweep", "--jobs", "1", "--figures", "fig8", "--threads", "1",
-          "--cache-dir", str(cache_dir)])
+    main(["fig8", "a", "--cache-dir", str(cache_dir)])
     capsys.readouterr()
 
     main(["cache", "stats", "--json", "--cache-dir", str(cache_dir)])
@@ -79,8 +52,18 @@ def test_cli_export_reports_runner_summary(capsys, tmp_path, cache_dir):
     main(["export", "--out", str(out_a), "--jobs", "1",
           "--cache-dir", str(cache_dir)])
     out = capsys.readouterr().out
-    assert "runner:" in out
     assert (out_a / "all_figures.csv").exists()
+
+    # One PASS/FAIL line per verdict, as in the results file, then the
+    # runner summary.  A failing verdict is a result: main() returns.
+    lines = out.splitlines()
+    verdicts = [line.split(" ", 2)[:2] for line in lines if line.startswith(("PASS ", "FAIL "))]
+    assert [vid for _, vid in verdicts] == list(CHECKS)
+    results = json.loads((out_a / "RESULTS_tiny.json").read_text())
+    assert [[v["id"], v["passed"]] for v in results["verdicts"]] == [
+        [vid, word == "PASS"] for word, vid in verdicts
+    ]
+    assert lines[-1].startswith("runner:")
 
     # Warm re-export from a fresh memo: zero simulations executed.
     clear_memo()
@@ -95,12 +78,18 @@ def test_cli_export_reports_runner_summary(capsys, tmp_path, cache_dir):
         assert (out_b / path.name).read_bytes() == path.read_bytes()
 
 
+def test_cli_export_no_cache(capsys, tmp_path, cache_dir):
+    # Placed after the export above, whose runs are still memoised: a
+    # memo hit is written back to an enabled disk cache, so an absent
+    # cache directory shows the flag took effect.
+    main(["export", "--out", str(tmp_path / "out"), "--jobs", "1",
+          "--cache-dir", str(cache_dir), "--no-cache"])
+    out = capsys.readouterr().out
+    assert "disk cache off" in out
+    assert not cache_dir.exists()
+
+
 def test_cli_fig_command_accepts_runner_flags(capsys, cache_dir):
     main(["fig6", "a", "--jobs", "2", "--cache-dir", str(cache_dir)])
     assert "Fig 6(a)" in capsys.readouterr().out
     assert cache_dir.exists(), "panel run should populate the disk cache"
-
-
-def test_cli_sweep_rejects_unknown_figure():
-    with pytest.raises(SystemExit):
-        main(["sweep", "--figures", "fig42"])
