@@ -28,25 +28,18 @@ execute zero simulations.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .api import get_app, result_ok
 from .errors import ProgramError
 from .experiments import (
+    THREAD_SWEEP,
     default_scale,
-    fig6_panel,
-    fig7_panel,
-    fig8_panel,
-    fig9_panel,
-    format_fig6,
-    format_fig7,
-    format_fig8,
-    format_fig9,
     measure_overhead_null_loop,
     measure_remote_read_latency,
 )
-from .experiments.fig6 import PANELS as FIG6_PANELS
-from .experiments.fig8 import PANELS as FIG8_PANELS
+from .experiments.figures import FIGURES, PANELS, format_panel, panel, panel_entry, panel_specs
 from .metrics.counters import SwitchKind
 from .metrics.report import format_table
 
@@ -116,29 +109,18 @@ def _runner_summary() -> str:
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
-    _configure_runner(args)
-    scale = default_scale()
-    panel = args.panel
-    if args.figure in ("fig6", "fig7"):
-        n_pes = getattr(scale, FIG6_PANELS[panel][1])
-        if args.figure == "fig6":
-            series = fig6_panel(panel, scale)
-            print(format_fig6(panel, series, n_pes))
-            if args.plot:
-                from .metrics import plot_curves
+    from .runner import run_specs
 
-                curves = {f"n/P={npp}": curve for npp, curve in sorted(series.items())}
-                print()
-                print(plot_curves(curves, title=f"Fig 6({panel})", ylabel="comm [s]"))
-        else:
-            print(format_fig7(panel, fig7_panel(panel, scale), n_pes))
-    else:
-        _, size_role = FIG8_PANELS[panel]
-        npp = scale.small_size if size_role == "small" else scale.large_size
-        if args.figure == "fig8":
-            print(format_fig8(panel, fig8_panel(panel, scale), scale.p_large, npp))
-        else:
-            print(format_fig9(panel, fig9_panel(panel, scale), scale.p_large, npp))
+    _configure_runner(args)
+    p = panel(args.figure, args.panel, default_scale())
+    entry = panel_entry(p, run_specs(panel_specs(p, THREAD_SWEEP)), THREAD_SWEEP)
+    print(format_panel(args.figure, args.panel, entry))
+    if args.plot and args.figure == "fig6":
+        from .metrics import plot_curves
+
+        curves = {f"n/P={npp}": curve for npp, curve in sorted(entry["series"].items())}
+        print()
+        print(plot_curves(curves, title=f"Fig 6({args.panel})", ylabel="comm [s]"))
 
 
 def _cmd_micro(_args: argparse.Namespace) -> None:
@@ -332,10 +314,9 @@ def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for fig, panels in (("fig6", FIG6_PANELS), ("fig7", FIG6_PANELS),
-                        ("fig8", FIG8_PANELS), ("fig9", FIG8_PANELS)):
+    for fig in FIGURES:
         p = sub.add_parser(fig, help=f"regenerate one panel of {fig}")
-        p.add_argument("panel", choices=sorted(panels))
+        p.add_argument("panel", choices=sorted(PANELS))
         p.add_argument("--plot", action="store_true",
                        help="also draw an ASCII chart (fig6 only)")
         _add_runner_flags(p)
@@ -409,6 +390,13 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`repro fig6 a | head -1`).  Point
+        # stdout at devnull so the flush at interpreter exit cannot raise
+        # again, as the SIGPIPE note in Python's `signal` docs shows.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     except ProgramError as exc:
         # For a single app run, a ProgramError is a shape the app rejects:
         # a usage error.  Behind the runner it would mean a wrong answer.

@@ -6,13 +6,16 @@ with one dict per row, rounded as the table prints.
 :mod:`~repro.experiments.results` judges the rows and writes them to
 ``RESULTS_<scale>.json``.
 
-A1–A4 are whole-workload runs through the runner, one batch per
+A1–A4 and A6 are whole-workload runs through the runner, one batch per
 ablation, so they are memoised, cached and spread over ``--jobs``
-workers like the figure sweeps.  A5 and
-A6 need app options a :class:`~repro.runner.JobSpec` does not carry, so
-they call :func:`repro.run`, which raises
-:class:`~repro.errors.ProgramError` when a sort comes back unsorted.  A7
-drives the network model on its own.
+workers like the figure sweeps; the runner raises
+:class:`~repro.errors.ProgramError` when a sort comes back unsorted.
+Three parts of the evaluation stay direct and run again on every
+export: A5 needs ``block_reads``, an app option a
+:class:`~repro.runner.JobSpec` does not carry, so it calls
+:func:`repro.run`, which raises the same error; A7 drives the network
+model on its own; and the µ1/µ2 probes
+(:mod:`~repro.experiments.microbench`) drive a bare machine.
 """
 
 from __future__ import annotations
@@ -165,10 +168,11 @@ def sorters() -> dict:
     rounds, at the same thread structure.
     """
     npp, h = 64, 4
+    machines = (4, 8, 16)
+    points = [(app, n_pes, npp, h) for n_pes in machines for app in ("sort", "transpose")]
+    [records] = _records(points, {"seed": 21})
     rows = []
-    for n_pes in (4, 8, 16):
-        bitonic = run("sort", n=n_pes * npp, n_pes=n_pes, h=h, seed=21)
-        transpose = run("transpose", n=n_pes * npp, n_pes=n_pes, h=h, seed=21)
+    for n_pes, bitonic, transpose in zip(machines, records[::2], records[1::2]):
         log_p = n_pes.bit_length() - 1
         rows.append({
             "n_pes": n_pes,

@@ -16,38 +16,30 @@ scale      per-PE sizes             intended use
 =========  =======================  =========================
 
 Execution is delegated to the :mod:`repro.runner` engine: every run is
-memoised per process (so Fig. 7 reuses the Fig. 6 sweep and Fig. 8/9
-reuse each other's runs), persisted to an on-disk result cache, and —
-when the runner is configured with ``jobs > 1`` — fanned across a
-process pool.  ``run_app`` / ``sweep_threads`` keep their historical
-signatures; they are thin shims over the engine.
+memoised per process, persisted to an on-disk result cache, and — when
+the runner is configured with ``jobs > 1`` — fanned across a process
+pool.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Literal
 
 from ..errors import ConfigError
 from ..metrics.counters import SwitchKind
-from ..runner.jobs import JobSpec
-from ..runner.sweep import clear_memo, run_job, sweep_threads
+from ..runner.sweep import clear_memo
 
 __all__ = [
     "THREAD_SWEEP",
     "ExperimentScale",
     "RunRecord",
     "default_scale",
-    "run_app",
-    "sweep_threads",
     "clear_cache",
 ]
 
 #: The thread counts every figure sweeps (the paper's x-axis, 1..16).
 THREAD_SWEEP: tuple[int, ...] = (1, 2, 3, 4, 6, 8, 12, 16)
-
-AppName = Literal["sort", "fft"]
 
 
 @dataclass(frozen=True)
@@ -139,32 +131,3 @@ def clear_cache(disk: bool = False) -> None:
         from ..runner.sweep import get_options
 
         ResultCache(get_options().cache_dir).purge()
-
-
-def run_app(
-    app: AppName,
-    n_pes: int,
-    npp: int,
-    h: int,
-    *,
-    em4_mode: bool = False,
-    network_model: str = "detailed",
-    priority_replies: bool = False,
-    seed: int = 0,
-) -> RunRecord:
-    """Run one workload configuration (memoised per process).
-
-    Delegates to the execution engine: memo first, then the on-disk
-    cache, then an in-process simulation.
-    """
-    spec = JobSpec(
-        app=app,
-        n_pes=n_pes,
-        npp=npp,
-        h=h,
-        em4_mode=em4_mode,
-        network_model=network_model,
-        priority_replies=priority_replies,
-        seed=seed,
-    )
-    return run_job(spec)

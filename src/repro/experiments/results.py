@@ -5,15 +5,17 @@ its list of problems; an empty list is a pass, the convention of
 :mod:`~repro.experiments.shapes`.  :data:`CHECKS` names every verdict in
 report order, so the ids are known before anything runs.
 
-:func:`export_results` is ``python -m repro export``: it writes the
-figure CSVs (:func:`~repro.experiments.export.export_all`), gathers the
-rest of the evidence — the µ1/µ2 probes and ablations A1–A7 — judges
-every verdict, and writes the series, tables and verdicts with the host,
-the wall time and the default machine's fingerprint next to the CSVs.
+:func:`export_results` is ``python -m repro export``: it gathers the
+evidence — every Fig. 6–9 panel, run as one runner batch, the µ1/µ2
+probes and ablations A1–A7 — judges every verdict, and writes one CSV
+per figure, flattened from the same figure series, and the series,
+tables and verdicts with the host, the wall time and the default
+machine's fingerprint next to the CSVs.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 import json
 import os
@@ -24,15 +26,10 @@ from typing import Callable
 
 from ..config import MachineConfig
 from ..runner.jobs import machine_fingerprint
+from ..runner.sweep import run_specs
 from .ablations import run_ablations
 from .common import THREAD_SWEEP, ExperimentScale
-from .export import export_all
-from .fig6 import PANELS as FIG6_PANELS
-from .fig6 import fig6_panel
-from .fig7 import fig7_panel
-from .fig8 import PANELS as FIG8_PANELS
-from .fig8 import fig8_panel
-from .fig9 import fig9_panel
+from .figures import CSV_HEADER, FIGURES, PANELS, csv_rows, panel, panel_entry, panel_specs
 from .microbench import measure_overhead_null_loop, measure_remote_read_latency
 from .shapes import (
     check_efficiency_bands,
@@ -50,27 +47,12 @@ Check = Callable[[dict], list[str]]
 # Evidence
 # ----------------------------------------------------------------------
 def _figures(scale: ExperimentScale) -> dict:
-    """Every Fig. 6–9 panel on :data:`THREAD_SWEEP`, with its shape."""
-    figures: dict = {}
-    for fig, panel_fn in (("fig6", fig6_panel), ("fig7", fig7_panel)):
-        figures[fig] = {
-            panel: {
-                "app": app,
-                "n_pes": getattr(scale, which),
-                "series": panel_fn(panel, scale, THREAD_SWEEP),
-            }
-            for panel, (app, which) in sorted(FIG6_PANELS.items())
-        }
-    for fig, panel_fn in (("fig8", fig8_panel), ("fig9", fig9_panel)):
-        figures[fig] = {
-            panel: {
-                "app": app,
-                "n_pes": scale.p_large,
-                "npp": scale.small_size if role == "small" else scale.large_size,
-                "series": panel_fn(panel, scale, THREAD_SWEEP),
-            }
-            for panel, (app, role) in sorted(FIG8_PANELS.items())
-        }
+    """Every Fig. 6–9 panel on :data:`THREAD_SWEEP`, run as one batch."""
+    panels = [panel(fig, letter, scale) for fig in FIGURES for letter in sorted(PANELS)]
+    records = run_specs([spec for p in panels for spec in panel_specs(p, THREAD_SWEEP)])
+    figures: dict = {fig: {} for fig in FIGURES}
+    for p in panels:
+        figures[p.figure][p.letter] = panel_entry(p, records, THREAD_SWEEP)
     return figures
 
 
@@ -153,7 +135,7 @@ def _fig7_largest(ev: dict, panel: str) -> tuple[int, dict[int, float]]:
 
 
 def _small_machine(panel: str) -> bool:
-    return FIG6_PANELS[panel][1] == "p_small"
+    return PANELS[panel][1] == "small"
 
 
 def _fig7_bands(ev: dict, sort_panel: str, fft_panel: str) -> list[str]:
@@ -190,7 +172,7 @@ def _fig8(ev: dict, panel: str) -> list[str]:
 
 def _fig9(ev: dict, panel: str) -> list[str]:
     fig = ev["figures"]["fig9"][panel]
-    small = FIG8_PANELS[panel][1] == "small"
+    small = PANELS[panel][1] == "small"
     return check_fig9_orderings(fig["series"], fig["app"], small_problem=small)
 
 
@@ -223,7 +205,7 @@ def _a7_latency_grows(ev: dict) -> list[str]:
 
 def _checks() -> dict[str, Check]:
     checks: dict[str, Check] = {}
-    for panel, (app, _) in sorted(FIG6_PANELS.items()):
+    for panel, (app, _) in sorted(PANELS.items()):
         if app == "sort":
             checks[f"fig6.{panel}"] = functools.partial(_fig6_sort, panel=panel)
         else:
@@ -236,7 +218,7 @@ def _checks() -> dict[str, Check]:
             _fig7_headline, **pair
         )
     for fig, check in (("fig8", _fig8), ("fig9", _fig9)):
-        for panel in sorted(FIG8_PANELS):
+        for panel in sorted(PANELS):
             checks[f"{fig}.{panel}"] = functools.partial(check, panel=panel)
     checks.update({
         "mu1.roundtrip_cycles": _each_row(
@@ -306,6 +288,14 @@ def evaluate(scale: ExperimentScale) -> tuple[dict, dict[str, list[str]]]:
     return evidence, {vid: check(evidence) for vid, check in CHECKS.items()}
 
 
+def _write_csv(path: pathlib.Path, rows: list[tuple]) -> pathlib.Path:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(rows)
+    return path
+
+
 def export_results(
     outdir: str | pathlib.Path, scale: ExperimentScale
 ) -> tuple[list[pathlib.Path], dict[str, list[str]]]:
@@ -315,8 +305,16 @@ def export_results(
     A failing verdict is a result, not an error.
     """
     start = time.perf_counter()
-    written = export_all(outdir, scale)
+    out = pathlib.Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
     evidence, verdicts = evaluate(scale)
+    written: list[pathlib.Path] = []
+    all_rows: list[tuple] = []
+    for fig, panels in evidence["figures"].items():
+        rows = [row for letter, entry in panels.items() for row in csv_rows(fig, letter, entry)]
+        all_rows.extend(rows)
+        written.append(_write_csv(out / f"{fig}.csv", rows))
+    written.append(_write_csv(out / "all_figures.csv", all_rows))
     payload = {
         **evidence,
         "verdicts": [
@@ -331,7 +329,7 @@ def export_results(
         "wall_s": round(time.perf_counter() - start, 1),
         "machine_fingerprint": machine_fingerprint(MachineConfig()),
     }
-    path = pathlib.Path(outdir) / f"RESULTS_{scale.name}.json"
+    path = out / f"RESULTS_{scale.name}.json"
     path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     written.append(path)
     return written, verdicts

@@ -2,29 +2,28 @@
 
 Every figure of the paper is a sweep over independent simulations, so
 regenerating them is a scheduling problem, not a sequencing one.  This
-package supplies the three pieces the figure sweeps need to exploit
+package supplies the three pieces a batch of jobs needs to exploit
 that:
 
-* :mod:`~repro.runner.jobs` — content-hashable :class:`JobSpec` values
-  and sweep-expansion helpers (the dedup layer),
+* :mod:`~repro.runner.jobs` — content-hashable :class:`JobSpec` values,
+  one thread sweep's expansion and the dedup helper,
 * :mod:`~repro.runner.cache` — an atomic, version-partitioned on-disk
   result store (the memoisation layer),
 * :mod:`~repro.runner.pool` — a process-pool scheduler with crash retry
   (the batching layer),
 
-glued together by :mod:`~repro.runner.sweep`, which the experiments
-package and the CLI (``python -m repro export``) call.  A warm cache
-serves every figure and runner-backed ablation of a re-export; a cold
-one scales with core count.
+glued together by :mod:`~repro.runner.sweep`, whose :func:`run_specs`
+the experiments package and the CLI call.  The runner knows no figure:
+:mod:`repro.experiments.figures` lists the jobs of each panel.  A warm
+cache serves every figure and runner-backed ablation of a re-export; a
+cold one scales with core count.
 """
 
 from .cache import ENV_CACHE_DIR, CacheStats, ResultCache, default_cache_root
 from .jobs import (
-    FIGURES,
     SCHEMA_VERSION,
     JobSpec,
     dedupe,
-    expand_figures,
     expand_sweep,
     machine_fingerprint,
     spec_to_dict,
@@ -41,21 +40,17 @@ from .sweep import (
     run_job,
     run_specs,
     stats,
-    sweep_figures,
-    sweep_threads,
     using,
 )
 from .worker import execute_job, trace_artifact_path
 
 __all__ = [
     "SCHEMA_VERSION",
-    "FIGURES",
     "JobSpec",
     "machine_fingerprint",
     "dedupe",
     "spec_to_dict",
     "expand_sweep",
-    "expand_figures",
     "ENV_CACHE_DIR",
     "CacheStats",
     "ResultCache",
@@ -75,6 +70,4 @@ __all__ = [
     "clear_memo",
     "run_job",
     "run_specs",
-    "sweep_threads",
-    "sweep_figures",
 ]

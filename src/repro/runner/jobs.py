@@ -17,10 +17,9 @@ after.  Two properties make it safe:
   (sorted keys, no whitespace variance), so the same spec hashes the
   same across processes and Python versions.
 
-The expansion helpers turn a figure's sweep (or all figures at once)
-into a **deduplicated** job list: Fig. 7 reuses Fig. 6's runs and
-Figs. 8/9 share one sweep, exactly mirroring the per-process memo the
-experiments package has always relied on.
+:func:`expand_sweep` turns one thread sweep into jobs and :func:`dedupe`
+drops repeats.  Which sweeps a figure needs is decided in
+:mod:`repro.experiments.figures`.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ __all__ = [
     "dedupe",
     "spec_to_dict",
     "expand_sweep",
-    "expand_figures",
-    "FIGURES",
 ]
 
 #: Bump when the meaning of a cached result changes (new RunRecord
@@ -49,11 +46,6 @@ __all__ = [
 #: entry under the old version becomes unreachable — version-based
 #: invalidation instead of trusting mtimes.
 SCHEMA_VERSION = 1
-
-#: The figures the engine knows how to expand.  fig7 reuses fig6's runs
-#: and fig9 reuses fig8's, so their job sets are identical pairwise.
-FIGURES = ("fig6", "fig7", "fig8", "fig9")
-
 
 def machine_fingerprint(config: MachineConfig) -> str:
     """A short stable digest of every field of a machine config.
@@ -90,7 +82,7 @@ class JobSpec:
         from ..api import app_names
 
         if self.app not in app_names():
-            # ProgramError for compatibility with the pre-engine run_app.
+            # ProgramError, as `repro.get_app` raises for an unknown app.
             from ..errors import ProgramError
 
             raise ProgramError(
@@ -100,7 +92,7 @@ class JobSpec:
             raise ConfigError(f"n_pes/npp/h must be >= 1, got {self}")
 
     def config(self) -> MachineConfig:
-        """The machine this job runs on (same construction `run_app` used)."""
+        """The machine this job runs on."""
         return MachineConfig(
             n_pes=self.n_pes,
             em4_mode=self.em4_mode,
@@ -148,66 +140,10 @@ def spec_to_dict(spec: JobSpec) -> dict:
     return asdict(spec)
 
 
-def expand_sweep(
-    app: str,
-    n_pes: int,
-    npp: int,
-    threads: Sequence[int],
-    *,
-    em4_mode: bool = False,
-    network_model: str = "detailed",
-    priority_replies: bool = False,
-    seed: int = 0,
-) -> list[JobSpec]:
+def expand_sweep(app: str, n_pes: int, npp: int, threads: Sequence[int]) -> list[JobSpec]:
     """One (app, P, n/P) thread sweep as jobs, skipping h > n/P.
 
-    The skip mirrors the hardware constraint every figure driver
-    applies: a PE cannot run more threads than it holds elements.
+    The skip mirrors the hardware constraint every figure applies: a PE
+    cannot run more threads than it holds elements.
     """
-    return [
-        JobSpec(
-            app=app,
-            n_pes=n_pes,
-            npp=npp,
-            h=h,
-            em4_mode=em4_mode,
-            network_model=network_model,
-            priority_replies=priority_replies,
-            seed=seed,
-        )
-        for h in threads
-        if h <= npp
-    ]
-
-
-def expand_figures(
-    scale,
-    threads: Sequence[int],
-    figures: Sequence[str] = FIGURES,
-) -> list[JobSpec]:
-    """Every job the requested figures need, deduplicated.
-
-    ``scale`` is an :class:`~repro.experiments.common.ExperimentScale`;
-    imported lazily to keep this module free of experiment imports (the
-    experiments package itself imports the runner).
-    """
-    from ..experiments.fig6 import PANELS as FIG6_PANELS
-    from ..experiments.fig8 import PANELS as FIG8_PANELS
-
-    unknown = set(figures) - set(FIGURES)
-    if unknown:
-        raise ConfigError(f"unknown figures {sorted(unknown)}; valid: {sorted(FIGURES)}")
-
-    specs: list[JobSpec] = []
-    # Figs. 6 and 7 share one sweep per panel (fig7 is derived data).
-    if "fig6" in figures or "fig7" in figures:
-        for _, (app, which) in sorted(FIG6_PANELS.items()):
-            n_pes = getattr(scale, which)
-            for npp in scale.sizes_for(n_pes):
-                specs.extend(expand_sweep(app, n_pes, npp, threads))
-    # Figs. 8 and 9 share one sweep per panel at P = p_large.
-    if "fig8" in figures or "fig9" in figures:
-        for _, (app, size_role) in sorted(FIG8_PANELS.items()):
-            npp = scale.small_size if size_role == "small" else scale.large_size
-            specs.extend(expand_sweep(app, scale.p_large, npp, threads))
-    return dedupe(specs)
+    return [JobSpec(app=app, n_pes=n_pes, npp=npp, h=h) for h in threads if h <= npp]

@@ -2,9 +2,9 @@
 
 Every job is an independent simulation, so the scheduling problem is
 embarrassingly parallel: submit all jobs to a
-``concurrent.futures.ProcessPoolExecutor`` sized by ``--jobs`` (default
-``os.cpu_count()``), collect results as they complete, and keep the
-caller informed through a progress callback.
+``concurrent.futures.ProcessPoolExecutor`` sized by ``--jobs``, collect
+results as they complete, and keep the caller informed through a
+progress callback.
 
 Failure policy, in order of severity:
 
@@ -19,7 +19,6 @@ Failure policy, in order of severity:
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -123,7 +122,7 @@ def _run_pass(
 def run_jobs(
     specs: Sequence[JobSpec],
     *,
-    jobs: int | None = None,
+    jobs: int,
     worker=execute_job,
     progress: ProgressCallback | None = None,
     status: PoolStatus | None = None,
@@ -131,12 +130,10 @@ def run_jobs(
     """Execute ``specs`` and return ``{spec: RunRecord}``.
 
     ``jobs=1`` runs serially in-process (no pool, no pickling —
-    byte-for-byte the classic sequential path).  ``jobs=None`` uses
-    ``os.cpu_count()``.  ``worker`` is injectable for tests and
-    benchmarks; it must be a picklable callable taking ``(spec)``.
+    byte-for-byte the classic sequential path).  ``worker`` is
+    injectable for tests and benchmarks; it must be a picklable callable
+    taking ``(spec)``.
     """
-    if jobs is None:
-        jobs = os.cpu_count() or 1
     if jobs < 1:
         raise SimulationError(f"--jobs must be >= 1, got {jobs}")
     if status is None:

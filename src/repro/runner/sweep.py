@@ -1,7 +1,7 @@
 """Sweep orchestration: memo → disk cache → process pool.
 
-The figure drivers ask for thread sweeps; this module decides how each
-job in a sweep is satisfied, cheapest source first:
+The experiments ask for batches of jobs; this module decides how each
+job in a batch is satisfied, cheapest source first:
 
 1. the **per-process memo** (identity-preserving, what the experiments
    package has always had),
@@ -12,9 +12,8 @@ job in a sweep is satisfied, cheapest source first:
 
 Behaviour is controlled by a process-global :class:`RunnerOptions`
 (set from CLI flags via :func:`configure`, or scoped with the
-:func:`using` context manager), so existing call sites —
-``fig6_panel(...)``, ``export_all(...)`` — gain parallelism and
-persistent caching without signature churn.
+:func:`using` context manager), so a caller of :func:`run_specs` gains
+parallelism and persistent caching without passing options around.
 :func:`stats` reports how many jobs each source satisfied; the CLI
 prints it so a warm re-export visibly executes **zero** simulations.
 """
@@ -24,11 +23,11 @@ from __future__ import annotations
 import contextlib
 import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from ..errors import ConfigError
 from .cache import ResultCache
-from .jobs import FIGURES, JobSpec, dedupe, expand_figures, expand_sweep
+from .jobs import JobSpec, dedupe
 from .pool import PoolStatus, run_jobs
 from .worker import execute_job
 
@@ -44,8 +43,6 @@ __all__ = [
     "clear_memo",
     "run_job",
     "run_specs",
-    "sweep_threads",
-    "sweep_figures",
 ]
 
 
@@ -97,7 +94,7 @@ def reset_options() -> RunnerOptions:
 
 @contextlib.contextmanager
 def using(**overrides):
-    """Scoped options: ``with using(jobs=4): fig6_panel("a")``."""
+    """Scoped options: ``with using(jobs=4): run_specs(specs)``."""
     global _options
     saved = _options
     try:
@@ -222,49 +219,3 @@ def run_specs(
                 cache.put(spec, record)
             results[spec] = record
     return {spec: results[spec] for spec in ordered}
-
-
-def sweep_threads(
-    app: str,
-    n_pes: int,
-    npp: int,
-    threads: Sequence[int] | None = None,
-    **kwargs,
-) -> Mapping[int, object]:
-    """Run one (app, P, n/P) configuration across a thread sweep.
-
-    Thread counts exceeding the per-PE element count are skipped, the
-    same constraint the hardware runs obeyed (h ≤ n/P).  This is the
-    engine-backed replacement for the old private-memo sweep in
-    ``experiments.common``; the return shape (``{h: RunRecord}``) is
-    unchanged.
-    """
-    if threads is None:
-        from ..experiments.common import THREAD_SWEEP
-
-        threads = THREAD_SWEEP
-    specs = expand_sweep(app, n_pes, npp, threads, **kwargs)
-    records = run_specs(specs)
-    return {spec.h: records[spec] for spec in specs}
-
-
-def sweep_figures(
-    scale=None,
-    threads: Sequence[int] | None = None,
-    figures: Sequence[str] = FIGURES,
-    *,
-    options: RunnerOptions | None = None,
-) -> dict[JobSpec, object]:
-    """Pre-run every simulation the requested figures need.
-
-    The export prefetch: expands the figures into a deduplicated job
-    list and satisfies it through :func:`run_specs`, so the figure
-    drivers that run afterwards find everything memoised.
-    """
-    if scale is None or threads is None:
-        from ..experiments.common import THREAD_SWEEP, default_scale
-
-        scale = scale or default_scale()
-        threads = threads or THREAD_SWEEP
-    specs = expand_figures(scale, threads, figures)
-    return run_specs(specs, options=options)

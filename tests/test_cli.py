@@ -1,8 +1,15 @@
 """Command-line interface (`python -m repro ...`)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.__main__ import main
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_cli_sort(capsys):
@@ -52,6 +59,28 @@ def test_cli_micro(capsys):
 def test_cli_rejects_unknown_panel():
     with pytest.raises(SystemExit):
         main(["fig6", "z"])
+
+
+def test_cli_closed_pipe_exits_without_traceback():
+    """A reader that closes the pipe early (`repro fig6 a | head -1`)
+    ends the command with status 1 and nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "apps"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=REPO,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1
 
 
 def test_cli_requires_command():

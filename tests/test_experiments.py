@@ -5,22 +5,19 @@ import pytest
 from repro.experiments import (
     THREAD_SWEEP,
     default_scale,
-    fig6_panel,
-    fig6_series,
-    fig7_panel,
-    fig8_panel,
-    fig9_panel,
-    format_fig6,
-    format_fig7,
-    format_fig8,
-    format_fig9,
     measure_overhead_null_loop,
     measure_remote_read_latency,
-    run_app,
-    sweep_threads,
 )
 from repro.errors import ConfigError
 from repro.experiments.common import clear_cache
+from repro.experiments.figures import Panel, format_panel, panel, panel_entry, panel_specs
+from repro.runner import JobSpec, expand_sweep, run_job, run_specs
+
+
+def _entry(figure, letter, scale, threads):
+    """Run one panel through the runner and build its entry."""
+    p = panel(figure, letter, scale)
+    return panel_entry(p, run_specs(panel_specs(p, threads)), threads)
 
 
 def test_default_scale_env(monkeypatch):
@@ -33,15 +30,15 @@ def test_default_scale_env(monkeypatch):
 
 def test_run_app_is_cached():
     clear_cache()
-    a = run_app("sort", 4, 8, 2)
-    b = run_app("sort", 4, 8, 2)
+    a = run_job(JobSpec("sort", 4, 8, 2))
+    b = run_job(JobSpec("sort", 4, 8, 2))
     assert a is b  # memoised
-    c = run_app("sort", 4, 8, 2, seed=1)
+    c = run_job(JobSpec("sort", 4, 8, 2, seed=1))
     assert c is not a
 
 
 def test_run_record_fields():
-    rec = run_app("fft", 4, 8, 2)
+    rec = run_job(JobSpec("fft", 4, 8, 2))
     assert rec.verified
     assert rec.comm_seconds >= rec.comm_idle_seconds >= 0
     assert abs(sum(rec.breakdown().values()) - 100.0) < 1e-6
@@ -51,12 +48,13 @@ def test_run_record_fields():
 
 
 def test_sweep_skips_oversized_thread_counts():
-    recs = sweep_threads("sort", 4, 8, threads=(1, 2, 16))
-    assert set(recs) == {1, 2, 8} - {8} | {1, 2}  # h=16 > npp=8 skipped
+    recs = run_specs(expand_sweep("sort", 4, 8, (1, 2, 16)))
+    assert {spec.h for spec in recs} == {1, 2, 8} - {8} | {1, 2}  # h=16 > npp=8 skipped
 
 
 def test_fig6_series_structure():
-    series = fig6_series("sort", 4, (8,), threads=(1, 2, 4))
+    p = Panel("fig6", "a", "sort", 4, (8,))
+    series = panel_entry(p, run_specs(panel_specs(p, (1, 2, 4))), (1, 2, 4))["series"]
     assert set(series) == {8}
     assert set(series[8]) == {1, 2, 4}
     assert all(v >= 0 for v in series[8].values())
@@ -65,45 +63,46 @@ def test_fig6_series_structure():
 def test_fig6_panel_and_format(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "tiny")
     scale = default_scale()
-    series = fig6_panel("a", scale, threads=(1, 2, 4))
-    out = format_fig6("a", series, scale.p_small)
+    entry = _entry("fig6", "a", scale, (1, 2, 4))
+    out = format_panel("fig6", "a", entry)
     assert "B-sorting" in out and "communication time" in out
     with pytest.raises(ConfigError):
-        fig6_panel("z")
+        panel("fig6", "z", scale)
 
 
 def test_fig7_efficiency_panel(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "tiny")
     scale = default_scale()
-    eff = fig7_panel("c", scale, threads=(1, 2, 4))
-    for curve in eff.values():
+    entry = _entry("fig7", "c", scale, (1, 2, 4))
+    for curve in entry["series"].values():
         assert curve[1] == 0.0
-    out = format_fig7("c", eff, scale.p_small)
+    out = format_panel("fig7", "c", entry)
     assert "efficiency" in out
 
 
 def test_fig8_panel_percentages(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "tiny")
     scale = default_scale()
-    panel = fig8_panel("a", scale, threads=(1, 2))
-    for comps in panel.values():
+    entry = _entry("fig8", "a", scale, (1, 2))
+    for comps in entry["series"].values():
         assert abs(sum(comps.values()) - 100.0) < 1e-6
-    out = format_fig8("a", panel, scale.p_large, scale.small_size)
+    out = format_panel("fig8", "a", entry)
     assert "execution time distribution" in out
     with pytest.raises(ConfigError):
-        fig8_panel("q")
+        panel("fig8", "q", scale)
 
 
 def test_fig9_panel_switches(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "tiny")
     scale = default_scale()
-    panel = fig9_panel("a", scale, threads=(1, 4))
-    assert panel[1]["remote_read"] > 0
-    assert panel[4]["iter_sync"] > panel[1]["iter_sync"] * 0.5
-    out = format_fig9("a", panel, scale.p_large, scale.small_size)
+    entry = _entry("fig9", "a", scale, (1, 4))
+    series = entry["series"]
+    assert series[1]["remote_read"] > 0
+    assert series[4]["iter_sync"] > series[1]["iter_sync"] * 0.5
+    out = format_panel("fig9", "a", entry)
     assert "switches per processor" in out
     with pytest.raises(ConfigError):
-        fig9_panel("x")
+        panel("fig9", "x", scale)
 
 
 def test_thread_sweep_constant():
@@ -130,7 +129,7 @@ def test_run_app_rejects_unknown_app():
     from repro.errors import ProgramError
 
     with pytest.raises(ProgramError, match="unknown app"):
-        run_app("quicksort", 4, 8, 1)
+        run_job(JobSpec("quicksort", 4, 8, 1))
 
 
 def test_scale_size_roles():

@@ -1,21 +1,35 @@
-"""CSV figure export."""
+"""The export: CSVs and ``RESULTS_tiny.json`` from one figure batch."""
 
 import csv
+import json
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import default_scale, export_all
+from repro.experiments import default_scale, results
+from repro.experiments.figures import FIGURES, PANELS, panel, panel_specs
+
+THREADS = (1, 2, 4)
 
 
 @pytest.fixture(scope="module")
 def exported(tmp_path_factory):
+    """A tiny export on a short thread tuple, with every ``run_specs``
+    batch the figure evidence asked for."""
     outdir = tmp_path_factory.mktemp("csv")
-    import os
+    batches = []
+    run_specs = results.run_specs
 
-    os.environ["REPRO_SCALE"] = "tiny"
-    paths = export_all(outdir, default_scale(), threads=(1, 2, 4))
-    return outdir, paths
+    def spy(specs, **kwargs):
+        batches.append(list(specs))
+        return run_specs(specs, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_SCALE", "tiny")
+        mp.setattr(results, "THREAD_SWEEP", THREADS)
+        mp.setattr(results, "run_specs", spy)
+        paths, _ = results.export_results(outdir, default_scale())
+    return outdir, paths, batches
 
 
 def _read(path):
@@ -24,13 +38,55 @@ def _read(path):
 
 
 def test_writes_one_csv_per_figure_plus_combined(exported):
-    outdir, paths = exported
-    names = sorted(p.name for p in paths)
+    outdir, paths, _ = exported
+    names = sorted(p.name for p in paths if p.suffix == ".csv")
     assert names == ["all_figures.csv", "fig6.csv", "fig7.csv", "fig8.csv", "fig9.csv"]
 
 
+def test_every_figure_job_runs_in_one_batch(exported):
+    """One ``run_specs`` call carries the union of every panel's jobs."""
+    _, _, batches = exported
+    scale = default_scale()
+
+    def specs(figures):
+        return {
+            spec
+            for fig in figures
+            for letter in PANELS
+            for spec in panel_specs(panel(fig, letter, scale), THREADS)
+        }
+
+    [batch] = batches
+    # Fig. 7 redraws Fig. 6's runs, and at tiny scale every Fig. 8/9
+    # sweep is also a Fig. 6 curve, so the union is Fig. 6's jobs.
+    assert set(batch) == specs(FIGURES) == specs(["fig6"])
+
+
+def test_csv_values_are_the_results_series(exported):
+    """Every CSV value is the matching value of RESULTS_tiny.json."""
+    outdir, _, _ = exported
+    figures = json.loads((outdir / "RESULTS_tiny.json").read_text())["figures"]
+    expected = {}
+    for fig, panels in figures.items():
+        for letter, entry in panels.items():
+            if "npp" in entry:
+                for h, values in entry["series"].items():
+                    for name, value in values.items():
+                        expected[fig, letter, str(entry["npp"]), h, name] = value
+            else:
+                for npp, curve in entry["series"].items():
+                    for h, value in curve.items():
+                        expected[fig, letter, npp, h, None] = value
+    seen = {}
+    for fig in FIGURES:
+        for r in _read(outdir / f"{fig}.csv"):
+            name = r["metric"].split("_", 1)[1] if fig in ("fig8", "fig9") else None
+            seen[fig, r["panel"], r["npp"], r["threads"], name] = float(r["value"])
+    assert seen == expected
+
+
 def test_fig6_rows_shape(exported):
-    outdir, _ = exported
+    outdir, _, _ = exported
     rows = _read(outdir / "fig6.csv")
     assert rows, "no fig6 rows"
     first = rows[0]
@@ -41,14 +97,14 @@ def test_fig6_rows_shape(exported):
 
 
 def test_fig7_baseline_zero(exported):
-    outdir, _ = exported
+    outdir, _, _ = exported
     rows = _read(outdir / "fig7.csv")
     ones = [float(r["value"]) for r in rows if r["threads"] == "1"]
     assert ones and all(v == 0.0 for v in ones)
 
 
 def test_fig8_percentages_sum(exported):
-    outdir, _ = exported
+    outdir, _, _ = exported
     rows = _read(outdir / "fig8.csv")
     by_key = {}
     for r in rows:
@@ -60,12 +116,15 @@ def test_fig8_percentages_sum(exported):
 
 
 def test_combined_is_concatenation(exported):
-    outdir, _ = exported
+    outdir, _, _ = exported
     combined = _read(outdir / "all_figures.csv")
     parts = sum(len(_read(outdir / f"{f}.csv")) for f in ("fig6", "fig7", "fig8", "fig9"))
     assert len(combined) == parts
 
 
-def test_unknown_figure_rejected(tmp_path):
-    with pytest.raises(ConfigError):
-        export_all(tmp_path, figures=("fig42",))
+def test_unknown_figure_rejected():
+    scale = default_scale()
+    with pytest.raises(ConfigError, match="unknown figure"):
+        panel("fig42", "a", scale)
+    with pytest.raises(ConfigError, match="has panels"):
+        panel("fig6", "e", scale)

@@ -12,24 +12,29 @@ from repro.experiments import (
     check_fig6_minimum,
     check_fig8_components,
     check_fig9_orderings,
-    run_app,
-    sweep_threads,
 )
+from repro.experiments.figures import SWITCH_KINDS
 from repro.metrics.overlap import overlap_series
+from repro.runner import JobSpec, expand_sweep, run_job, run_specs
 
 P = 16
 NPP = 128
 THREADS = (1, 2, 4, 8, 16)
 
 
+def _sweep(app, npp, threads):
+    """``{h: RunRecord}`` for one P=16 thread sweep."""
+    return {spec.h: rec for spec, rec in run_specs(expand_sweep(app, P, npp, threads)).items()}
+
+
 @pytest.fixture(scope="module")
 def sort_sweep():
-    return sweep_threads("sort", P, NPP, THREADS)
+    return _sweep("sort", NPP, THREADS)
 
 
 @pytest.fixture(scope="module")
 def fft_sweep():
-    return sweep_threads("fft", P, NPP, THREADS)
+    return _sweep("fft", NPP, THREADS)
 
 
 def test_fig6_sort_minimum_at_few_threads(sort_sweep):
@@ -53,7 +58,7 @@ def test_fft_overlaps_over_95_percent():
     """The paper's headline FFT number (needs the larger problem size —
     at small sizes the per-iteration barrier cost is proportionally
     bigger, exactly the size effect Fig. 6(d) shows for n=512K)."""
-    sweep = sweep_threads("fft", P, 256, (1, 2, 4))
+    sweep = _sweep("fft", 256, (1, 2, 4))
     eff = overlap_series({h: r.comm_seconds for h, r in sweep.items()})
     assert max(eff[h] for h in (2, 4)) > 0.95
 
@@ -70,8 +75,6 @@ def test_fig8_fft_computation_dominates(fft_sweep):
 
 
 def test_fig9_sort_orderings(sort_sweep):
-    from repro.experiments.fig9 import SWITCH_KINDS
-
     panel = {
         h: {k.value: r.switches(k) for k in SWITCH_KINDS} for h, r in sort_sweep.items()
     }
@@ -79,8 +82,6 @@ def test_fig9_sort_orderings(sort_sweep):
 
 
 def test_fig9_fft_orderings(fft_sweep):
-    from repro.experiments.fig9 import SWITCH_KINDS
-
     panel = {
         h: {k.value: r.switches(k) for k in SWITCH_KINDS} for h, r in fft_sweep.items()
     }
@@ -89,8 +90,8 @@ def test_fig9_fft_orderings(fft_sweep):
 
 def test_ablation_em4_read_service_hurts():
     """A1: EM-4-style EXU read servicing slows the same workload."""
-    emx = run_app("sort", P, 32, 4)
-    em4 = run_app("sort", P, 32, 4, em4_mode=True)
+    emx = run_job(JobSpec("sort", P, 32, 4))
+    em4 = run_job(JobSpec("sort", P, 32, 4, em4_mode=True))
     assert em4.verified
     assert em4.runtime_seconds > emx.runtime_seconds
 
@@ -98,8 +99,8 @@ def test_ablation_em4_read_service_hurts():
 def test_ablation_network_models_agree():
     """A3: analytic vs detailed network differ by only a few percent at
     the paper's traffic levels."""
-    det = run_app("fft", P, 32, 4, network_model="detailed")
-    ana = run_app("fft", P, 32, 4, network_model="analytic")
+    det = run_job(JobSpec("fft", P, 32, 4, network_model="detailed"))
+    ana = run_job(JobSpec("fft", P, 32, 4, network_model="analytic"))
     assert ana.verified
     ratio = ana.runtime_seconds / det.runtime_seconds
     # The models agree to a few percent at the paper's traffic levels;
@@ -113,8 +114,8 @@ def test_ablation_saavedra_agrees_with_simulated_fft():
 
     model = SaavedraModel.for_fft(latency=30)
     assert model.overlap_efficiency(2) == 1.0  # analytic prediction
-    rec1 = run_app("fft", P, 64, 1)
-    rec2 = run_app("fft", P, 64, 2)
+    rec1 = run_job(JobSpec("fft", P, 64, 1))
+    rec2 = run_job(JobSpec("fft", P, 64, 2))
     # Compare against the pure latency-masking (idle) communication —
     # the quantity the analytic model actually predicts.
     measured = 1.0 - rec2.comm_idle_seconds / rec1.comm_idle_seconds

@@ -19,7 +19,6 @@ from repro.runner import (
     RunnerOptions,
     clear_memo,
     dedupe,
-    expand_figures,
     expand_sweep,
     execute_job,
     get_options,
@@ -29,7 +28,6 @@ from repro.runner import (
     run_jobs,
     run_specs,
     stats,
-    sweep_threads,
     using,
 )
 from repro.runner import jobs as jobs_mod
@@ -81,20 +79,6 @@ def test_spec_validation():
 def test_expand_sweep_skips_oversized_h():
     specs = expand_sweep("sort", 4, 8, (1, 2, 16))
     assert [s.h for s in specs] == [1, 2]
-
-
-def test_expand_figures_dedups_shared_sweeps():
-    from repro.experiments import default_scale
-
-    scale = default_scale()
-    all_figs = expand_figures(scale, (1, 2))
-    fig6_only = expand_figures(scale, (1, 2), figures=("fig6",))
-    # fig8/9's (P = p_large, smallest/largest size) sweeps are a subset
-    # of fig6's panels at tiny scale, so dedup leaves the fig6 set.
-    assert all_figs == fig6_only
-    assert dedupe(all_figs + fig6_only) == all_figs
-    with pytest.raises(ConfigError, match="unknown figures"):
-        expand_figures(scale, (1,), figures=("fig42",))
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +280,8 @@ def test_warm_cache_executes_nothing(tmp_path):
 
 def test_sweep_threads_shape(tmp_path):
     with using(cache_dir=str(tmp_path)):
-        records = sweep_threads("sort", 4, 8, (1, 2, 16))
+        runs = run_specs(expand_sweep("sort", 4, 8, (1, 2, 16)))
+    records = {spec.h: rec for spec, rec in runs.items()}
     assert sorted(records) == [1, 2]
     assert all(rec.h == h for h, rec in records.items())
 
