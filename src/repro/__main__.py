@@ -33,13 +33,9 @@ import sys
 
 from .api import get_app, result_ok
 from .errors import ProgramError
-from .experiments import (
-    THREAD_SWEEP,
-    default_scale,
-    measure_overhead_null_loop,
-    measure_remote_read_latency,
-)
+from .experiments import THREAD_SWEEP, default_scale
 from .experiments.figures import FIGURES, PANELS, format_panel, panel, panel_entry, panel_specs
+from .experiments.microbench import probes
 from .metrics.counters import SwitchKind
 from .metrics.report import format_table
 
@@ -66,10 +62,6 @@ def _add_runner_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
         help="skip the on-disk result cache (memoise in-process only)")
-    parser.add_argument(
-        "--trace-dir", default=None, metavar="DIR",
-        help="write a Perfetto trace per executed job under DIR "
-             "(cache hits produce no trace; off by default)")
 
 
 def _progress_printer():
@@ -83,39 +75,31 @@ def _progress_printer():
     return _print
 
 
-def _configure_runner(args: argparse.Namespace) -> None:
-    """Apply --jobs/--cache-dir/--no-cache to the process-global runner."""
-    from .runner import configure
+def _runner(args: argparse.Namespace):
+    """The command's one runner, from --jobs, --cache-dir and --no-cache."""
+    from .runner import ResultCache, Runner
 
-    configure(
+    return Runner(
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        cache=None if args.no_cache else ResultCache(args.cache_dir),
         progress=_progress_printer(),
-        trace_dir=args.trace_dir,
     )
 
 
-def _runner_summary() -> str:
-    from .runner import get_options, stats
-
-    st = stats()
+def _runner_summary(runner) -> str:
     if sys.stderr.isatty():
         print(file=sys.stderr)  # terminate the \r progress line
-    summary = f"runner: {st.describe()}"
-    if not get_options().use_cache:
+    summary = f"runner: {runner.stats.describe()}"
+    if runner.cache is None:
         summary += " (disk cache off)"
     return summary
 
 
 def _cmd_figure(args: argparse.Namespace) -> None:
-    from .runner import run_specs
-
-    _configure_runner(args)
     p = panel(args.figure, args.panel, default_scale())
-    entry = panel_entry(p, run_specs(panel_specs(p, THREAD_SWEEP)), THREAD_SWEEP)
+    entry = panel_entry(p, _runner(args).run(panel_specs(p, THREAD_SWEEP)), THREAD_SWEEP)
     print(format_panel(args.figure, args.panel, entry))
-    if args.plot and args.figure == "fig6":
+    if args.plot:
         from .metrics import plot_curves
 
         curves = {f"n/P={npp}": curve for npp, curve in sorted(entry["series"].items())}
@@ -124,28 +108,26 @@ def _cmd_figure(args: argparse.Namespace) -> None:
 
 
 def _cmd_micro(_args: argparse.Namespace) -> None:
-    points = measure_remote_read_latency(n_pes=64, reads=256)
-    rows = [[p.target, p.hops, round(p.roundtrip_cycles, 1), round(p.microseconds, 3)]
-            for p in points]
+    mu1, mu2 = probes().values()
+    rows = [[r["target"], r["hops"], round(r["roundtrip_cycles"], 1), round(r["latency_us"], 3)]
+            for r in mu1["rows"]]
     print(format_table(["target PE", "hops", "roundtrip [cyc]", "latency [us]"], rows,
-                       title="u1: remote read latency (paper: ~1 us)"))
-    ov = measure_overhead_null_loop()
-    print(f"\nu2: null-loop overhead: {ov.cycles_per_packet:.2f} cycles/packet "
-          f"(EMC-Y: packet generation takes one clock)")
+                       title=mu1["title"]))
+    [row] = mu2["rows"]
+    print(f"\n{mu2['title']}\n{row['cycles_per_packet']:.2f} cycles/packet "
+          f"over {row['writes']} writes")
 
 
 def _cmd_export(args: argparse.Namespace) -> None:
     from .experiments.results import export_results
-    from .runner import reset_stats
 
-    _configure_runner(args)
-    reset_stats()
-    written, verdicts = export_results(args.out, default_scale())
+    runner = _runner(args)
+    written, verdicts = export_results(args.out, default_scale(), runner)
     for path in written:
         print(f"wrote {path}")
     for vid, problems in verdicts.items():
         print(f"FAIL {vid} {'; '.join(problems)}" if problems else f"PASS {vid}")
-    print(_runner_summary())
+    print(_runner_summary(runner))
 
 
 def _cmd_cache(args: argparse.Namespace) -> None:
@@ -317,10 +299,10 @@ def main(argv: list[str] | None = None) -> None:
     for fig in FIGURES:
         p = sub.add_parser(fig, help=f"regenerate one panel of {fig}")
         p.add_argument("panel", choices=sorted(PANELS))
-        p.add_argument("--plot", action="store_true",
-                       help="also draw an ASCII chart (fig6 only)")
+        if fig == "fig6":
+            p.add_argument("--plot", action="store_true", help="also draw an ASCII chart")
         _add_runner_flags(p)
-        p.set_defaults(func=_cmd_figure, figure=fig)
+        p.set_defaults(func=_cmd_figure, figure=fig, plot=False)
 
     p = sub.add_parser("micro", help="run the point-measurement probes")
     p.set_defaults(func=_cmd_micro)

@@ -13,20 +13,14 @@
 
 ``figures``, ``ablations`` and ``results`` are imported on demand, not
 from this package.  The figure sweeps and the whole-workload ablations
-run through the :mod:`repro.runner` engine (memoised per process,
-persisted to an on-disk result cache, parallel across a process pool
-when configured with ``jobs > 1``), and the figures share
-:mod:`~repro.experiments.common`'s ``REPRO_SCALE`` size ladder (the
-paper's 128K–8M element runs are scaled down; see DESIGN.md §4).
+run through the :class:`repro.runner.Runner` their caller passes in
+(memoised per runner, persisted to an on-disk result cache when it has
+one, parallel across a process pool with ``jobs > 1``), and the figures
+share :mod:`~repro.experiments.common`'s ``REPRO_SCALE`` size ladder
+(the paper's 128K–8M element runs are scaled down; see DESIGN.md §4).
 """
 
-from .common import (
-    THREAD_SWEEP,
-    ExperimentScale,
-    RunRecord,
-    clear_cache,
-    default_scale,
-)
+from .common import THREAD_SWEEP, ExperimentScale, RunRecord, default_scale
 from .microbench import measure_overhead_null_loop, measure_remote_read_latency
 from .shapes import (
     check_efficiency_bands,
@@ -39,7 +33,6 @@ __all__ = [
     "THREAD_SWEEP",
     "ExperimentScale",
     "RunRecord",
-    "clear_cache",
     "default_scale",
     "measure_remote_read_latency",
     "measure_overhead_null_loop",

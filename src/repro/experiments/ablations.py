@@ -6,10 +6,11 @@ with one dict per row, rounded as the table prints.
 :mod:`~repro.experiments.results` judges the rows and writes them to
 ``RESULTS_<scale>.json``.
 
-A1–A4 and A6 are whole-workload runs through the runner, one batch per
-ablation, so they are memoised, cached and spread over ``--jobs``
-workers like the figure sweeps; the runner raises
-:class:`~repro.errors.ProgramError` when a sort comes back unsorted.
+A1–A4 and A6 are whole-workload runs through the
+:class:`~repro.runner.Runner` they are given, one batch per ablation,
+so they share its memo, cache and ``--jobs`` workers with the figure
+sweeps; the runner raises :class:`~repro.errors.ProgramError` when a
+sort comes back unsorted.
 Three parts of the evaluation stay direct and run again on every
 export: A5 needs ``block_reads``, an app option a
 :class:`~repro.runner.JobSpec` does not carry, so it calls
@@ -29,7 +30,7 @@ from ..metrics.counters import SwitchKind
 from ..network import CircularOmegaTopology, DetailedOmegaNetwork
 from ..packet import Packet, PacketKind
 from ..runner.jobs import JobSpec
-from ..runner.sweep import run_specs
+from ..runner.sweep import Runner
 from ..sim import Engine
 
 __all__ = ["run_ablations"]
@@ -39,15 +40,15 @@ def _us(seconds: float) -> float:
     return round(seconds * 1e6, 1)
 
 
-def _records(points, *policies: dict) -> list[list]:
+def _records(runner: Runner, points, *policies: dict) -> list[list]:
     """Run records at each (app, P, n/P, h) point, one list per machine
-    policy, satisfied through the runner as one batch."""
+    policy, satisfied through ``runner`` as one batch."""
     groups = [[JobSpec(*point, **policy) for point in points] for policy in policies]
-    records = run_specs([spec for group in groups for spec in group])
+    records = runner.run([spec for group in groups for spec in group])
     return [[records[spec] for spec in group] for group in groups]
 
 
-def bypass_dma() -> dict:
+def bypass_dma(runner: Runner) -> dict:
     """A1: the by-passing DMA vs. EM-4-style EXU read servicing.
 
     The paper singles out the IBU→MCU→OBU by-pass as EM-X's key
@@ -56,8 +57,9 @@ def bypass_dma() -> dict:
     thread.
     """
     points = (("sort", 16, 64, 4), ("fft", 16, 64, 4))
+    runs = _records(runner, points, {}, {"em4_mode": True})
     rows = []
-    for (app, _, _, h), emx, em4 in zip(points, *_records(points, {}, {"em4_mode": True})):
+    for (app, _, _, h), emx, em4 in zip(points, *runs):
         rows.append({
             "app": app,
             "threads": h,
@@ -68,7 +70,7 @@ def bypass_dma() -> dict:
     return {"title": "A1: by-passing DMA vs EXU-serviced remote reads", "rows": rows}
 
 
-def saavedra_model() -> dict:
+def saavedra_model(runner: Runner) -> dict:
     """A2: the Saavedra-Barrera model's E vs. the simulated idle reduction.
 
     The paper cites [16]'s linear/transition/saturation analysis and
@@ -81,7 +83,7 @@ def saavedra_model() -> dict:
         "fft": SaavedraModel.for_fft(latency=14),
     }
     points = [(app, 16, 128, h) for app in models for h in threads]
-    [records] = _records(points, {})
+    [records] = _records(runner, points, {})
     idle = {(rec.app, rec.h): rec.comm_idle_seconds for rec in records}
     rows = []
     for app, model in models.items():
@@ -104,14 +106,16 @@ def saavedra_model() -> dict:
 _NETWORK_POINTS = (("sort", 16, 64, 4), ("fft", 16, 64, 2))
 
 
-def network_models() -> dict:
+def network_models(runner: Runner) -> dict:
     """A3: the detailed per-stage Omega model vs. the analytic one.
 
     The detailed model books every switch output port on a packet's
     route; the analytic model books only the endpoints.  At the paper's
     traffic levels they should agree closely.
     """
-    runs = _records(_NETWORK_POINTS, {"network_model": "detailed"}, {"network_model": "analytic"})
+    runs = _records(
+        runner, _NETWORK_POINTS, {"network_model": "detailed"}, {"network_model": "analytic"}
+    )
     rows = []
     for (app, *_), detailed, analytic in zip(_NETWORK_POINTS, *runs):
         rows.append({
@@ -123,11 +127,11 @@ def network_models() -> dict:
     return {"title": "A3: detailed vs analytic Omega network", "rows": rows}
 
 
-def priority_replies() -> dict:
+def priority_replies(runner: Runner) -> dict:
     """A4: FIFO vs. high-priority read replies (the IBU's two levels)."""
     rows = []
     for (app, *_), fifo, prio in zip(
-        _NETWORK_POINTS, *_records(_NETWORK_POINTS, {}, {"priority_replies": True})
+        _NETWORK_POINTS, *_records(runner, _NETWORK_POINTS, {}, {"priority_replies": True})
     ):
         rows.append({
             "app": app,
@@ -161,7 +165,7 @@ def block_reads() -> dict:
     return {"title": "A5: per-element vs block remote reads (bitonic sorting)", "rows": rows}
 
 
-def sorters() -> dict:
+def sorters(runner: Runner) -> dict:
     """A6: Batcher's bitonic sort vs. the odd-even transposition baseline.
 
     log P (log P + 1)/2 hypercube merge iterations against P neighbour
@@ -170,7 +174,7 @@ def sorters() -> dict:
     npp, h = 64, 4
     machines = (4, 8, 16)
     points = [(app, n_pes, npp, h) for n_pes in machines for app in ("sort", "transpose")]
-    [records] = _records(points, {"seed": 21})
+    [records] = _records(runner, points, {"seed": 21})
     rows = []
     for n_pes, bitonic, transpose in zip(machines, records[::2], records[1::2]):
         log_p = n_pes.bit_length() - 1
@@ -239,14 +243,15 @@ def load_model() -> dict:
     }
 
 
-def run_ablations() -> dict[str, dict]:
-    """Every ablation's table, keyed by its id."""
+def run_ablations(runner: Runner) -> dict[str, dict]:
+    """Every ablation's table, keyed by its id; A1–A4 and A6 run through
+    ``runner``."""
     return {
-        "A1": bypass_dma(),
-        "A2": saavedra_model(),
-        "A3": network_models(),
-        "A4": priority_replies(),
+        "A1": bypass_dma(runner),
+        "A2": saavedra_model(runner),
+        "A3": network_models(runner),
+        "A4": priority_replies(runner),
         "A5": block_reads(),
-        "A6": sorters(),
+        "A6": sorters(runner),
         "A7": load_model(),
     }

@@ -15,10 +15,10 @@ scale      per-PE sizes             intended use
 ``large``  64 … 1024                overnight fidelity runs
 =========  =======================  =========================
 
-Execution is delegated to the :mod:`repro.runner` engine: every run is
-memoised per process, persisted to an on-disk result cache, and — when
-the runner is configured with ``jobs > 1`` — fanned across a process
-pool.
+Execution is delegated to a :class:`repro.runner.Runner` the caller
+passes in: it memoises every run it is asked for, persists it to an
+on-disk result cache when given one, and — with ``jobs > 1`` — fans
+the runs across a process pool.
 """
 
 from __future__ import annotations
@@ -28,14 +28,12 @@ from dataclasses import dataclass
 
 from ..errors import ConfigError
 from ..metrics.counters import SwitchKind
-from ..runner.sweep import clear_memo
 
 __all__ = [
     "THREAD_SWEEP",
     "ExperimentScale",
     "RunRecord",
     "default_scale",
-    "clear_cache",
 ]
 
 #: The thread counts every figure sweeps (the paper's x-axis, 1..16).
@@ -116,18 +114,3 @@ class RunRecord:
     def breakdown(self) -> dict[str, float]:
         """Percentage breakdown (computation/overhead/communication/switching)."""
         return dict(self.breakdown_pct)
-
-
-def clear_cache(disk: bool = False) -> None:
-    """Drop all memoised runs (tests use this to force fresh sweeps).
-
-    With ``disk=True`` the on-disk result cache (at the runner's active
-    cache root) is purged as well, so the next sweep re-executes every
-    simulation instead of rehydrating from disk.
-    """
-    clear_memo()
-    if disk:
-        from ..runner.cache import ResultCache
-        from ..runner.sweep import get_options
-
-        ResultCache(get_options().cache_dir).purge()

@@ -7,6 +7,9 @@
   loop body has no computation but instructions to generate packets":
   a thread issues remote writes only; the OVERHEAD bucket divided by
   the write count is the per-packet generation cost.
+
+:func:`probes` takes both at the shapes ``python -m repro micro``
+prints and ``python -m repro export`` judges.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "measure_remote_read_latency",
     "OverheadResult",
     "measure_overhead_null_loop",
+    "probes",
 ]
 
 
@@ -105,3 +109,33 @@ def measure_overhead_null_loop(
         overhead_cycles=overhead,
         cycles_per_packet=overhead / writes,
     )
+
+
+def probes() -> dict:
+    """µ1 on the 64-PE machine and µ2's null loop as tables, unrounded."""
+    latency = measure_remote_read_latency(n_pes=64, reads=256)
+    overhead = measure_overhead_null_loop(n_pes=16, writes=2048)
+    return {
+        "mu1": {
+            "title": "u1: remote read latency on the 64-PE machine (paper: ~1 us)",
+            "rows": [
+                {
+                    "target": p.target,
+                    "hops": p.hops,
+                    "roundtrip_cycles": p.roundtrip_cycles,
+                    "latency_us": p.microseconds,
+                }
+                for p in latency
+            ],
+        },
+        "mu2": {
+            "title": "u2: null-loop packet generation overhead (EMC-Y: 1 clock)",
+            "rows": [
+                {
+                    "writes": overhead.writes,
+                    "overhead_cycles": overhead.overhead_cycles,
+                    "cycles_per_packet": overhead.cycles_per_packet,
+                }
+            ],
+        },
+    }

@@ -6,11 +6,11 @@ its list of problems; an empty list is a pass, the convention of
 report order, so the ids are known before anything runs.
 
 :func:`export_results` is ``python -m repro export``: it gathers the
-evidence — every Fig. 6–9 panel, run as one runner batch, the µ1/µ2
-probes and ablations A1–A7 — judges every verdict, and writes one CSV
-per figure, flattened from the same figure series, and the series,
-tables and verdicts with the host, the wall time and the default
-machine's fingerprint next to the CSVs.
+evidence — every Fig. 6–9 panel, run as one batch of the runner it is
+given, the µ1/µ2 probes and ablations A1–A7 — judges every verdict, and
+writes one CSV per figure, flattened from the same figure series, and
+the series, tables and verdicts with the host, the wall time and the
+default machine's fingerprint next to the CSVs.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ from typing import Callable
 
 from ..config import MachineConfig
 from ..runner.jobs import machine_fingerprint
-from ..runner.sweep import run_specs
+from ..runner.sweep import Runner
 from .ablations import run_ablations
 from .common import THREAD_SWEEP, ExperimentScale
 from .figures import CSV_HEADER, FIGURES, PANELS, csv_rows, panel, panel_entry, panel_specs
-from .microbench import measure_overhead_null_loop, measure_remote_read_latency
+from .microbench import probes
 from .shapes import (
     check_efficiency_bands,
     check_fig6_minimum,
@@ -46,44 +46,14 @@ Check = Callable[[dict], list[str]]
 # ----------------------------------------------------------------------
 # Evidence
 # ----------------------------------------------------------------------
-def _figures(scale: ExperimentScale) -> dict:
+def _figures(scale: ExperimentScale, runner: Runner) -> dict:
     """Every Fig. 6–9 panel on :data:`THREAD_SWEEP`, run as one batch."""
     panels = [panel(fig, letter, scale) for fig in FIGURES for letter in sorted(PANELS)]
-    records = run_specs([spec for p in panels for spec in panel_specs(p, THREAD_SWEEP)])
+    records = runner.run([spec for p in panels for spec in panel_specs(p, THREAD_SWEEP)])
     figures: dict = {fig: {} for fig in FIGURES}
     for p in panels:
         figures[p.figure][p.letter] = panel_entry(p, records, THREAD_SWEEP)
     return figures
-
-
-def _probes() -> dict:
-    """µ1 on the 64-PE machine and µ2's null loop, unrounded."""
-    latency = measure_remote_read_latency(n_pes=64, reads=256)
-    overhead = measure_overhead_null_loop(n_pes=16, writes=2048)
-    return {
-        "mu1": {
-            "title": "u1: remote read latency on the 64-PE machine (paper: ~1 us)",
-            "rows": [
-                {
-                    "target": p.target,
-                    "hops": p.hops,
-                    "roundtrip_cycles": p.roundtrip_cycles,
-                    "latency_us": p.microseconds,
-                }
-                for p in latency
-            ],
-        },
-        "mu2": {
-            "title": "u2: null-loop packet generation overhead (EMC-Y: 1 clock)",
-            "rows": [
-                {
-                    "writes": overhead.writes,
-                    "overhead_cycles": overhead.overhead_cycles,
-                    "cycles_per_packet": overhead.cycles_per_packet,
-                }
-            ],
-        },
-    }
 
 
 # ----------------------------------------------------------------------
@@ -276,14 +246,15 @@ CHECKS: dict[str, Check] = _checks()
 # ----------------------------------------------------------------------
 # Evaluation and the results file
 # ----------------------------------------------------------------------
-def evaluate(scale: ExperimentScale) -> tuple[dict, dict[str, list[str]]]:
-    """Gather the evidence at ``scale`` and judge it: (evidence, verdicts)."""
+def evaluate(scale: ExperimentScale, runner: Runner) -> tuple[dict, dict[str, list[str]]]:
+    """Gather the evidence at ``scale``, every runner-backed simulation
+    through ``runner``, and judge it: (evidence, verdicts)."""
     evidence = {
         "scale": scale.name,
         "threads": list(THREAD_SWEEP),
-        "figures": _figures(scale),
-        "probes": _probes(),
-        "ablations": run_ablations(),
+        "figures": _figures(scale, runner),
+        "probes": probes(),
+        "ablations": run_ablations(runner),
     }
     return evidence, {vid: check(evidence) for vid, check in CHECKS.items()}
 
@@ -297,7 +268,7 @@ def _write_csv(path: pathlib.Path, rows: list[tuple]) -> pathlib.Path:
 
 
 def export_results(
-    outdir: str | pathlib.Path, scale: ExperimentScale
+    outdir: str | pathlib.Path, scale: ExperimentScale, runner: Runner
 ) -> tuple[list[pathlib.Path], dict[str, list[str]]]:
     """Write the figure CSVs and ``RESULTS_<scale>.json`` under ``outdir``.
 
@@ -307,7 +278,7 @@ def export_results(
     start = time.perf_counter()
     out = pathlib.Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    evidence, verdicts = evaluate(scale)
+    evidence, verdicts = evaluate(scale, runner)
     written: list[pathlib.Path] = []
     all_rows: list[tuple] = []
     for fig, panels in evidence["figures"].items():

@@ -1,13 +1,14 @@
-"""EMC-Y instruction-cost model.
+"""EMC-Y kernel cycle budgets.
 
 The EXU is a register-based RISC pipeline: integer and single-precision
 FP instructions retire in one cycle, FP division and the memory-exchange
-instruction are multi-cycle, and packet generation takes one cycle.
-Guest programs do not execute a real ISA — they *charge* cycle budgets
-computed from these tables, which is exactly the granularity the paper's
-analysis works at (run lengths, switch costs, latencies).
+instruction are multi-cycle, and packet generation takes one cycle (the
+per-instruction costs are :class:`~repro.config.TimingModel` fields).
+Guest programs do not execute a real ISA — they *charge* the cycle
+budgets of :class:`KernelCosts`, which is exactly the granularity the
+paper's analysis works at (run lengths, switch costs, latencies).
 """
 
-from .costs import CostModel, InstructionClass, KERNEL_COSTS, KernelCosts
+from .costs import KERNEL_COSTS, KernelCosts
 
-__all__ = ["CostModel", "InstructionClass", "KernelCosts", "KERNEL_COSTS"]
+__all__ = ["KernelCosts", "KERNEL_COSTS"]

@@ -1,9 +1,7 @@
-"""Instruction classes, cost accounting, and per-kernel cycle budgets.
+"""Per-kernel cycle budgets.
 
-:class:`CostModel` turns abstract instruction mixes into cycle counts
-using a :class:`~repro.config.TimingModel`.  :class:`KernelCosts` pins
-down the cycle budgets of the two application inner loops exactly as the
-paper characterises them:
+:class:`KernelCosts` pins down the cycle budgets of the two application
+inner loops exactly as the paper characterises them:
 
 * bitonic sorting's remote-read loop body is **12 instructions = 12
   clocks** (quoted verbatim in §4), and each merged element costs at
@@ -14,54 +12,11 @@ paper characterises them:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
-from ..config import TimingModel
 from ..errors import ConfigError
 
-__all__ = ["InstructionClass", "CostModel", "KernelCosts", "KERNEL_COSTS"]
-
-
-class InstructionClass(enum.Enum):
-    """The EMC-Y instruction classes the timing model distinguishes."""
-
-    INT = "int"
-    FP = "fp"
-    FP_DIV = "fp_div"
-    MEM_EXCHANGE = "mem_exchange"
-    PKT_GEN = "pkt_gen"
-
-
-class CostModel:
-    """Maps instruction mixes to cycles under a :class:`TimingModel`."""
-
-    def __init__(self, timing: TimingModel) -> None:
-        timing.validate()
-        self.timing = timing
-        self._table: dict[InstructionClass, int] = {
-            InstructionClass.INT: timing.int_op,
-            InstructionClass.FP: timing.fp_op,
-            InstructionClass.FP_DIV: timing.fp_div,
-            InstructionClass.MEM_EXCHANGE: timing.mem_exchange,
-            InstructionClass.PKT_GEN: timing.pkt_gen,
-        }
-
-    def cost(self, klass: InstructionClass, count: int = 1) -> int:
-        """Cycles to execute ``count`` instructions of ``klass``."""
-        if count < 0:
-            raise ConfigError(f"instruction count must be >= 0, got {count}")
-        return self._table[klass] * count
-
-    def mix(self, **counts: int) -> int:
-        """Cycles for a mix, e.g. ``mix(int=10, fp=4, fp_div=1)``.
-
-        Keyword names are the :class:`InstructionClass` values.
-        """
-        total = 0
-        for name, count in counts.items():
-            total += self.cost(InstructionClass(name), count)
-        return total
+__all__ = ["KernelCosts", "KERNEL_COSTS"]
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,9 @@ Subscriber = Callable[[object], None]
 class EventBus:
     """Routes typed events to category-filtered subscribers."""
 
-    __slots__ = ("_subscribers", "_by_category")
+    __slots__ = ("_by_category",)
 
     def __init__(self) -> None:
-        self._subscribers: list[tuple[Subscriber, frozenset[Category] | None]] = []
         self._by_category: dict[Category, tuple[Subscriber, ...]] = {
             c: () for c in Category
         }
@@ -35,43 +34,16 @@ class EventBus:
     def subscribe(
         self, fn: Subscriber, categories: Iterable[Category] | None = None
     ) -> None:
-        """Deliver every event (or only ``categories``) to ``fn``."""
-        cats = None if categories is None else frozenset(categories)
-        self._subscribers.append((fn, cats))
-        self._rebuild()
-
-    def unsubscribe(self, fn: Subscriber) -> None:
-        """Remove every subscription of ``fn`` (no-op if absent).
-
-        Compares with ``==`` so a re-derived bound method (``obj.method``
-        creates a fresh object on every attribute access) still matches
-        its registered subscription.
-        """
-        self._subscribers = [(f, c) for f, c in self._subscribers if f != fn]
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        self._by_category = {
-            c: tuple(
-                fn
-                for fn, cats in self._subscribers
-                if cats is None or c in cats
-            )
-            for c in Category
-        }
-
-    def wants(self, category: Category) -> bool:
-        """True if any subscriber listens to ``category``.
-
-        No emit site consults it: each builds its event whenever a bus is
-        installed, and :meth:`emit` drops an event no subscriber wants.
-        """
-        return bool(self._by_category[category])
+        """Deliver every event (or only ``categories``) to ``fn``;
+        subscribers run in the order they subscribed."""
+        for c in Category if categories is None else frozenset(categories):
+            self._by_category[c] += (fn,)
 
     def emit(self, event) -> None:
-        """Dispatch one event to its category's subscribers."""
+        """Dispatch one event to its category's subscribers.
+
+        Every emit site builds its event whenever a bus is installed; an
+        event no subscriber asked for is dropped here.
+        """
         for fn in self._by_category[event.category]:
             fn(event)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"EventBus(subscribers={len(self._subscribers)})"

@@ -11,7 +11,7 @@ than the full run.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from typing import Iterable
 
 from ..errors import ConfigError
@@ -57,15 +57,6 @@ class RingRecorder:
     def dropped(self) -> int:
         """Events evicted by the ring bound."""
         return self.seen - len(self._ring)
-
-    def counts(self) -> Counter:
-        """Recorded events per category."""
-        return Counter(e.category for e in self._ring)
-
-    def clear(self) -> None:
-        """Forget everything (the eviction counter too)."""
-        self._ring.clear()
-        self.seen = 0
 
     def __len__(self) -> int:
         return len(self._ring)

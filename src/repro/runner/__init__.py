@@ -12,11 +12,11 @@ that:
 * :mod:`~repro.runner.pool` — a process-pool scheduler with crash retry
   (the batching layer),
 
-glued together by :mod:`~repro.runner.sweep`, whose :func:`run_specs`
-the experiments package and the CLI call.  The runner knows no figure:
-:mod:`repro.experiments.figures` lists the jobs of each panel.  A warm
-cache serves every figure and runner-backed ablation of a re-export; a
-cold one scales with core count.
+glued together by :mod:`~repro.runner.sweep`'s :class:`Runner`, a value
+the CLI builds from its flags and passes to the experiments.  The
+runner knows no figure: :mod:`repro.experiments.figures` lists the jobs
+of each panel.  A warm cache serves every figure and runner-backed
+ablation of a re-export; a cold one scales with core count.
 """
 
 from .cache import ENV_CACHE_DIR, CacheStats, ResultCache, default_cache_root
@@ -29,20 +29,8 @@ from .jobs import (
     spec_to_dict,
 )
 from .pool import PoolStatus, run_jobs
-from .sweep import (
-    RunnerOptions,
-    RunStats,
-    clear_memo,
-    configure,
-    get_options,
-    reset_options,
-    reset_stats,
-    run_job,
-    run_specs,
-    stats,
-    using,
-)
-from .worker import execute_job, trace_artifact_path
+from .sweep import Runner, RunStats
+from .worker import execute_job
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -58,16 +46,6 @@ __all__ = [
     "PoolStatus",
     "run_jobs",
     "execute_job",
-    "trace_artifact_path",
-    "RunnerOptions",
+    "Runner",
     "RunStats",
-    "configure",
-    "get_options",
-    "reset_options",
-    "using",
-    "stats",
-    "reset_stats",
-    "clear_memo",
-    "run_job",
-    "run_specs",
 ]

@@ -22,65 +22,27 @@ from ..errors import ProgramError
 from ..metrics.serialize import run_record_from_report
 from .jobs import JobSpec
 
-__all__ = ["execute_job", "trace_artifact_path"]
+__all__ = ["execute_job"]
 
 
-def trace_artifact_path(trace_dir: str, spec: JobSpec) -> str:
-    """Where one job's Perfetto trace lands under ``trace_dir``.
-
-    Named by workload parameters plus a content-hash prefix, so sweeps
-    with overlapping shapes but different machine configs cannot
-    clobber each other's artifacts.
-    """
-    import os
-
-    name = (
-        f"{spec.app}_P{spec.n_pes}_n{spec.npp}_h{spec.h}"
-        f"_{spec.key()[:8]}.perfetto.json"
-    )
-    return os.path.join(trace_dir, name)
-
-
-def execute_job(spec: JobSpec, *, trace_dir: str | None = None):
+def execute_job(spec: JobSpec):
     """Run one simulation and return its ``RunRecord`` (no caching).
 
     Raises :class:`ProgramError` if the workload produces a wrong
     answer — a cached wrong answer would poison every later figure, so
     verification happens before any caching layer sees the record.
-
-    With ``trace_dir`` set, the run is observed through an event bus
-    and a Perfetto trace is written to :func:`trace_artifact_path`.
-    Tracing never enters the cache key — a cache hit simply skips the
-    artifact, and the cold path with ``trace_dir=None`` is untouched.
     """
     spec.validate()
     config = spec.config()
     n = spec.n_pes * spec.npp
 
-    bus = recorder = None
-    if trace_dir is not None:
-        from ..obs import EventBus, RingRecorder
-
-        bus = EventBus()
-        recorder = RingRecorder(bus)
-
     started = time.perf_counter()
     result = get_app(spec.app)(
-        n_pes=spec.n_pes, n=n, h=spec.h, config=config, seed=spec.seed, obs=bus
+        n_pes=spec.n_pes, n=n, h=spec.h, config=config, seed=spec.seed
     )
     verified = result_ok(result)
     if not verified:
         raise ProgramError(f"{spec.app} run produced a wrong answer at {spec.describe()}")
-
-    if recorder is not None:
-        import os
-
-        from ..obs import write_perfetto
-
-        os.makedirs(trace_dir, exist_ok=True)
-        write_perfetto(
-            trace_artifact_path(trace_dir, spec), recorder.events, n_pes=spec.n_pes
-        )
 
     record = run_record_from_report(
         spec.app, spec.n_pes, spec.npp, spec.h, result.report, verified

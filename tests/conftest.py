@@ -29,7 +29,7 @@ def _tiny_scale(monkeypatch):
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_result_cache(tmp_path_factory):
-    """Point the runner's disk cache at a session-temporary root.
+    """Point the default disk-cache root at a session-temporary one.
 
     Keeps the suite hermetic: no test reads results a developer's
     ``~/.cache/repro`` happens to hold, and no test pollutes it.
@@ -43,17 +43,3 @@ def _isolated_result_cache(tmp_path_factory):
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
 
-
-@pytest.fixture(autouse=True)
-def _default_runner_options():
-    """Reset the process-global runner options around every test.
-
-    CLI and runner tests call ``configure(...)``; without this, a
-    leaked ``jobs=4`` or ``use_cache=False`` would silently change how
-    later tests execute their sweeps.
-    """
-    from repro.runner import reset_options
-
-    reset_options()
-    yield
-    reset_options()

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from repro.__main__ import main
+from repro.experiments.microbench import probes
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -49,11 +50,42 @@ def test_cli_fig8_and_fig9(monkeypatch, capsys):
     assert "switches per processor" in capsys.readouterr().out
 
 
+def test_cli_fig6_plot_draws_the_chart(capsys):
+    main(["fig6", "a", "--plot"])
+    table, chart = capsys.readouterr().out.split("\n\n", 1)
+    assert table.startswith("Fig 6(a)")
+    assert chart.startswith("Fig 6(a)\n")
+    assert "threads" in chart and "o=n/P=8" in chart and "[comm [s]]" in chart
+
+
+@pytest.mark.parametrize("fig", ["fig7", "fig8", "fig9"])
+def test_cli_plot_is_fig6_only(fig, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([fig, "a", "--plot"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --plot" in capsys.readouterr().err
+
+
 def test_cli_micro(capsys):
     main(["micro"])
     out = capsys.readouterr().out
     assert "u1" in out and "u2" in out
     assert "1.00 cycles/packet" in out
+
+    # The numbers printed are the rows the export judges, rounded.
+    mu1, mu2 = probes().values()
+    lines = out.splitlines()
+    assert lines[0] == mu1["title"]
+    table = [[float(cell) for cell in line.split()] for line in lines[3:3 + len(mu1["rows"])]]
+    assert table == [
+        [r["target"], r["hops"], round(r["roundtrip_cycles"], 1), round(r["latency_us"], 3)]
+        for r in mu1["rows"]
+    ]
+    [row] = mu2["rows"]
+    title, value = lines[-2:]
+    assert title == mu2["title"]
+    assert value == f"{row['cycles_per_packet']:.2f} cycles/packet over {row['writes']} writes"
+    assert row["writes"] == 2048
 
 
 def test_cli_rejects_unknown_panel():

@@ -83,10 +83,10 @@ def _jobspec_compiled():
     return JobSpec(app="sort", n_pes=8, npp=16, h=2, compiled=True)
 
 
-def _configure(**overrides):
-    from repro.runner import configure
+def _runner(**overrides):
+    from repro.runner import Runner
 
-    return lambda: configure(**overrides)
+    return lambda: Runner(**overrides)
 
 
 def _machine_config_trace():
@@ -110,7 +110,7 @@ def _cli(*argv):
         (lambda: _run_sort(compiled=True), TypeError),
         (_sort_app_positional, TypeError),
         (_jobspec_with_plan, TypeError),
-        (_configure(shards=2), TypeError),
+        (_runner(shards=2), TypeError),
         (lambda: ExecutionPlan(shards=2), TypeError),
         (_jobspec_shards, TypeError),
         (_spec_dict_shards, TypeError),
@@ -124,18 +124,19 @@ def _cli(*argv):
         (_cli("submit"), SystemExit),
         (_cli("svc-status"), SystemExit),
         (_jobspec_compiled, TypeError),
-        (_configure(plan=ExecutionPlan(compiled=True)), TypeError),
-        (_configure(timeout=5), TypeError),
+        (_runner(plan=ExecutionPlan(compiled=True)), TypeError),
+        (_runner(timeout=5), TypeError),
         (_cli("sort", "--plan", "compiled"), SystemExit),
         (_cli("fig6", "a", "--plan", "compiled"), SystemExit),
+        (_cli("fig6", "a", "--trace-dir", "d"), SystemExit),
     ],
     ids=["run-shards", "run-compiled", "app-positional", "jobspec-plan",
-         "configure-shards", "plan-shards", "jobspec-shards",
+         "runner-shards", "plan-shards", "jobspec-shards",
          "spec-dict-shards", "cli-sort-shards", "cli-sort-compiled",
          "cli-export-outdir", "cli-plan-shards", "config-trace",
          "repro-connect", "cli-serve", "cli-submit", "cli-svc-status",
-         "jobspec-compiled", "configure-plan", "configure-timeout",
-         "cli-sort-plan", "cli-fig6-plan"],
+         "jobspec-compiled", "runner-plan", "runner-timeout",
+         "cli-sort-plan", "cli-fig6-plan", "cli-fig6-trace-dir"],
 )
 def test_removed_spellings_fail_loudly(call, error):
     """Each removed spelling gets the error Python or argparse raises for

@@ -9,15 +9,22 @@ from repro.experiments import (
     measure_remote_read_latency,
 )
 from repro.errors import ConfigError
-from repro.experiments.common import clear_cache
 from repro.experiments.figures import Panel, format_panel, panel, panel_entry, panel_specs
-from repro.runner import JobSpec, expand_sweep, run_job, run_specs
+from repro.runner import JobSpec, Runner, expand_sweep
+
+#: One memo for the module, so panels that share runs execute them once.
+RUNNER = Runner()
+
+
+def _one(spec, runner=RUNNER):
+    """One job's record."""
+    return runner.run([spec])[spec]
 
 
 def _entry(figure, letter, scale, threads):
     """Run one panel through the runner and build its entry."""
     p = panel(figure, letter, scale)
-    return panel_entry(p, run_specs(panel_specs(p, threads)), threads)
+    return panel_entry(p, RUNNER.run(panel_specs(p, threads)), threads)
 
 
 def test_default_scale_env(monkeypatch):
@@ -29,16 +36,16 @@ def test_default_scale_env(monkeypatch):
 
 
 def test_run_app_is_cached():
-    clear_cache()
-    a = run_job(JobSpec("sort", 4, 8, 2))
-    b = run_job(JobSpec("sort", 4, 8, 2))
+    runner = Runner()
+    a = _one(JobSpec("sort", 4, 8, 2), runner)
+    b = _one(JobSpec("sort", 4, 8, 2), runner)
     assert a is b  # memoised
-    c = run_job(JobSpec("sort", 4, 8, 2, seed=1))
+    c = _one(JobSpec("sort", 4, 8, 2, seed=1), runner)
     assert c is not a
 
 
 def test_run_record_fields():
-    rec = run_job(JobSpec("fft", 4, 8, 2))
+    rec = _one(JobSpec("fft", 4, 8, 2))
     assert rec.verified
     assert rec.comm_seconds >= rec.comm_idle_seconds >= 0
     assert abs(sum(rec.breakdown().values()) - 100.0) < 1e-6
@@ -48,13 +55,13 @@ def test_run_record_fields():
 
 
 def test_sweep_skips_oversized_thread_counts():
-    recs = run_specs(expand_sweep("sort", 4, 8, (1, 2, 16)))
+    recs = RUNNER.run(expand_sweep("sort", 4, 8, (1, 2, 16)))
     assert {spec.h for spec in recs} == {1, 2, 8} - {8} | {1, 2}  # h=16 > npp=8 skipped
 
 
 def test_fig6_series_structure():
     p = Panel("fig6", "a", "sort", 4, (8,))
-    series = panel_entry(p, run_specs(panel_specs(p, (1, 2, 4))), (1, 2, 4))["series"]
+    series = panel_entry(p, RUNNER.run(panel_specs(p, (1, 2, 4))), (1, 2, 4))["series"]
     assert set(series) == {8}
     assert set(series[8]) == {1, 2, 4}
     assert all(v >= 0 for v in series[8].values())
@@ -129,7 +136,7 @@ def test_run_app_rejects_unknown_app():
     from repro.errors import ProgramError
 
     with pytest.raises(ProgramError, match="unknown app"):
-        run_job(JobSpec("quicksort", 4, 8, 1))
+        _one(JobSpec("quicksort", 4, 8, 1))
 
 
 def test_scale_size_roles():

@@ -8,28 +8,34 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments import default_scale, results
 from repro.experiments.figures import FIGURES, PANELS, panel, panel_specs
+from repro.runner import Runner
 
 THREADS = (1, 2, 4)
 
 
+class SpyRunner(Runner):
+    """A runner that records every batch it is asked for."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.batches = []
+
+    def run(self, specs):
+        self.batches.append(list(specs))
+        return super().run(specs)
+
+
 @pytest.fixture(scope="module")
 def exported(tmp_path_factory):
-    """A tiny export on a short thread tuple, with every ``run_specs``
-    batch the figure evidence asked for."""
+    """A tiny export on a short thread tuple, with every batch the
+    export asked its runner for."""
     outdir = tmp_path_factory.mktemp("csv")
-    batches = []
-    run_specs = results.run_specs
-
-    def spy(specs, **kwargs):
-        batches.append(list(specs))
-        return run_specs(specs, **kwargs)
-
+    runner = SpyRunner()
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_SCALE", "tiny")
         mp.setattr(results, "THREAD_SWEEP", THREADS)
-        mp.setattr(results, "run_specs", spy)
-        paths, _ = results.export_results(outdir, default_scale())
-    return outdir, paths, batches
+        paths, _ = results.export_results(outdir, default_scale(), runner)
+    return outdir, paths, runner.batches
 
 
 def _read(path):
@@ -44,7 +50,8 @@ def test_writes_one_csv_per_figure_plus_combined(exported):
 
 
 def test_every_figure_job_runs_in_one_batch(exported):
-    """One ``run_specs`` call carries the union of every panel's jobs."""
+    """One batch carries the union of every panel's jobs, and no other
+    batch (the ablations') carries any of them."""
     _, _, batches = exported
     scale = default_scale()
 
@@ -56,10 +63,12 @@ def test_every_figure_job_runs_in_one_batch(exported):
             for spec in panel_specs(panel(fig, letter, scale), THREADS)
         }
 
-    [batch] = batches
+    [batch] = [b for b in batches if specs(FIGURES) & set(b)]
     # Fig. 7 redraws Fig. 6's runs, and at tiny scale every Fig. 8/9
     # sweep is also a Fig. 6 curve, so the union is Fig. 6's jobs.
     assert set(batch) == specs(FIGURES) == specs(["fig6"])
+    # A1-A4 and A6 each ask for one batch of their own.
+    assert len(batches) == 6
 
 
 def test_csv_values_are_the_results_series(exported):

@@ -15,16 +15,22 @@ from repro.experiments import (
 )
 from repro.experiments.figures import SWITCH_KINDS
 from repro.metrics.overlap import overlap_series
-from repro.runner import JobSpec, expand_sweep, run_job, run_specs
+from repro.runner import JobSpec, Runner, expand_sweep
 
 P = 16
 NPP = 128
 THREADS = (1, 2, 4, 8, 16)
+RUNNER = Runner()
 
 
 def _sweep(app, npp, threads):
     """``{h: RunRecord}`` for one P=16 thread sweep."""
-    return {spec.h: rec for spec, rec in run_specs(expand_sweep(app, P, npp, threads)).items()}
+    return {spec.h: rec for spec, rec in RUNNER.run(expand_sweep(app, P, npp, threads)).items()}
+
+
+def _one(spec):
+    """One job's record."""
+    return RUNNER.run([spec])[spec]
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +96,8 @@ def test_fig9_fft_orderings(fft_sweep):
 
 def test_ablation_em4_read_service_hurts():
     """A1: EM-4-style EXU read servicing slows the same workload."""
-    emx = run_job(JobSpec("sort", P, 32, 4))
-    em4 = run_job(JobSpec("sort", P, 32, 4, em4_mode=True))
+    emx = _one(JobSpec("sort", P, 32, 4))
+    em4 = _one(JobSpec("sort", P, 32, 4, em4_mode=True))
     assert em4.verified
     assert em4.runtime_seconds > emx.runtime_seconds
 
@@ -99,8 +105,8 @@ def test_ablation_em4_read_service_hurts():
 def test_ablation_network_models_agree():
     """A3: analytic vs detailed network differ by only a few percent at
     the paper's traffic levels."""
-    det = run_job(JobSpec("fft", P, 32, 4, network_model="detailed"))
-    ana = run_job(JobSpec("fft", P, 32, 4, network_model="analytic"))
+    det = _one(JobSpec("fft", P, 32, 4, network_model="detailed"))
+    ana = _one(JobSpec("fft", P, 32, 4, network_model="analytic"))
     assert ana.verified
     ratio = ana.runtime_seconds / det.runtime_seconds
     # The models agree to a few percent at the paper's traffic levels;
@@ -114,8 +120,8 @@ def test_ablation_saavedra_agrees_with_simulated_fft():
 
     model = SaavedraModel.for_fft(latency=30)
     assert model.overlap_efficiency(2) == 1.0  # analytic prediction
-    rec1 = run_job(JobSpec("fft", P, 64, 1))
-    rec2 = run_job(JobSpec("fft", P, 64, 2))
+    rec1 = _one(JobSpec("fft", P, 64, 1))
+    rec2 = _one(JobSpec("fft", P, 64, 2))
     # Compare against the pure latency-masking (idle) communication —
     # the quantity the analytic model actually predicts.
     measured = 1.0 - rec2.comm_idle_seconds / rec1.comm_idle_seconds

@@ -1,43 +1,21 @@
-"""Instruction cost model and kernel budgets."""
+"""Instruction costs and kernel budgets."""
 
 import pytest
 
 from repro.config import TimingModel
 from repro.errors import ConfigError
-from repro.isa import KERNEL_COSTS, CostModel, InstructionClass, KernelCosts
+from repro.isa import KERNEL_COSTS, KernelCosts
 
 
 def test_default_instruction_costs_match_paper():
     """Integer and single-precision FP take one clock; packet generation
     takes one clock (§2.2)."""
-    cm = CostModel(TimingModel())
-    assert cm.cost(InstructionClass.INT) == 1
-    assert cm.cost(InstructionClass.FP) == 1
-    assert cm.cost(InstructionClass.PKT_GEN) == 1
-    assert cm.cost(InstructionClass.FP_DIV) > 1
-    assert cm.cost(InstructionClass.MEM_EXCHANGE) > 1
-
-
-def test_cost_scales_with_count():
-    cm = CostModel(TimingModel())
-    assert cm.cost(InstructionClass.INT, 12) == 12
-
-
-def test_negative_count_rejected():
-    cm = CostModel(TimingModel())
-    with pytest.raises(ConfigError):
-        cm.cost(InstructionClass.INT, -1)
-
-
-def test_mix():
-    cm = CostModel(TimingModel())
-    assert cm.mix(int=10, fp=4, fp_div=1) == 10 + 4 + TimingModel().fp_div
-
-
-def test_mix_unknown_class_rejected():
-    cm = CostModel(TimingModel())
-    with pytest.raises(ValueError):
-        cm.mix(simd=3)
+    timing = TimingModel()
+    assert timing.int_op == 1
+    assert timing.fp_op == 1
+    assert timing.pkt_gen == 1
+    assert timing.fp_div > 1
+    assert timing.mem_exchange > 1
 
 
 def test_kernel_costs_paper_values():
@@ -52,8 +30,3 @@ def test_kernel_costs_validation():
     with pytest.raises(ConfigError):
         KernelCosts(sort_read_loop_body=0).validate()
     KERNEL_COSTS.validate()
-
-
-def test_custom_timing_propagates():
-    cm = CostModel(TimingModel().scaled(fp_div=20))
-    assert cm.cost(InstructionClass.FP_DIV) == 20

@@ -44,7 +44,6 @@ from repro.obs import (
     write_perfetto,
 )
 from repro.obs import events as obs_events
-from repro.packet import PacketKind
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 PERFETTO_TEXT_GOLDEN = GOLDEN_DIR / "perfetto_text.json"
@@ -89,16 +88,17 @@ def test_bus_dispatches_by_category():
     assert len(got) == 1
     assert got[0].kind is SwitchKind.REMOTE_READ
 
-
-def test_bus_unsubscribe_and_wants():
-    bus = EventBus()
-    got = []
-    bus.subscribe(got.append)
-    assert bus.wants(Category.PACKET)
-    bus.unsubscribe(got.append)
-    assert not bus.wants(Category.PACKET)
-    bus.emit(PacketSend(0, 1, PacketKind.WRITE, 0, 1))
-    assert got == []
+    # A subscriber without categories gets every event, and each
+    # category's subscribers run in subscription order.
+    log = []
+    bus.subscribe(lambda e: log.append(("all", e.category)))
+    bus.subscribe(lambda e: log.append(("switch", e.category)), [Category.SWITCH])
+    bus.emit(BurstSpan(0, 0, 5, "burst"))
+    bus.emit(ThreadSwitch(2, 0, SwitchKind.EXPLICIT))
+    assert log == [
+        ("all", Category.BURST), ("all", Category.SWITCH), ("switch", Category.SWITCH),
+    ]
+    assert len(got) == 2
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +119,7 @@ def test_recorder_category_filter_and_counts():
     bus.emit(ThreadSwitch(1, 0, SwitchKind.EXPLICIT))
     bus.emit(BurstSpan(0, 0, 5, "burst"))
     assert len(rec) == 1
-    assert rec.counts() == {Category.SWITCH: 1}
+    assert [e.category for e in rec.events] == [Category.SWITCH]
 
 
 def test_recorder_rejects_bad_capacity():

@@ -1,4 +1,4 @@
-"""Observability surface: trace CLI, --timeline, runner trace artifacts."""
+"""Observability surface: trace CLI, --timeline, --trace."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.obs import validate_perfetto
-from repro.runner import JobSpec, clear_memo, run_job, trace_artifact_path, using
 from repro.trace import TraceEvent, utilization
 
 
@@ -82,37 +81,6 @@ def test_cli_json_includes_percentiles(capsys):
     for key in ("p50_latency", "p95_latency", "max_in_flight", "max_port_wait"):
         assert key in net
     assert net["p50_latency"] <= net["p95_latency"] <= net["max_latency"]
-
-
-def test_runner_trace_dir_writes_artifacts(tmp_path):
-    trace_dir = tmp_path / "traces"
-    spec = JobSpec(app="sort", n_pes=2, npp=8, h=2)
-    clear_memo()
-    with using(use_cache=False, trace_dir=str(trace_dir)):
-        run_job(spec)
-    artifact = trace_artifact_path(str(trace_dir), spec)
-    obj = json.loads(open(artifact).read())
-    assert validate_perfetto(obj) == []
-
-
-def test_runner_trace_dir_off_by_default(tmp_path):
-    clear_memo()
-    with using(use_cache=False):
-        run_job(JobSpec(app="sort", n_pes=2, npp=8, h=1))
-    assert not list(tmp_path.iterdir())
-
-
-def test_cached_job_skips_trace_artifact(tmp_path):
-    spec = JobSpec(app="sort", n_pes=2, npp=8, h=4)
-    clear_memo()
-    with using(use_cache=True, cache_dir=str(tmp_path / "cache")):
-        run_job(spec)  # cold: cached, no tracing configured
-    clear_memo()
-    trace_dir = tmp_path / "traces"
-    with using(use_cache=True, cache_dir=str(tmp_path / "cache"),
-               trace_dir=str(trace_dir)):
-        run_job(spec)  # disk hit: executes nothing, writes nothing
-    assert not trace_dir.exists()
 
 
 def test_utilization_accepts_explicit_window():

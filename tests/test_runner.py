@@ -10,25 +10,17 @@ import time
 import pytest
 
 from repro.errors import ConfigError, ProgramError, SimulationError
-from repro.experiments.common import clear_cache
 from repro.metrics.serialize import run_record_from_dict, run_record_to_dict
 from repro.runner import (
     JobSpec,
     PoolStatus,
     ResultCache,
-    RunnerOptions,
-    clear_memo,
+    Runner,
     dedupe,
     expand_sweep,
     execute_job,
-    get_options,
     machine_fingerprint,
-    reset_stats,
-    run_job,
     run_jobs,
-    run_specs,
-    stats,
-    using,
 )
 from repro.runner import jobs as jobs_mod
 
@@ -185,59 +177,36 @@ def test_cache_purge(tmp_path):
 # Orchestration: memo -> disk -> execute
 # ----------------------------------------------------------------------
 def test_run_job_memo_then_disk(tmp_path):
-    clear_memo()
-    reset_stats()
-    with using(cache_dir=str(tmp_path)):
-        first = run_job(SPEC)
-        assert run_job(SPEC) is first
-        clear_memo()
-        rehydrated = run_job(SPEC)
+    runner = Runner(cache=ResultCache(tmp_path))
+    first = runner.run([SPEC])[SPEC]
+    assert runner.run([SPEC])[SPEC] is first
+    # A new runner has an empty memo, so the same job comes from disk.
+    fresh = Runner(cache=ResultCache(tmp_path))
+    rehydrated = fresh.run([SPEC])[SPEC]
     assert rehydrated == first and rehydrated is not first
-    st = stats()
-    assert (st.executed, st.disk_hits, st.memo_hits) == (1, 1, 1)
+    assert (runner.stats.executed, runner.stats.disk_hits, runner.stats.memo_hits) == (1, 0, 1)
+    assert (fresh.stats.executed, fresh.stats.disk_hits, fresh.stats.memo_hits) == (0, 1, 0)
 
 
-def test_memo_hit_writes_back_to_a_cache_that_lacks_it(tmp_path):
-    """A record memoised with the disk cache off is stored on disk the
-    next time the job is asked for under a cache root."""
-    clear_memo()
-    with using(use_cache=False):
-        first = run_job(SPEC)
-    reset_stats()
-    with using(cache_dir=str(tmp_path)):
-        assert run_job(SPEC) is first
-    st = stats()
-    assert (st.executed, st.disk_hits, st.memo_hits) == (0, 0, 1)
-    assert SPEC in ResultCache(tmp_path)
-
-
-def test_no_cache_option_writes_nothing(tmp_path):
-    clear_memo()
-    store = tmp_path / "store"
-    with using(cache_dir=str(store), use_cache=False):
-        run_job(SPEC)
-    assert not store.exists()
-
-
-def test_clear_cache_disk_purges(tmp_path):
-    clear_memo()
-    with using(cache_dir=str(tmp_path)):
-        run_job(SPEC)
-        assert pathlib.Path(tmp_path).exists()
-        clear_cache(disk=True)
-        assert not pathlib.Path(tmp_path).exists()
-        # and the memo went too: next call re-executes
-        reset_stats()
-        run_job(SPEC)
-    assert stats().executed == 1
+def test_no_cache_option_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))  # the default root
+    runner = Runner()
+    first = runner.run([SPEC])[SPEC]
+    assert runner.run([SPEC])[SPEC] is first  # the memo still serves it
+    assert (runner.stats.executed, runner.stats.memo_hits) == (1, 1)
+    assert not list(tmp_path.iterdir())
 
 
 def test_options_validation_and_reset():
     with pytest.raises(ConfigError):
-        RunnerOptions(jobs=0).validate()
-    with using(jobs=3):
-        assert get_options().jobs == 3
-    assert get_options().jobs == 1
+        Runner(jobs=0)
+    # Runners share nothing: a job one has run is new to the next.
+    used = Runner(jobs=3)
+    used.run([SPEC])
+    fresh = Runner()
+    assert fresh.jobs == 1 and fresh.cache is None and fresh.stats.total == 0
+    fresh.run([SPEC])
+    assert fresh.stats.executed == 1
 
 
 # ----------------------------------------------------------------------
@@ -249,38 +218,27 @@ DETERMINISM_SPECS = expand_sweep("sort", 4, 8, (1, 2, 4)) + expand_sweep(
 
 
 def test_parallel_matches_serial(tmp_path):
-    clear_memo()
-    serial = run_specs(
-        DETERMINISM_SPECS, options=RunnerOptions(jobs=1, cache_dir=str(tmp_path / "a"))
-    )
-    clear_memo()
-    parallel = run_specs(
-        DETERMINISM_SPECS, options=RunnerOptions(jobs=4, cache_dir=str(tmp_path / "b"))
-    )
+    serial = Runner(jobs=1, cache=ResultCache(tmp_path / "a")).run(DETERMINISM_SPECS)
+    parallel = Runner(jobs=4, cache=ResultCache(tmp_path / "b")).run(DETERMINISM_SPECS)
     assert serial == parallel
     assert list(serial) == list(parallel) == dedupe(DETERMINISM_SPECS)
 
 
 def test_warm_cache_executes_nothing(tmp_path):
-    clear_memo()
-    opts = RunnerOptions(jobs=4, cache_dir=str(tmp_path))
     start = time.perf_counter()
-    cold = run_specs(DETERMINISM_SPECS, options=opts)
+    cold = Runner(jobs=4, cache=ResultCache(tmp_path)).run(DETERMINISM_SPECS)
     cold_s = time.perf_counter() - start
-    clear_memo()
-    reset_stats()
+    runner = Runner(jobs=4, cache=ResultCache(tmp_path))
     start = time.perf_counter()
-    warm = run_specs(DETERMINISM_SPECS, options=opts)
+    warm = runner.run(DETERMINISM_SPECS)
     warm_s = time.perf_counter() - start
     assert warm == cold
-    st = stats()
-    assert st.executed == 0 and st.disk_hits == len(cold)
+    assert runner.stats.executed == 0 and runner.stats.disk_hits == len(cold)
     assert warm_s < cold_s, f"warm pass {warm_s:.3f} s not faster than cold {cold_s:.3f} s"
 
 
 def test_sweep_threads_shape(tmp_path):
-    with using(cache_dir=str(tmp_path)):
-        runs = run_specs(expand_sweep("sort", 4, 8, (1, 2, 16)))
+    runs = Runner(cache=ResultCache(tmp_path)).run(expand_sweep("sort", 4, 8, (1, 2, 16)))
     records = {spec.h: rec for spec, rec in runs.items()}
     assert sorted(records) == [1, 2]
     assert all(rec.h == h for h, rec in records.items())
@@ -290,14 +248,13 @@ def test_sweep_threads_shape(tmp_path):
 # Pool: progress, crash retry
 # ----------------------------------------------------------------------
 def test_pool_progress_counts(tmp_path):
-    clear_memo()
     seen: list[tuple[int, int]] = []
-    opts = RunnerOptions(
+    runner = Runner(
         jobs=2,
-        cache_dir=str(tmp_path),
+        cache=ResultCache(tmp_path),
         progress=lambda st: seen.append((st.completed, st.cached)),
     )
-    run_specs(DETERMINISM_SPECS[:3], options=opts)
+    runner.run(DETERMINISM_SPECS[:3])
     assert seen[-1][0] == 3  # every execution reported
     assert all(c <= 3 for c, _ in seen)
 

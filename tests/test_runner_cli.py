@@ -8,8 +8,8 @@ import pathlib
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import results
 from repro.experiments.results import CHECKS
-from repro.runner import clear_memo
 
 
 @pytest.fixture()
@@ -18,7 +18,6 @@ def cache_dir(tmp_path):
 
 
 def test_cli_cache_stats_and_purge(capsys, cache_dir):
-    clear_memo()
     main(["fig8", "a", "--cache-dir", str(cache_dir)])
     capsys.readouterr()
 
@@ -34,7 +33,6 @@ def test_cli_cache_stats_and_purge(capsys, cache_dir):
 
 
 def test_cli_cache_stats_json_schema(capsys, cache_dir):
-    clear_memo()
     main(["fig8", "a", "--cache-dir", str(cache_dir)])
     capsys.readouterr()
 
@@ -65,8 +63,8 @@ def test_cli_export_reports_runner_summary(capsys, tmp_path, cache_dir):
     ]
     assert lines[-1].startswith("runner:")
 
-    # Warm re-export from a fresh memo: zero simulations executed.
-    clear_memo()
+    # Warm re-export: the command's new runner starts with an empty
+    # memo, so every job comes from disk and none executes.
     out_b = tmp_path / "b"
     main(["export", "--out", str(out_b), "--jobs", "2",
           "--cache-dir", str(cache_dir)])
@@ -78,10 +76,9 @@ def test_cli_export_reports_runner_summary(capsys, tmp_path, cache_dir):
         assert (out_b / path.name).read_bytes() == path.read_bytes()
 
 
-def test_cli_export_no_cache(capsys, tmp_path, cache_dir):
-    # Placed after the export above, whose runs are still memoised: a
-    # memo hit is written back to an enabled disk cache, so an absent
-    # cache directory shows the flag took effect.
+def test_cli_export_no_cache(capsys, tmp_path, cache_dir, monkeypatch):
+    # A short thread sweep keeps this cold export small.
+    monkeypatch.setattr(results, "THREAD_SWEEP", (1, 2, 4))
     main(["export", "--out", str(tmp_path / "out"), "--jobs", "1",
           "--cache-dir", str(cache_dir), "--no-cache"])
     out = capsys.readouterr().out
