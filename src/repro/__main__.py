@@ -86,9 +86,15 @@ def _runner(args: argparse.Namespace):
     )
 
 
+def _end_progress_line(runner) -> None:
+    """Terminate the \\r progress line, which the runner draws on a
+    terminal whenever it executes jobs."""
+    if runner.progress is not None and runner.stats.executed:
+        print(file=sys.stderr)
+
+
 def _runner_summary(runner) -> str:
-    if sys.stderr.isatty():
-        print(file=sys.stderr)  # terminate the \r progress line
+    _end_progress_line(runner)
     summary = f"runner: {runner.stats.describe()}"
     if runner.cache is None:
         summary += " (disk cache off)"
@@ -97,7 +103,10 @@ def _runner_summary(runner) -> str:
 
 def _cmd_figure(args: argparse.Namespace) -> None:
     p = panel(args.figure, args.panel, default_scale())
-    entry = panel_entry(p, _runner(args).run(panel_specs(p, THREAD_SWEEP)), THREAD_SWEEP)
+    runner = _runner(args)
+    records = runner.run(panel_specs(p, THREAD_SWEEP))
+    _end_progress_line(runner)
+    entry = panel_entry(p, records, THREAD_SWEEP)
     print(format_panel(args.figure, args.panel, entry))
     if args.plot:
         from .metrics import plot_curves
@@ -270,9 +279,10 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     result = call_with_plan(get_app(args.app), kwargs, plan)
     ok = result_ok(result)
     report = result.report
-    write_perfetto(args.out, recorder.events, n_pes=args.pes)
+    events = recorder.events
+    write_perfetto(args.out, events, n_pes=args.pes)
 
-    spans = packet_spans(recorder.events)
+    spans = packet_spans(events)
     dropped = f" ({recorder.dropped} dropped)" if recorder.dropped else ""
     print(f"{args.app}: n={args.pes * args.size} P={args.pes} h={args.threads} "
           f"-> {'OK' if ok else 'WRONG RESULT'}; "
@@ -286,7 +296,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         print(format_cohort(report.cohort))
     print()
     print("context switches by kind (paper Tables 3/4):")
-    print(format_switch_table(switch_table(recorder.events)))
+    print(format_switch_table(switch_table(events)))
     print(f"\nwrote {args.out} -- open in ui.perfetto.dev")
     if not ok:
         sys.exit(1)

@@ -50,7 +50,8 @@ class RingRecorder:
     # ------------------------------------------------------------------
     @property
     def events(self) -> list:
-        """The recorded events, oldest first."""
+        """The recorded events, oldest first, as a new list: each access
+        copies the ring, so read it once into a local."""
         return list(self._ring)
 
     @property

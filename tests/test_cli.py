@@ -1,5 +1,6 @@
 """Command-line interface (`python -m repro ...`)."""
 
+import io
 import os
 import pathlib
 import subprocess
@@ -56,6 +57,32 @@ def test_cli_fig6_plot_draws_the_chart(capsys):
     assert table.startswith("Fig 6(a)")
     assert chart.startswith("Fig 6(a)\n")
     assert "threads" in chart and "o=n/P=8" in chart and "[comm [s]]" in chart
+
+
+class _TerminalStderr(io.StringIO):
+    def isatty(self) -> bool:
+        return True
+
+
+def test_cli_figure_ends_its_progress_line(monkeypatch, capsys, tmp_path):
+    """On a terminal the runner draws a \\r-rewriting progress line while
+    jobs execute (``--no-cache`` makes sure some do); the figure command
+    ends that line before it prints the table."""
+    stderr = _TerminalStderr()
+    monkeypatch.setattr(sys, "stderr", stderr)
+    main(["fig6", "a", "--no-cache"])
+    assert capsys.readouterr().out.startswith("Fig 6(a)")
+    text = stderr.getvalue()
+    assert text.startswith("\r  ") and "jobs" in text
+    assert text.endswith("\n")
+
+    # A run that executes nothing draws no line, so it ends none.
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    main(["fig6", "a", *cache])
+    drawn = stderr.getvalue()
+    assert drawn.endswith("\n") and len(drawn) > len(text)
+    main(["fig6", "a", *cache])
+    assert stderr.getvalue() == drawn
 
 
 @pytest.mark.parametrize("fig", ["fig7", "fig8", "fig9"])

@@ -46,8 +46,10 @@ def test_cli_cache_stats_json_schema(capsys, cache_dir):
 
 
 def test_cli_export_reports_runner_summary(capsys, tmp_path, cache_dir):
+    # The cold export executes every job, so it gets the pool; the warm
+    # one executes none and runs serially.
     out_a = tmp_path / "a"
-    main(["export", "--out", str(out_a), "--jobs", "1",
+    main(["export", "--out", str(out_a), "--jobs", "2",
           "--cache-dir", str(cache_dir)])
     out = capsys.readouterr().out
     assert (out_a / "all_figures.csv").exists()
@@ -66,7 +68,7 @@ def test_cli_export_reports_runner_summary(capsys, tmp_path, cache_dir):
     # Warm re-export: the command's new runner starts with an empty
     # memo, so every job comes from disk and none executes.
     out_b = tmp_path / "b"
-    main(["export", "--out", str(out_b), "--jobs", "2",
+    main(["export", "--out", str(out_b), "--jobs", "1",
           "--cache-dir", str(cache_dir)])
     warm = capsys.readouterr().out
     assert "0 executed" in warm
