@@ -1,12 +1,14 @@
-"""Engine hot-path benchmark: events/second through the calendar queue.
+"""Engine hot-path benchmark: events/second through the calendar engine.
 
 Runs the fig6-shaped sort and FFT sweeps (P=16, n/P=64, h ∈ {1,2,4,8})
 and reports raw simulator throughput.  For a machine-independent
 regression signal it also re-runs the same sweep on
-:class:`~repro.sim.queue.ReferenceEventQueue` (the original heapq
-engine, which the generic run loop still supports) and records the
-calendar queue's *speedup* over it — a ratio that is stable across CI
-hardware where absolute events/sec are not.
+:class:`~repro.sim.reference.ReferenceEngine` (the same run loop over a
+single heap, one pop per event) and records the calendar's *speedup*
+over it — a ratio that is stable across CI hardware where absolute
+events/sec are not.  The ``p64`` shape (P=64, the large machine of
+Figs. 6–9) records how the margin grows with the machine; CI gates
+only ``tiny``.
 
 Usage::
 
@@ -44,19 +46,19 @@ from repro.api import get_app
 #: Benchmark shapes: name -> (n_pes, per-PE elements, thread sweep).
 SHAPES = {
     "paper": (16, 64, (1, 2, 4, 8)),  # fig6 sweep
+    "p64": (64, 64, (1, 2, 4, 8)),  # the large machine of Figs. 6-9
     "tiny": (8, 64, (1, 2, 4)),  # CI smoke: big enough to exercise the hot path, seconds even on the heapq engine
 }
 
 
 @contextlib.contextmanager
 def _reference_engine():
-    """Build machines on the reference heapq queue (generic run loop)."""
+    """Build machines on the reference engine (one heap, one pop per event)."""
     from repro.machine import machine as machine_mod
-    from repro.sim.engine import Engine
-    from repro.sim.queue import ReferenceEventQueue
+    from repro.sim import ReferenceEngine
 
     orig = machine_mod.Engine
-    machine_mod.Engine = lambda max_cycles: Engine(max_cycles, queue=ReferenceEventQueue())
+    machine_mod.Engine = ReferenceEngine
     try:
         yield
     finally:
@@ -85,7 +87,7 @@ def host() -> dict:
 
 
 def measure(shape: str, repeats: int = 1) -> dict:
-    """Measure both apps on both queues, ``repeats`` back-to-back pairs each.
+    """Measure both apps on both engines, ``repeats`` back-to-back pairs each.
 
     The speedup is the median of the pairs' ratios; the events/sec
     columns are each side's best repeat.

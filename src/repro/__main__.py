@@ -155,22 +155,6 @@ def _cmd_cache(args: argparse.Namespace) -> None:
         print(f"purged {dropped} entries from {cache.root}")
 
 
-def _cmd_goldens(args: argparse.Namespace) -> None:
-    from .experiments.goldens import compare_goldens, write_goldens
-
-    if args.write:
-        print(f"wrote {write_goldens(args.write)}")
-    elif args.check:
-        problems = compare_goldens(args.check)
-        if problems:
-            print("\n".join(problems))
-            sys.exit(1)
-        print("goldens match")
-    else:
-        print("pass --write DIR or --check DIR")
-        sys.exit(2)
-
-
 def _cmd_apps(args: argparse.Namespace) -> None:
     """List every registered workload: names and unified signature."""
     import inspect
@@ -338,11 +322,6 @@ def main(argv: list[str] | None = None) -> None:
     p.add_argument("--json", action="store_true",
                    help="emit the registry as JSON")
     p.set_defaults(func=_cmd_apps)
-
-    p = sub.add_parser("goldens", help="check or regenerate golden runs")
-    p.add_argument("--write", metavar="DIR", help="write fresh goldens to DIR")
-    p.add_argument("--check", metavar="DIR", help="diff fresh runs against DIR")
-    p.set_defaults(func=_cmd_goldens)
 
     for app in ("sort", "fft"):
         p = sub.add_parser(app, help=f"run one {app} configuration")

@@ -24,8 +24,9 @@ Timestamps are microseconds (the trace-event unit) at the EM-X's
 Both exports come from one generator that yields every entry in order.
 It builds each repeated value once per export (an ``args`` dict, a
 formatted name, the timestamp of a cycle) and builds every entry with
-its keys already in sorted order, so the encoder's ``sort_keys`` pass
-sorts lists that are sorted already.  :func:`to_perfetto` lists the
+its keys already in sorted order, so :func:`write_perfetto` encodes
+without a ``sort_keys`` pass and still writes the sorted-key text of
+:func:`to_perfetto`'s document.  :func:`to_perfetto` lists the
 entries into one document dict; :func:`write_perfetto` encodes them a
 batch at a time straight to the file, the same text in memory bounded
 by the recording.  :func:`validate_perfetto` is the schema check the
@@ -280,8 +281,9 @@ def write_perfetto(path, events, *, n_pes: int | None = None) -> pathlib.Path:
     """
     target = pathlib.Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    # "traceEvents" sorts last, so the document's text ends in its "[]}".
+    # Every dict is built with its keys sorted, so no sort_keys pass;
+    # "traceEvents" is the head's last key, so its text ends in "[]}".
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     head = encode(_document([]))[:-2]
     entries = _entries(events, n_pes)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.{threading.get_ident()}.tmp")

@@ -1,29 +1,41 @@
 """The discrete-event engine driving one simulated EM-X machine.
 
-The engine owns the simulated time and the event queue.  Model
-components schedule callbacks (`schedule`/`schedule_at`);
-:meth:`Engine.run` pops events in time order until the queue drains or
-a cycle limit is hit.
+The engine owns the simulated time and the event calendar.  Model
+components schedule callbacks (`schedule_at`, or `schedule` for a
+relative delay); :meth:`Engine.run` fires them in stable ``(time,
+push)`` order until the calendar drains or a cycle limit is hit.  Ties
+must never be broken arbitrarily: the hardware FIFO thread queue and
+the network's non-overtaking rule both lean on same-cycle events firing
+in the order they were scheduled.  An entry is pushed once and fired
+once; nothing withdraws it.
 
-**Hot path.**  :meth:`Engine.run` drains the calendar queue (see
-:mod:`repro.sim.queue`) one *cycle batch* at a time: the clock advance,
-cycle-limit check and quiescence test happen once per simulated cycle
-rather than once per event, and every event of that cycle then fires
-from a plain bucket list with nothing but a tombstone check per event.
-There is no per-event fallback: events that spilled to the far tier are
-folded into the front of their cycle's bucket when that cycle comes due,
-and the drain cursor re-anchors at it, so even a cycle after an idle gap
-longer than the ring drains as one batch.  Determinism is unchanged: a
-bucket holds its cycle's events in ``seq`` order, folded far entries
-included, so the firing sequence is exactly what the reference heapq
-engine produces.
+**The calendar.**  A ring of :data:`WINDOW` per-cycle buckets (plain
+lists) absorbs virtually every push as one ``list.append``: model
+delays are tens of cycles.  Events beyond the window spill to a far
+heap ordered by ``(time, seq)``.  :meth:`Engine.run` drains one whole
+cycle bucket at a time, so the clock advance, horizon check and
+quiescence test happen once per simulated cycle rather than once per
+event, and the bucket fires in list order, same-cycle appends included.
+
+**Determinism argument.**  A bucket holds its cycle's events in push
+order.  The drain cursor ``_base`` never moves backwards and never
+passes the clock, and only a push at or beyond ``_base + WINDOW`` goes
+to the heap, so a cycle's heap entries were all pushed while it was
+still beyond the window, before any entry of its bucket.  When that
+cycle comes due, its heap entries leave the heap in ``seq`` order for
+the front of its bucket and the cursor re-anchors there; an idle gap
+longer than the ring thus drains as a bucket too.  Every event fires in
+the order a single heap of ``(time, push count)`` would give —
+:class:`~repro.sim.reference.ReferenceEngine` is that heap, kept as the
+oracle.
 
 ``Engine.now`` is the one clock: a plain integer cycle count, written
-only by the run loop, which raises :class:`~repro.errors.SimulationError`
-if it would ever move backwards.  Model code reads it millions of times
-per run, so it must never become a property again.
+only by the run loop.  ``schedule_at`` rejects the past and a pause
+rejects a horizon behind ``now``, so the clock never moves backwards.
+Model code reads it millions of times per run, so it must never become
+a property.
 
-A *quiescence watcher* may be installed: when the queue drains, the
+A *quiescence watcher* may be installed: when the calendar drains, the
 engine asks it whether the model is genuinely finished; if the watcher
 reports live-but-stuck work (suspended threads with no pending wake-up)
 the engine raises :class:`~repro.errors.DeadlockError` instead of
@@ -34,111 +46,78 @@ fail loudly.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Any, Callable
 
 from ..errors import DeadlockError, SimulationError
-from .queue import EventQueue
 
-__all__ = ["Engine"]
+__all__ = ["Engine", "WINDOW"]
+
+#: Width in cycles of the ring of per-cycle buckets (a power of two).
+WINDOW = 8192
+_MASK = WINDOW - 1
 
 
 class Engine:
-    """Event loop: the current cycle plus a stable event queue.
+    """Event loop: the current cycle plus a calendar of callbacks."""
 
-    ``queue`` defaults to the calendar :class:`EventQueue`; any object
-    with the same contract (``push``/``cancel``/``pop``/``peek_time``/
-    ``__len__``) works too — e.g. :class:`~repro.sim.queue.
-    ReferenceEventQueue` — at the cost of the generic, non-batched run
-    loop.
-    """
-
-    def __init__(self, max_cycles: int = 4_000_000_000, queue: Any | None = None) -> None:
+    def __init__(self, max_cycles: int = 4_000_000_000) -> None:
         if max_cycles < 1:
             raise SimulationError(f"max_cycles must be positive, got {max_cycles}")
         #: Current simulated cycle (plain attribute; only the run loop
         #: writes it).
         self.now = 0
-        self.queue = EventQueue() if queue is None else queue
         self.max_cycles = max_cycles
         self.events_fired = 0
         #: Optional callable returning a description of stuck work, or
         #: ``None``/empty string when the model is legitimately done.
         self.quiescence_watcher: Callable[[], str | None] | None = None
-        self._push = self.queue.push  # bound once: schedule() is hot
-        if type(self.queue) is EventQueue:
-            self._bind_fast_schedule()
+        self._bind_schedule()
 
     # ------------------------------------------------------------------
-    # Scheduling API
+    # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> Any:
-        """Fire ``fn(*args)`` ``delay`` cycles from now; returns a handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        return self._push(self.now + delay, fn, *args)
+    def _bind_schedule(self) -> None:
+        """Build the calendar and the ``schedule_at`` closure that fills it.
 
-    def schedule_at(self, when: int, fn: Callable[..., None], *args: Any) -> Any:
-        """Fire ``fn(*args)`` at absolute cycle ``when``; returns a handle."""
-        if when < self.now:
-            raise SimulationError(f"cannot schedule in the past: now={self.now}, when={when}")
-        return self._push(when, fn, *args)
-
-    def _bind_fast_schedule(self) -> None:
-        """Shadow ``schedule``/``schedule_at`` with closures that inline
-        :meth:`EventQueue.push`.
-
-        Model code calls these two methods once per event — the single
-        extra Python frame of the ``schedule → push`` chain is measurable
-        on the fig6 sweep, so when the engine owns the calendar queue the
-        push body is fused in.  Semantics are identical: same validation
-        (``time >= now >= 0`` subsumes the queue's negative-time check),
-        same ``seq`` assignment order, same handles.  Generic queues
-        (e.g. :class:`~repro.sim.queue.ReferenceEventQueue`) keep the
-        plain class methods.
+        Model code calls ``schedule_at`` once per event, so it is a
+        closure over the ring and the heap rather than a method: one
+        Python frame, no attribute lookups for the containers.
         """
-        queue = self.queue
-        near = queue._near
-        mask = queue._mask
-        window = queue._window
-        far = queue._far
+        near: list[list] = [[] for _ in range(WINDOW)]
+        far: list[tuple] = []  # heap of (time, seq, fn, args)
+        seq = itertools.count()
         heappush = heapq.heappush
         engine = self
+        self._near = near
+        self._far = far
+        self._near_n = 0  # entries in the ring
+        self._base = 0  # drain cursor: the ring holds cycles [_base, _base + WINDOW)
 
-        def schedule(delay: int, fn: Callable[..., None], *args: Any) -> Any:
-            if delay < 0:
-                raise SimulationError(f"negative delay {delay}")
-            time = engine.now + delay
-            entry = [time, queue._seq, fn, args]
-            queue._seq += 1
-            if 0 <= time - queue._base < window:
-                near[time & mask].append(entry)
-                queue._near_n += 1
-            else:
-                heappush(far, entry)
-            queue._live += 1
-            return entry
-
-        def schedule_at(when: int, fn: Callable[..., None], *args: Any) -> Any:
+        def schedule_at(when: int, fn: Callable[..., None], *args: Any) -> None:
+            """Fire ``fn(*args)`` at absolute cycle ``when``."""
             if when < engine.now:
                 raise SimulationError(
                     f"cannot schedule in the past: now={engine.now}, when={when}"
                 )
-            entry = [when, queue._seq, fn, args]
-            queue._seq += 1
-            if 0 <= when - queue._base < window:
-                near[when & mask].append(entry)
-                queue._near_n += 1
+            if when - engine._base < WINDOW:
+                near[when & _MASK].append((fn, args))
+                engine._near_n += 1
             else:
-                heappush(far, entry)
-            queue._live += 1
-            return entry
+                heappush(far, (when, next(seq), fn, args))
 
-        self.schedule = schedule
         self.schedule_at = schedule_at
 
-    def cancel(self, handle: Any) -> None:
-        """Cancel a scheduled event by handle (no-op if already fired)."""
-        self.queue.cancel(handle)
+    def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
+        """Fire ``fn(*args)`` ``delay`` cycles from now."""
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay}")
+        self.schedule_at(self.now + delay, fn, *args)
+
+    @property
+    def pending(self) -> int:
+        """Events scheduled and not yet fired."""
+        return self._near_n + len(self._far)
 
     # ------------------------------------------------------------------
     # Run loop
@@ -147,100 +126,94 @@ class Engine:
         """Process events until quiescence, ``until``, or ``max_cycles``.
 
         Returns the clock value when the loop stops.  Raises
-        :class:`DeadlockError` if the queue drains while the quiescence
-        watcher reports stuck work, and :class:`SimulationError` if the
-        cycle limit is exceeded (runaway guest program).
+        :class:`DeadlockError` if the calendar drains while the
+        quiescence watcher reports stuck work, and
+        :class:`SimulationError` if the cycle limit is exceeded (runaway
+        guest program).  A handler that raises propagates out of
+        ``run``; the events fired before it (and it) are gone, and a
+        later ``run()`` fires the rest of its cycle first.
         """
-        queue = self.queue
-        if type(queue) is EventQueue:
-            self._drain_calendar(queue, until)
-        else:
-            self._drain_generic(queue, until)
-        if not queue and self.quiescence_watcher is not None:
+        limit = self.max_cycles if until is None else min(until, self.max_cycles)
+        self._drain(limit, until)
+        if not self.pending and self.quiescence_watcher is not None:
             stuck = self.quiescence_watcher()
             if stuck:
                 raise DeadlockError(f"event queue drained with live work: {stuck}")
         return self.now
 
-    def _limit(self, until: int | None) -> int:
-        return self.max_cycles if until is None else min(until, self.max_cycles)
-
-    def _pause_or_raise(self, when: int, until: int | None) -> bool:
-        """Handle the next event lying beyond the horizon; True = pause.
+    def _pause(self, when: int, until: int | None) -> None:
+        """Stop before ``when``, the next event, which lies past the limit.
 
         The horizon is the caller's ``until`` when it lies within
         ``max_cycles``: stopping there is a pause, wherever the next
         event lies.  Past a horizon of ``max_cycles`` itself, the run is
         a runaway.
         """
-        if until is not None and until <= self.max_cycles:
-            # Paused by the caller's horizon, not a failure.
-            if until < self.now:
-                raise SimulationError(f"clock moved backwards: {self.now} -> {until}")
-            self.now = until
-            return True
-        raise SimulationError(
-            f"simulation exceeded max_cycles={self.max_cycles} "
-            f"(next event at {when}); runaway guest program?"
-        )
+        if until is None or until > self.max_cycles:
+            raise SimulationError(
+                f"simulation exceeded max_cycles={self.max_cycles} "
+                f"(next event at {when}); runaway guest program?"
+            )
+        if until < self.now:
+            raise SimulationError(f"clock moved backwards: {self.now} -> {until}")
+        self.now = until
 
-    def _drain_calendar(self, queue: EventQueue, until: int | None) -> None:
-        """Batch-drain loop over the calendar queue's cycle buckets."""
-        limit = self._limit(until)
-        while queue._live:
-            t, bucket = queue.next_cycle(limit)
+    def _drain(self, limit: int, until: int | None) -> None:
+        """Fire cycle buckets in time order up to ``limit``."""
+        far = self._far
+        while self._near_n or far:
+            t, bucket = self._next_cycle(limit)
             if t > limit:
-                if self._pause_or_raise(t, until):
-                    return
-            if t < self.now:
-                raise SimulationError(f"clock moved backwards: {self.now} -> {t}")
+                self._pause(t, until)
+                return
             self.now = t
-            # Fire the whole bucket in place.  Same-cycle pushes append
-            # to `bucket` while we iterate, so the index runs until it
-            # falls off the (possibly growing) end — IndexError is the
-            # loop exit, free in 3.11 until raised.  Tombstoned entries
-            # just skip.  A raising handler leaves the rest of the
-            # bucket in place behind tombstones, so `len(queue)` stays
-            # exact and a later run() resumes the cycle.
-            i = 0
-            fired = 0
             try:
-                while True:
-                    try:
-                        entry = bucket[i]
-                    except IndexError:
-                        break  # drained (3.11 try setup is free)
-                    i += 1
-                    fn = entry[2]
-                    if fn is not None:
-                        entry[2] = None
-                        fired += 1
-                        fn(*entry[3])
+                for entry in bucket:  # reaches same-cycle appends too
+                    entry[0](*entry[1])
+                fired = len(bucket)
+            except BaseException:
+                # The fired prefix ends at the raising handler, found by
+                # identity: equal pushes compare equal.
+                fired = next(i for i, e in enumerate(bucket) if e is entry) + 1
+                raise
             finally:
+                del bucket[:fired]
                 self.events_fired += fired
-                queue._live -= fired
-            # Drop the drained entries; the cursor stays at `t`, so a
-            # push at this clock (from a later run()) still lands in the
-            # ring rather than behind the cursor.
-            bucket.clear()
-            queue._near_n -= i
-            queue._base = t
+                self._near_n -= fired
+            # The cursor stays at `t`, so a push at this clock (from a
+            # later run()) still lands in the ring.
+            self._base = t
 
-    def _drain_generic(self, queue: Any, until: int | None) -> None:
-        """Reference loop: one peek/pop per event, any queue object."""
-        limit = self._limit(until)
-        while queue:
-            when = queue.peek_time()
-            assert when is not None  # queue is non-empty
-            if when > limit:
-                if self._pause_or_raise(when, until):
-                    return
-            ev = queue.pop()
-            if ev.time < self.now:
-                raise SimulationError(f"clock moved backwards: {self.now} -> {ev.time}")
-            self.now = ev.time
-            self.events_fired += 1
-            ev.fn(*ev.args)
+    def _next_cycle(self, limit: int) -> tuple[int, list | None]:
+        """The earliest pending cycle and the bucket holding all its events.
+
+        When that cycle has heap entries, they move in ``seq`` order to
+        the front of its bucket and the cursor re-anchors there.  A cycle
+        from the heap beyond ``limit`` comes back with the calendar
+        untouched and no bucket: a caller that pauses there may still
+        push at its own clock, which must not fall behind the cursor.
+        """
+        far = self._far
+        if self._near_n:
+            near = self._near
+            for t in range(self._base, self._base + WINDOW):
+                bucket = near[t & _MASK]
+                if bucket:
+                    if not far or t < far[0][0]:
+                        return t, bucket
+                    break
+        t = far[0][0]
+        if t > limit:
+            return t, None
+        folded = []
+        while far and far[0][0] == t:
+            _, _, fn, args = heapq.heappop(far)
+            folded.append((fn, args))
+        bucket = self._near[t & _MASK]
+        bucket[:0] = folded
+        self._near_n += len(folded)
+        self._base = t
+        return t, bucket
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Engine(now={self.now}, pending={len(self.queue)}, fired={self.events_fired})"
+        return f"{type(self).__name__}(now={self.now}, pending={self.pending})"

@@ -198,13 +198,3 @@ def test_cli_json_output(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["n_pes"] == 4
     assert payload["runtime_cycles"] > 0
-
-
-def test_cli_goldens_check(capsys):
-    main(["goldens", "--check", "tests/goldens"])
-    assert "goldens match" in capsys.readouterr().out
-
-
-def test_cli_goldens_requires_mode():
-    with pytest.raises(SystemExit):
-        main(["goldens"])

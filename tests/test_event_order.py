@@ -8,9 +8,9 @@ event in its ``(time, seq)`` slot, on every path it touches: the
 detailed and analytic networks, the by-passing DMA and the EM-4 service,
 read pairs through matching memory, priority replies and compiled EM-C.
 
-The runs use the reference heapq engine, whose ``pop`` is the one place
-every event passes; the calendar engine fires in the same order (see
-``test_engine_hotpath.py``).
+The runs use the reference engine, whose ``_pop`` is the one place
+every event passes and whose ``seq`` counts pushes; the calendar engine
+fires in the same order (see ``test_engine_hotpath.py``).
 
 Regenerate deliberately, after a change meant to move events::
 
@@ -26,8 +26,7 @@ import pytest
 
 from repro import ExecutionPlan, MachineConfig, run
 from repro.machine import machine as machine_mod
-from repro.sim.engine import Engine
-from repro.sim.queue import ReferenceEventQueue
+from repro.sim import ReferenceEngine
 
 GOLDEN = pathlib.Path(__file__).parent / "goldens" / "event_order.json"
 
@@ -42,29 +41,27 @@ RUNS = {
 }
 
 
-class LoggingQueue(ReferenceEventQueue):
-    """The reference queue, hashing each popped event's ``(time, seq)``."""
+class LoggingEngine(ReferenceEngine):
+    """The reference engine, hashing each popped event's ``(time, seq)``."""
 
-    __slots__ = ("digest",)
-
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, max_cycles: int) -> None:
+        super().__init__(max_cycles)
         self.digest = hashlib.sha256()
 
-    def pop(self):
-        ev = super().pop()
-        self.digest.update(f"{ev.time},{ev.seq};".encode())
-        return ev
+    def _pop(self):
+        entry = super()._pop()
+        self.digest.update(f"{entry[0]},{entry[1]};".encode())
+        return entry
 
 
 def firing_order(name: str) -> dict:
     """``{"events_fired", "sha256"}`` of one run in :data:`RUNS`."""
     app, config, plan = RUNS[name]
-    queues = []
+    engines = []
 
     def logged_engine(max_cycles):
-        queues.append(LoggingQueue())
-        return Engine(max_cycles, queue=queues[-1])
+        engines.append(LoggingEngine(max_cycles))
+        return engines[-1]
 
     orig = machine_mod.Engine
     machine_mod.Engine = logged_engine
@@ -72,8 +69,8 @@ def firing_order(name: str) -> dict:
         report = run(app, n_pes=4, n=64, h=2, seed=0, config=config, plan=plan)
     finally:
         machine_mod.Engine = orig
-    (queue,) = queues
-    return {"events_fired": report.events_fired, "sha256": queue.digest.hexdigest()}
+    (engine,) = engines
+    return {"events_fired": report.events_fired, "sha256": engine.digest.hexdigest()}
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))

@@ -97,6 +97,12 @@ def _connect():
     return getattr(repro, "connect")
 
 
+def _engine(**kwargs):
+    from repro.sim import Engine
+
+    return Engine(**kwargs)
+
+
 def _cli(*argv):
     from repro.__main__ import main
 
@@ -129,6 +135,9 @@ def _cli(*argv):
         (_cli("sort", "--plan", "compiled"), SystemExit),
         (_cli("fig6", "a", "--plan", "compiled"), SystemExit),
         (_cli("fig6", "a", "--trace-dir", "d"), SystemExit),
+        (lambda: _engine(queue=None), TypeError),
+        (lambda: _engine().cancel, AttributeError),
+        (_cli("goldens", "--check", "tests/goldens"), SystemExit),
     ],
     ids=["run-shards", "run-compiled", "app-positional", "jobspec-plan",
          "runner-shards", "plan-shards", "jobspec-shards",
@@ -136,7 +145,8 @@ def _cli(*argv):
          "cli-export-outdir", "cli-plan-shards", "config-trace",
          "repro-connect", "cli-serve", "cli-submit", "cli-svc-status",
          "jobspec-compiled", "runner-plan", "runner-timeout",
-         "cli-sort-plan", "cli-fig6-plan", "cli-fig6-trace-dir"],
+         "cli-sort-plan", "cli-fig6-plan", "cli-fig6-trace-dir",
+         "engine-queue", "engine-cancel", "cli-goldens"],
 )
 def test_removed_spellings_fail_loudly(call, error):
     """Each removed spelling gets the error Python or argparse raises for
